@@ -4,8 +4,7 @@ The matrix products and SVDs that dominate the detectors run on BLAS/LAPACK
 through numpy and are not touched here; the kernels below are the squared-
 magnitude reductions and symbol decisions where loop fusion avoids large
 temporaries.  Set ``PDRS_NUMBA=0`` in the environment to force the numpy
-path (the default uses numba whenever it imports).  ``benchmarks/
-bench_kernels.py`` times both paths.
+path (the default uses numba whenever it imports).
 """
 
 import os

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import col_norms_sq, residual_row_norms
-from .linalg import pinv
+from .linalg import pinv, pinv_symmetric
 from .metrics import MultCounter, matmul_mults, pinv_mults
 from .scenario import PdrsCodebook, PilotPool, ReceivedFrame
 
@@ -135,10 +135,12 @@ def fpr_gram_pinv(pool: PilotPool, rel_tol: float | None = None) -> np.ndarray:
     """Pseudo-inverse of the squared-modulus pilot Gram matrix.
 
     One-time precomputation per pilot pool; the per-frame ledger charges only
-    its application.
+    its application.  ``G = |P P^H|^2`` is real symmetric (positive
+    semidefinite, as the Schur product of two PSD matrices), so its
+    pseudo-inverse comes from a real symmetric eigendecomposition.
     """
     G = np.abs(pool.P @ pool.P.conj().T) ** 2
-    return np.ascontiguousarray(pinv(G, rel_tol=rel_tol).real)
+    return pinv_symmetric(G, rel_tol=rel_tol)
 
 
 def detect_fpr(

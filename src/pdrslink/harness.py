@@ -4,8 +4,10 @@ Trials are embarrassingly parallel: every trial owns a counter-based
 substream keyed by (seed, 16 + trial_index), workers fill a per-trial result
 slot, and reduction walks the slots in index order, so every reported number
 except wall-clock time is independent of the worker count and of scheduling.
-The pilot pool (stream 0) and the reference-signal codebook (stream 1) are
-generated once per sweep point and shared by all trials of that point.
+The pilot pool (stream 0) and, when ``fpr`` runs, its Gram pseudo-inverse
+are built once per sweep and shared by every point, since no sweep variable
+changes the seed, N or L.  The reference-signal codebook (stream 1) follows l
+and is generated once per sweep point; all trials of a point share it.
 """
 
 import csv
@@ -296,10 +298,29 @@ def run_point(
     """
     if not detectors:
         raise ValueError("detector list must be nonempty")
+    pool, gram_pinv = _pool_and_gram(cfg, detectors)
     value = cfg.snr_db if sweep_value is None else sweep_value
+    return _run_point(cfg, detectors, sweep_var, value, pool, gram_pinv)
+
+
+def _pool_and_gram(
+    cfg: SystemConfig, detectors: list[str]
+) -> tuple[PilotPool, np.ndarray | None]:
+    """The pilot pool of (seed, N, L) and, when fpr runs, its Gram pseudo-inverse."""
     pool = gen_pilot_pool(cfg, RngStream(cfg.seed, POOL_STREAM))
+    return pool, fpr_gram_pinv(pool) if "fpr" in detectors else None
+
+
+def _run_point(
+    cfg: SystemConfig,
+    detectors: list[str],
+    sweep_var: str,
+    value: float,
+    pool: PilotPool,
+    gram_pinv: np.ndarray | None,
+) -> list[ResultRow]:
+    """``run_point`` with the pool and Gram pseudo-inverse already built."""
     codebook = gen_pdrs_codebook(cfg, RngStream(cfg.seed, CODEBOOK_STREAM))
-    gram_pinv = fpr_gram_pinv(pool) if "fpr" in detectors else None
 
     slots: list[dict[str, TrialMetrics] | None] = [None] * cfg.trials
     failure: Exception | None = None
@@ -374,11 +395,17 @@ def run_point(
 
 
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
-    """All sweep points, rows ordered by sweep value then detector name."""
+    """All sweep points, rows ordered by sweep value then detector name.
+
+    The rows equal those of ``run_point`` at each point; the pilot pool and
+    the Gram pseudo-inverse are built once for the whole sweep.
+    """
+    detectors = sorted(spec.detectors)
+    pool, gram_pinv = _pool_and_gram(spec.base, detectors)
     rows: list[ResultRow] = []
     for value in sorted(spec.values):
         cfg = spec.config_at(value)
-        rows.extend(run_point(cfg, sorted(spec.detectors), spec.variable, float(value)))
+        rows.extend(_run_point(cfg, detectors, spec.variable, float(value), pool, gram_pinv))
     return rows
 
 

@@ -1,8 +1,9 @@
-"""Complex dense-matrix kernel shared by every other module.
+"""Dense-matrix kernel shared by every other module.
 
-Matrices are plain 2-D ``numpy.ndarray`` of complex128 (row-major); vectors
-are 1-D float/complex arrays.  All functions are pure, never mutate their
-inputs, and return finite values for finite inputs.
+Matrices are plain 2-D ``numpy.ndarray`` of complex128 (row-major), except
+for ``pinv_symmetric``, which works in float64; vectors are 1-D float/complex
+arrays.  All functions are pure, never mutate their inputs, and return finite
+values for finite inputs.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ __all__ = [
     "DEFAULT_PINV_RTOL_SCALE",
     "as_cmatrix",
     "pinv",
+    "pinv_symmetric",
     "row_norms_sq",
     "col_norms_sq",
     "abs2_hadamard",
@@ -32,12 +34,26 @@ def as_cmatrix(a) -> np.ndarray:
     return m
 
 
+def _rank_cutoff(shape: tuple[int, ...], rel_tol: float | None) -> float:
+    """Validated relative cutoff: ``rel_tol``, or ``max(shape) * 1e-12`` when None."""
+    if rel_tol is None:
+        return max(shape) * DEFAULT_PINV_RTOL_SCALE
+    if not 0.0 <= rel_tol < 1.0:
+        raise ValueError(f"rel_tol must be in [0, 1), got {rel_tol}")
+    return rel_tol
+
+
+def _kept(magnitudes: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Mask of the singular values (or |eigenvalues|) above ``rel_tol`` times the largest."""
+    return magnitudes > rel_tol * magnitudes.max()
+
+
 def pinv(a, rel_tol: float | None = None) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via SVD with a relative rank cutoff.
 
-    Singular values below ``rel_tol * sigma_max`` are treated as zero.  When
-    ``rel_tol`` is None it defaults to ``max(rows, cols) * 1e-12``, which is
-    loose enough to absorb rounding in double precision while still zeroing
+    Singular values at or below ``rel_tol * sigma_max`` are treated as zero.
+    When ``rel_tol`` is None it defaults to ``max(rows, cols) * 1e-12``, which
+    is loose enough to absorb rounding in double precision while still zeroing
     deliberately rank-deficient inputs.
 
     Parameters
@@ -53,21 +69,58 @@ def pinv(a, rel_tol: float | None = None) -> np.ndarray:
         The pseudo-inverse, shape (cols, rows).
     """
     m = as_cmatrix(a)
-    if rel_tol is None:
-        rel_tol = max(m.shape) * DEFAULT_PINV_RTOL_SCALE
-    elif not 0.0 <= rel_tol < 1.0:
-        raise ValueError(f"rel_tol must be in [0, 1), got {rel_tol}")
+    rel_tol = _rank_cutoff(m.shape, rel_tol)
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"SVD did not converge for {m.shape[0]}x{m.shape[1]} matrix"
         ) from exc
-    cutoff = rel_tol * s[0]
-    keep = s > cutoff
+    keep = _kept(s, rel_tol)
     if not np.any(keep):
         return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
     return (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
+
+
+def pinv_symmetric(a, rel_tol: float | None = None) -> np.ndarray:
+    """Real pseudo-inverse of a real symmetric matrix via its eigendecomposition.
+
+    The singular values of a symmetric matrix are the magnitudes of its
+    eigenvalues, so this is ``pinv(a).real`` computed in real arithmetic with
+    the same cutoff: eigenvalues with ``|lambda| <= rel_tol * max|lambda|``
+    are treated as zero.  A matrix that is not symmetric to rounding raises
+    ValueError.
+
+    Parameters
+    ----------
+    a : array_like
+        Non-empty real square matrix.
+    rel_tol : float, optional
+        Relative cutoff in [0, 1); defaults as for ``pinv``.
+
+    Returns
+    -------
+    np.ndarray
+        The float64 pseudo-inverse, same shape as ``a``.
+    """
+    m = np.asarray(a)
+    if np.iscomplexobj(m):
+        raise ValueError("pinv_symmetric takes a real matrix")
+    m = m.astype(np.float64, copy=False)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape={m.shape}")
+    rel_tol = _rank_cutoff(m.shape, rel_tol)
+    if np.linalg.norm(m - m.T) > 1e-10 * np.linalg.norm(m):
+        raise ValueError("pinv_symmetric takes a symmetric matrix")
+    try:
+        w, v = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"eigendecomposition did not converge for {m.shape[0]}x{m.shape[1]} matrix"
+        ) from exc
+    keep = _kept(np.abs(w), rel_tol)
+    v = v[:, keep]
+    return (v / w[keep]) @ v.T
 
 
 def row_norms_sq(a) -> np.ndarray:

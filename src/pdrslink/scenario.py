@@ -203,8 +203,8 @@ class ReceivedFrame:
             raise ValueError("H must be M x N when present")
         if self.X_D is not None and self.X_D.shape != (self.ground_truth.K, self.Y_D.shape[1]):
             raise ValueError("X_D must be K x D when present")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be >= 0")
+        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0):
+            raise ValueError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
 
     @property
     def M(self) -> int:

@@ -1,7 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
-from pdrslink.frameio import MAGIC, load_frame, save_frame
+from pdrslink.frameio import _HEADER, MAGIC, load_frame, save_frame
 from pdrslink.rng import RngStream
 from pdrslink.scenario import (
     SystemConfig,
@@ -91,3 +93,14 @@ def test_noiseless_round_trip_sigma(tmp_path):
     save_frame(path, frame, pool, cb)
     got, _, _ = load_frame(path)
     assert got.sigma2 == 0.0
+
+
+def test_rejects_nan_noise_variance(tmp_path):
+    frame, pool, cb = make_frame()
+    path = tmp_path / "frame.pdrs"
+    save_frame(path, frame, pool, cb)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, len(MAGIC) + _HEADER.size - 8, float("nan"))
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="sigma2"):
+        load_frame(path)

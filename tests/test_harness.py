@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -159,6 +160,48 @@ def test_run_sweep_ordering_and_shape():
         (6.0, "pdrs"),
     ]
     assert all(r.sweep_var == "snr_db" for r in rows)
+
+
+def _rows_without_wall_clock(rows):
+    """Every field but wall_clock_ms, as reprs so nan equals nan and floats match bit for bit."""
+    return [
+        tuple(repr(getattr(r, f.name)) for f in fields(r) if f.name != "wall_clock_ms")
+        for r in rows
+    ]
+
+
+@pytest.mark.parametrize("variable,values", [("snr_db", [6.0, 0.0, 3.0]), ("l", [3, 1])])
+def test_run_sweep_rows_equal_run_point_rows(variable, values):
+    cfg = small_cfg(trials=4)
+    dets = ["pdrs", "fpr", "oracle"]
+    spec = SweepSpec(base=cfg, variable=variable, values=values, detectors=dets)
+    swept = harness.run_sweep(spec)
+    separate = []
+    for v in sorted(values):
+        separate.extend(run_point(spec.config_at(v), sorted(dets), variable, float(v)))
+    assert _rows_without_wall_clock(swept) == _rows_without_wall_clock(separate)
+
+
+def test_run_sweep_builds_pool_and_gram_once(monkeypatch):
+    calls = {"fpr_gram_pinv": 0, "gen_pilot_pool": 0}
+
+    def counted(name):
+        original = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, wrapper)
+
+    counted("fpr_gram_pinv")
+    counted("gen_pilot_pool")
+    spec = SweepSpec(
+        base=small_cfg(trials=2), variable="snr_db", values=[0.0, 4.0, 8.0], detectors=["fpr"]
+    )
+    rows = harness.run_sweep(spec)
+    assert len(rows) == 3
+    assert calls == {"fpr_gram_pinv": 1, "gen_pilot_pool": 1}
 
 
 def test_snr_monotonicity_with_slack():

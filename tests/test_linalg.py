@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from pdrslink.linalg import as_cmatrix, pinv
+from pdrslink.linalg import as_cmatrix, pinv, pinv_symmetric
 from pdrslink.rng import RngStream, cgauss
+from pdrslink.scenario import PilotPool, SystemConfig, gen_pilot_pool
 
 
 def gauss_inverse(a):
@@ -109,3 +110,81 @@ def test_as_cmatrix_coerces_real():
     out = as_cmatrix([[1, 2], [3, 4]])
     assert out.dtype == np.complex128
     assert out.shape == (2, 2)
+
+
+def random_psd(rng, n, rank):
+    """Real symmetric PSD n x n matrix of the given rank, eigenvalues in [0.5, 2]."""
+    q, _ = np.linalg.qr(rng.gen.standard_normal((n, n)))
+    lam = np.zeros(n)
+    lam[:rank] = rng.gen.uniform(0.5, 2.0, size=rank)
+    a = (q * lam) @ q.T
+    return (a + a.T) / 2
+
+
+def duplicated_pool_gram():
+    """|P P^H|^2 of a pool whose last four pilots repeat the first four (rank-deficient)."""
+    cfg = SystemConfig(M=4, N=12, L=6, l=1, K=2, zeta=2, trials=1, seed=7)
+    P = gen_pilot_pool(cfg, RngStream(cfg.seed, 0)).P
+    pool = PilotPool(np.vstack([P, P[:4]]))
+    return np.abs(pool.P @ pool.P.conj().T) ** 2
+
+
+def symmetric_cases():
+    cases = []
+    for i in range(20):
+        rng = RngStream(104, i)
+        n = int(rng.gen.integers(1, 12))
+        cases.append(random_psd(rng, n, int(rng.gen.integers(1, n + 1))))
+    cases.append(duplicated_pool_gram())
+    return cases
+
+
+def test_pinv_symmetric_moore_penrose_identities():
+    for a in symmetric_cases():
+        ap = pinv_symmetric(a)
+        assert ap.dtype == np.float64
+        assert rel_err(a @ ap @ a, a) < 1e-10
+        assert rel_err(ap @ a @ ap, ap) < 1e-10
+        assert rel_err((a @ ap).T, a @ ap) < 1e-10
+        assert rel_err((ap @ a).T, ap @ a) < 1e-10
+
+
+def test_pinv_symmetric_duplicated_pool_gram_is_rank_deficient():
+    g = duplicated_pool_gram()
+    assert np.linalg.matrix_rank(g) < g.shape[0]
+    assert np.linalg.matrix_rank(pinv_symmetric(g)) == np.linalg.matrix_rank(g)
+
+
+def test_pinv_symmetric_matches_complex_pinv():
+    for a in symmetric_cases():
+        assert rel_err(pinv(a).real, pinv_symmetric(a)) <= 1e-12
+
+
+def test_pinv_symmetric_zero_matrix():
+    z = pinv_symmetric(np.zeros((4, 4)))
+    assert z.shape == (4, 4)
+    assert np.all(z == 0)
+
+
+def test_pinv_symmetric_explicit_rel_tol():
+    a = np.diag([1.0, -1e-3])
+    assert np.linalg.norm(pinv_symmetric(a, rel_tol=1e-2) - np.diag([1.0, 0.0])) < 1e-12
+    assert np.linalg.norm(pinv_symmetric(a, rel_tol=1e-4) - np.diag([1.0, -1e3])) < 1e-9
+
+
+def test_pinv_symmetric_rejects_bad_rel_tol():
+    a = np.eye(2)
+    for bad in (-1e-3, 1.0, 2.0, float("nan")):
+        with pytest.raises(ValueError, match="rel_tol"):
+            pinv_symmetric(a, rel_tol=bad)
+
+
+def test_pinv_symmetric_rejects_bad_inputs():
+    with pytest.raises(ValueError, match="square"):
+        pinv_symmetric(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        pinv_symmetric(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="symmetric"):
+        pinv_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="real"):
+        pinv_symmetric(np.eye(2, dtype=np.complex128))

@@ -229,6 +229,9 @@ def test_received_frame_validation():
         )
     with pytest.raises(ValueError):
         ReceivedFrame(Y_R=frame.Y_R, Y=frame.Y, Y_D=frame.Y_D, ground_truth=act, sigma2=-0.5)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma2"):
+            ReceivedFrame(Y_R=frame.Y_R, Y=frame.Y, Y_D=frame.Y_D, ground_truth=act, sigma2=bad)
     with pytest.raises(ValueError):
         ReceivedFrame(
             Y_R=frame.Y_R,
