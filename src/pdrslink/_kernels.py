@@ -15,7 +15,7 @@ try:
     import numba
 
     _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # pragma: no cover - numba is an optional extra
     numba = None
     _HAVE_NUMBA = False
 
@@ -40,7 +40,10 @@ def _row_norms_sq_np(a):
 
 
 def _col_norms_sq_np(a):
-    return np.einsum("ij,ij->j", a, a.conj()).real
+    # squares of the interleaved (re, im) float64 view avoid a conj temporary
+    f = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    s = np.einsum("ij,ij->j", f, f)
+    return s[0::2] + s[1::2]
 
 
 def _abs2_np(a):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import col_norms_sq, residual_row_norms
-from .linalg import pinv, pinv_symmetric
+from .linalg import orthonormal_step, pinv, pinv_symmetric
 from .metrics import MultCounter, matmul_mults, pinv_mults
 from .scenario import PdrsCodebook, PilotPool, ReceivedFrame
 
@@ -94,7 +94,16 @@ def detect_bomp(
 
     Each of the zeta iterations correlates the running residual with every
     pilot, admits the strongest unselected user, and deflates the residual by
-    the least-squares fit of the selected pilots.
+    the least-squares fit of the selected pilots, ``Z = Y - Y pinv(Ps) Ps``.
+    That projection is kept as an incremental QR: the selected pilots'
+    conjugates are orthonormalised one at a time into ``Q`` (Gram-Schmidt
+    with one reorthogonalisation pass) and ``Z = Y - (Y Q) Q^H``.  A pilot
+    already in the span of ``Q`` (``linalg.orthonormal_step``'s cutoff)
+    leaves the residual unchanged.  Once the selected pilots span C^L the
+    residual is set to exactly zero, so with zeta > L every remaining pick is
+    the lowest unselected index (the tie rule), not a draw of rounding noise.
+    ``svd_cost`` is accepted for signature compatibility with the other
+    detectors; BOMP no longer computes a pseudo-inverse, so it has no effect.
     """
     Y = frame.Y
     M, L = Y.shape
@@ -104,6 +113,8 @@ def detect_bomp(
     counter = MultCounter()
     P_h = pool.P.conj().T
 
+    Q = np.empty((L, min(zeta, L)), dtype=np.complex128)
+    rank = 0
     Z = Y
     selected: list[int] = []
     scores = np.zeros(N, dtype=np.float64)
@@ -118,15 +129,22 @@ def detect_bomp(
         best = int(np.argmax(power))
         scores[best] = power[best]
         selected.append(best)
+        if rank == L:
+            continue
 
-        t = len(selected)
-        Ps = pool.P[selected]
-        Ps_pinv = pinv(Ps)
-        counter.add(pinv_mults(L, t, svd_cost))
-        Hs = Y @ Ps_pinv
-        counter.add(matmul_mults(M, L, t))
-        Z = Y - Hs @ Ps
-        counter.add(matmul_mults(M, t, L))
+        q = orthonormal_step(Q[:, :rank], P_h[:, best])
+        counter.add(4 * L * rank + L)
+        if q is None:
+            continue
+        Q[:, rank] = q
+        counter.add(L)
+        rank += 1
+        if rank == L:
+            Z = np.zeros_like(Y)
+        else:
+            Qr = Q[:, :rank]
+            Z = Y - (Y @ Qr) @ Qr.conj().T
+            counter.add(2 * matmul_mults(M, L, rank))
     detected = np.sort(np.asarray(selected, dtype=np.int64))
     return DetectionResult(detected, scores, counter.complex_mults)
 

@@ -1,11 +1,14 @@
 """Binary frame container.
 
-Layout (little-endian): the 8-byte magic ``PDRSFRM1``; six u32 fields
-M, N, L, l, D, K; one f64 noise variance; then the matrices Y_R (M x l),
-Y (M x L), Y_D (M x D), P (N x L), R (N x l), each stored row-major as
-(real, imag) f64 pairs; finally the K sorted active user indices as u32.
-The container carries everything a detector needs plus the true support,
-but not the channel or transmitted data symbols.
+Layout of version 2 (little-endian): the 8-byte magic ``PDRSFRM2``; six
+u32 fields M, N, L, l, D, K; one f64 noise variance; one u8 codebook mode,
+the index of the mode in ``scenario.PDRS_MODES`` (0 gaussian, 1
+orthogonal-reuse); then the matrices Y_R (M x l), Y (M x L), Y_D (M x D),
+P (N x L), R (N x l), each stored row-major as (real, imag) f64 pairs;
+finally the K sorted active user indices as u32.  Version 1 (magic
+``PDRSFRM1``) is the same without the mode byte; it is still read, and its
+codebook is labelled gaussian.  The container carries everything a detector
+needs plus the true support, but not the channel or transmitted data symbols.
 """
 
 import struct
@@ -13,13 +16,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .scenario import ActivityPattern, PdrsCodebook, PilotPool, ReceivedFrame
+from .scenario import PDRS_MODES, ActivityPattern, PdrsCodebook, PilotPool, ReceivedFrame
 
-__all__ = ["MAGIC", "save_frame", "load_frame"]
+__all__ = ["MAGIC", "MAGIC_V1", "save_frame", "load_frame"]
 
-MAGIC = b"PDRSFRM1"
+#: magic of the version written; MAGIC_V1 marks the older, mode-less layout
+MAGIC = b"PDRSFRM2"
+MAGIC_V1 = b"PDRSFRM1"
 
 _HEADER = struct.Struct("<6Id")
+_MODE = struct.Struct("<B")
 
 
 def _write_cmatrix(out: list[bytes], a: np.ndarray) -> None:
@@ -53,7 +59,11 @@ def save_frame(
     if frame.ground_truth.n_pilots != N:
         raise ValueError("ground truth refers to a different pool size")
 
-    out: list[bytes] = [MAGIC, _HEADER.pack(M, N, L, ell, D, K, frame.sigma2)]
+    out: list[bytes] = [
+        MAGIC,
+        _HEADER.pack(M, N, L, ell, D, K, frame.sigma2),
+        _MODE.pack(PDRS_MODES.index(codebook.mode)),
+    ]
     _write_cmatrix(out, frame.Y_R)
     _write_cmatrix(out, frame.Y)
     _write_cmatrix(out, frame.Y_D)
@@ -64,16 +74,23 @@ def save_frame(
 
 
 def load_frame(path: str | Path) -> tuple[ReceivedFrame, PilotPool, PdrsCodebook]:
-    """Read a frame container; raises ValueError on a bad magic or size."""
+    """Read a version 1 or 2 frame container; raises ValueError on a bad magic, mode or size."""
     raw = Path(path).read_bytes()
-    if len(raw) < len(MAGIC) + _HEADER.size:
+    magic = raw[: len(MAGIC)]
+    off = len(MAGIC) + _HEADER.size + (_MODE.size if magic == MAGIC else 0)
+    if len(raw) < off:
         raise ValueError(f"{path}: too short to be a frame container")
-    if raw[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"{path}: bad magic {raw[:len(MAGIC)]!r}, expected {MAGIC!r}")
+    if magic not in (MAGIC, MAGIC_V1):
+        raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r} or {MAGIC_V1!r}")
     M, N, L, ell, D, K, sigma2 = _HEADER.unpack_from(raw, len(MAGIC))
+    mode = "gaussian"
+    if magic == MAGIC:
+        (code,) = _MODE.unpack_from(raw, off - _MODE.size)
+        if code >= len(PDRS_MODES):
+            raise ValueError(f"{path}: unknown codebook mode byte {code}")
+        mode = PDRS_MODES[code]
 
     buf = memoryview(raw)
-    off = len(MAGIC) + _HEADER.size
     Y_R, off = _read_cmatrix(buf, off, M, ell)
     Y, off = _read_cmatrix(buf, off, M, L)
     Y_D, off = _read_cmatrix(buf, off, M, D)
@@ -86,4 +103,4 @@ def load_frame(path: str | Path) -> tuple[ReceivedFrame, PilotPool, PdrsCodebook
 
     pattern = ActivityPattern(active, N)
     frame = ReceivedFrame(Y_R=Y_R, Y=Y, Y_D=Y_D, ground_truth=pattern, sigma2=sigma2)
-    return frame, PilotPool(P), PdrsCodebook(R)
+    return frame, PilotPool(P), PdrsCodebook(R, mode=mode)

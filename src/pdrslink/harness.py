@@ -102,10 +102,13 @@ def worker_count() -> int:
     cap = os.environ.get("PDRS_THREADS", "")
     if cap:
         try:
-            n = min(n, max(1, int(cap)))
+            limit = int(cap)
         except ValueError:
             raise ValueError(f"PDRS_THREADS must be an integer, got {cap!r}") from None
-    return max(1, n)
+        if limit < 1:
+            raise ValueError(f"PDRS_THREADS must be >= 1, got {limit}")
+        n = min(n, limit)
+    return n
 
 
 @dataclass
@@ -190,10 +193,12 @@ def parse_config(path: str | Path) -> SystemConfig:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         if key == "pdrs_mode":
             overrides[key] = val
-        elif key == "snr_db":
-            overrides[key] = float(val)
-        else:
-            overrides[key] = int(val)
+            continue
+        kind = float if key == "snr_db" else int
+        try:
+            overrides[key] = kind(val)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: {key} = {val!r} is not a valid {kind.__name__}") from None
     return SystemConfig(**overrides)
 
 

@@ -15,6 +15,7 @@ __all__ = [
     "as_cmatrix",
     "pinv",
     "pinv_symmetric",
+    "orthonormal_step",
     "row_norms_sq",
     "col_norms_sq",
     "abs2_hadamard",
@@ -121,6 +122,28 @@ def pinv_symmetric(a, rel_tol: float | None = None) -> np.ndarray:
     keep = _kept(np.abs(w), rel_tol)
     v = v[:, keep]
     return (v / w[keep]) @ v.T
+
+
+def orthonormal_step(
+    basis: np.ndarray, v: np.ndarray, rel_tol: float | None = None
+) -> np.ndarray | None:
+    """Next column of an incremental QR: ``v`` made orthonormal to ``basis``.
+
+    Classical Gram-Schmidt with one reorthogonalisation pass removes the
+    components of ``v`` along the orthonormal columns of ``basis`` (L x r,
+    r may be 0).  Returns the normalised remainder, or None when its norm is
+    at or below ``rel_tol * ||v||``, i.e. ``v`` already lies in the span.
+    ``rel_tol`` defaults as for ``pinv`` of the r+1 stacked vectors,
+    ``max(L, r + 1) * 1e-12``.
+    """
+    rel_tol = _rank_cutoff((basis.shape[0], basis.shape[1] + 1), rel_tol)
+    w = v
+    for _ in range(2):
+        w = w - basis @ (basis.conj().T @ w)
+    norm = np.linalg.norm(w)
+    if norm <= rel_tol * np.linalg.norm(v):
+        return None
+    return w / norm
 
 
 def row_norms_sq(a) -> np.ndarray:

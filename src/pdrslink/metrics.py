@@ -93,11 +93,16 @@ def complexity_model(cfg: SystemConfig, detector: str) -> ComplexityModel:
         detect = pinv_mults(M, L, c) + matmul_mults(L, M, ell) + matmul_mults(N, L, ell)
         return ComplexityModel("pdrs", detect, weight_mults=zeta * L * M)
     if detector == "bomp":
+        # per pick t: correlation and powers; while the span is short of C^L,
+        # Gram-Schmidt against t-1 basis vectors (two passes, norm, scale),
+        # then the deflation Y - (Y Q) Q^H, which is free once rank t = L
         detect = 0
         for t in range(1, zeta + 1):
             detect += matmul_mults(M, L, N) + M * N
-            detect += pinv_mults(L, t, c)
-            detect += 2 * t * L * M
+            if t <= L:
+                detect += 4 * L * (t - 1) + 2 * L
+            if t < L:
+                detect += 2 * t * L * M
         return ComplexityModel("bomp", detect)
     if detector == "fpr":
         detect = matmul_mults(M, L, N) + M * N

@@ -8,7 +8,8 @@ from pdrslink.detectors import (
     fpr_gram_pinv,
     oracle_support,
 )
-from pdrslink.metrics import pinv_mults
+from pdrslink.linalg import pinv
+from pdrslink.metrics import complexity_model, pinv_mults
 from pdrslink.rng import RngStream
 from pdrslink.scenario import (
     ActivityPattern,
@@ -65,6 +66,25 @@ def bomp_reference(Y, P, zeta):
         A = P[selected].T
         coef, *_ = np.linalg.lstsq(A, Y.T, rcond=None)
         Z = (Y.T - A @ coef).T
+    return np.sort(np.asarray(selected))
+
+
+def bomp_pinv_reference(Y, P, zeta):
+    """The SVD form of BOMP: a fresh ``pinv`` of the selected pilots per pick.
+
+    Same operations as the detector before it kept an incremental QR, so the
+    two must select the same support whenever zeta <= L.
+    """
+    P_h = P.conj().T
+    Z = Y
+    selected = []
+    for _ in range(zeta):
+        C = Z @ P_h
+        power = np.einsum("ij,ij->j", C, C.conj()).real
+        power[selected] = -np.inf
+        selected.append(int(np.argmax(power)))
+        Ps = P[selected]
+        Z = Y - (Y @ pinv(Ps)) @ Ps
     return np.sort(np.asarray(selected))
 
 
@@ -170,8 +190,80 @@ def test_bomp_single_iteration_counted_mults():
     cfg, pool, cb, act, frame = build(seed=6)
     res = detect_bomp(frame, pool, 1, svd_cost=4)
     M, N, L = cfg.M, cfg.N, cfg.L
-    expect = M * L * N + M * N + pinv_mults(L, 1, 4) + 2 * 1 * L * M
+    # correlation, powers, normalising the first basis vector, deflation
+    expect = M * L * N + M * N + 2 * L + 2 * 1 * L * M
     assert res.mults == expect
+
+
+def test_bomp_matches_pinv_reference_on_small_frames():
+    # L >= 2: with L = 1 every unit-modulus pilot correlates with the same
+    # power, so both forms pick by rounding noise
+    rng = np.random.default_rng(2024)
+    for seed in range(300):
+        L = int(rng.integers(2, 13))
+        N = int(rng.integers(L + 1, 41))
+        M = int(rng.integers(1, 17))
+        K = int(rng.integers(1, N + 1))
+        zeta = int(rng.integers(1, L + 1))
+        snr = float(rng.choice([0.0, 4.0, 10.0, 20.0]))
+        cfg, pool, cb, act, frame = build(
+            seed=1000 + seed, M=M, N=N, L=L, K=K, zeta=zeta, snr_db=snr
+        )
+        res = detect_bomp(frame, pool, zeta)
+        ref = bomp_pinv_reference(frame.Y, pool.P, zeta)
+        assert np.array_equal(res.detected, ref), (seed, M, N, L, K, zeta, snr)
+        assert res.mults == complexity_model(cfg, "bomp").detect_mults
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 4.0])
+def test_bomp_matches_pinv_reference_at_anchor(snr_db):
+    cfg = SystemConfig(snr_db=snr_db, trials=4, seed=21)
+    pool = gen_pilot_pool(cfg, RngStream(cfg.seed, 0))
+    cb = gen_pdrs_codebook(cfg, RngStream(cfg.seed, 1))
+    model = complexity_model(cfg, "bomp").detect_mults
+    for t in range(cfg.trials):
+        rng = RngStream(cfg.seed, 16 + t)
+        frame = assemble_frame(cfg, pool, cb, sample_activity(cfg, rng), rng)
+        res = detect_bomp(frame, pool, cfg.zeta, cfg.svd_cost)
+        assert np.array_equal(res.detected, bomp_pinv_reference(frame.Y, pool.P, cfg.zeta))
+        assert res.mults == model
+
+
+def test_bomp_skips_a_pilot_already_in_the_span():
+    # scaled unit pilots keep the arithmetic exact; user 2 repeats user 1's
+    # pilot and Y has no energy along e2, so after picks 0 and 1 users 2 and
+    # 3 both score exactly 0 and the tie rule admits the repeat, which costs
+    # Gram-Schmidt but adds no basis vector and no deflation
+    L, M, N = 3, 2, 4
+    s = np.sqrt(3.0)
+    P = np.array([[s, 0, 0], [0, s, 0], [0, s, 0], [0, 0, s]], dtype=np.complex128)
+    Y = np.array([[3.0, 2.0, 0.0], [1.0j, -1.0, 0.0]], dtype=np.complex128)
+    frame = ReceivedFrame(
+        Y_R=np.ones((M, 1), dtype=np.complex128),
+        Y=Y,
+        Y_D=np.zeros((M, 0), dtype=np.complex128),
+        ground_truth=ActivityPattern(np.array([0, 1]), N),
+        sigma2=0.1,
+    )
+    res = detect_bomp(frame, PilotPool(P), N)
+    assert np.array_equal(res.detected, np.arange(N))
+    assert res.scores[2] == 0.0 and res.scores[3] == 0.0
+    correlation = N * (M * L * N + M * N)
+    gram_schmidt = 2 * L + (4 * L + 2 * L) + (4 * L * 2 + L) + (4 * L * 2 + 2 * L)
+    deflation = 2 * 1 * L * M + 2 * 2 * L * M
+    assert res.mults == correlation + gram_schmidt + deflation
+
+
+def test_bomp_picks_lowest_indices_once_the_span_is_full():
+    # with zeta > L the first L picks span C^L, the residual is exactly zero,
+    # and the remaining picks are the lowest unselected indices
+    cfg, pool, cb, act, frame = build(seed=16, M=8, N=20, L=4, K=3, zeta=9)
+    res = detect_bomp(frame, pool, cfg.zeta)
+    first = detect_bomp(frame, pool, cfg.L).detected
+    rest = np.setdiff1d(np.arange(cfg.N), first)[: cfg.zeta - cfg.L]
+    assert np.array_equal(res.detected, np.union1d(first, rest))
+    assert np.all(res.scores[rest] == 0.0)
+    assert res.mults == complexity_model(cfg, "bomp").detect_mults
 
 
 def test_bomp_selects_distinct_users():

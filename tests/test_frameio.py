@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from pdrslink.frameio import _HEADER, MAGIC, load_frame, save_frame
+from pdrslink.frameio import _HEADER, MAGIC, MAGIC_V1, load_frame, save_frame
 from pdrslink.rng import RngStream
 from pdrslink.scenario import (
     SystemConfig,
@@ -46,7 +46,46 @@ def test_magic_is_stable(tmp_path):
     frame, pool, cb = make_frame()
     path = tmp_path / "frame.pdrs"
     save_frame(path, frame, pool, cb)
-    assert path.read_bytes()[:8] == MAGIC == b"PDRSFRM1"
+    assert path.read_bytes()[:8] == MAGIC == b"PDRSFRM2"
+    assert MAGIC_V1 == b"PDRSFRM1"
+
+
+@pytest.mark.parametrize("mode", ["gaussian", "orthogonal-reuse"])
+def test_round_trip_keeps_codebook_mode(tmp_path, mode):
+    frame, pool, cb = make_frame(pdrs_mode=mode)
+    assert cb.mode == mode
+    path = tmp_path / "frame.pdrs"
+    save_frame(path, frame, pool, cb)
+    _, _, got_cb = load_frame(path)
+    assert got_cb.mode == mode
+    assert np.array_equal(got_cb.R, cb.R)
+
+
+def test_reads_version_1_as_gaussian(tmp_path):
+    # a v1 container is the v2 one without the mode byte after the header
+    frame, pool, cb = make_frame(pdrs_mode="orthogonal-reuse")
+    path = tmp_path / "frame.pdrs"
+    save_frame(path, frame, pool, cb)
+    raw = path.read_bytes()
+    mode_at = len(MAGIC) + _HEADER.size
+    v1 = tmp_path / "v1.pdrs"
+    v1.write_bytes(MAGIC_V1 + raw[len(MAGIC) : mode_at] + raw[mode_at + 1 :])
+    got, got_pool, got_cb = load_frame(v1)
+    assert got_cb.mode == "gaussian"
+    assert np.array_equal(got_cb.R, cb.R)
+    assert np.array_equal(got.Y, frame.Y)
+    assert np.array_equal(got_pool.P, pool.P)
+
+
+def test_rejects_unknown_mode_byte(tmp_path):
+    frame, pool, cb = make_frame()
+    path = tmp_path / "frame.pdrs"
+    save_frame(path, frame, pool, cb)
+    raw = bytearray(path.read_bytes())
+    raw[len(MAGIC) + _HEADER.size] = 7
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="mode byte 7"):
+        load_frame(path)
 
 
 def test_rejects_bad_magic(tmp_path):

@@ -302,6 +302,15 @@ def test_parse_config_rejects_malformed_line(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize(("line", "key"), [("M = 1.5", "M"), ("snr_db = loud", "snr_db")])
+def test_parse_config_names_unparsable_value(tmp_path, line, key):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"# dims\nN = 100\n{line}\n")
+    with pytest.raises(ValueError, match=rf"cfg\.txt:3: {key} = ") as info:
+        parse_config(path)
+    assert info.value.__cause__ is None
+
+
 def test_guarded_rate():
     assert _guarded_rate(0, 1000) == 0.0
     assert _guarded_rate(100, 1000) == 0.1
@@ -318,6 +327,13 @@ def test_worker_count(monkeypatch):
         worker_count()
     monkeypatch.delenv("PDRS_THREADS")
     assert worker_count() >= 1
+
+
+@pytest.mark.parametrize("cap", ["0", "-2"])
+def test_worker_count_rejects_non_positive_cap(monkeypatch, cap):
+    monkeypatch.setenv("PDRS_THREADS", cap)
+    with pytest.raises(ValueError, match="PDRS_THREADS"):
+        worker_count()
 
 
 def test_lemma_check_passes_at_modest_size():

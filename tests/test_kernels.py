@@ -32,6 +32,8 @@ def test_row_and_col_norms_against_loops():
     cols = np.array([sum(abs(a[i, j]) ** 2 for i in range(11)) for j in range(6)])
     assert np.allclose(_kernels.row_norms_sq(a), rows, rtol=1e-12)
     assert np.allclose(_kernels.col_norms_sq(a), cols, rtol=1e-12)
+    # a transposed (non-contiguous) view, as linalg.col_norms_sq may pass on
+    assert np.allclose(_kernels.col_norms_sq(a.T), rows, rtol=1e-12)
 
 
 def test_residual_row_norms_against_direct():

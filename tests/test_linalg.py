@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pdrslink.linalg import as_cmatrix, pinv, pinv_symmetric
+from pdrslink.linalg import as_cmatrix, orthonormal_step, pinv, pinv_symmetric
 from pdrslink.rng import RngStream, cgauss
 from pdrslink.scenario import PilotPool, SystemConfig, gen_pilot_pool
 
@@ -188,3 +188,30 @@ def test_pinv_symmetric_rejects_bad_inputs():
         pinv_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="real"):
         pinv_symmetric(np.eye(2, dtype=np.complex128))
+
+
+def test_orthonormal_step_builds_the_projector_of_pinv():
+    V = cgauss(9, 6, 1.0, RngStream(80, 0))
+    Q = np.empty((9, 0), dtype=np.complex128)
+    for j in range(6):
+        q = orthonormal_step(Q, V[:, j])
+        Q = np.column_stack([Q, q])
+    assert np.allclose(Q.conj().T @ Q, np.eye(6), atol=1e-13)
+    assert np.allclose(Q @ Q.conj().T, V @ pinv(V), atol=1e-12)
+
+
+def test_orthonormal_step_rejects_vectors_in_the_span():
+    V = cgauss(7, 3, 1.0, RngStream(81, 0))
+    Q = np.linalg.qr(V)[0]
+    assert orthonormal_step(Q, V[:, 1]) is None
+    assert orthonormal_step(Q, V @ np.array([1.0, -2.0j, 0.5])) is None
+    assert orthonormal_step(Q, np.zeros(7, dtype=np.complex128)) is None
+    full = np.linalg.qr(cgauss(7, 7, 1.0, RngStream(81, 1)))[0]
+    assert orthonormal_step(full, V[:, 0]) is None
+
+
+def test_orthonormal_step_rejects_bad_rel_tol():
+    v = np.ones(4, dtype=np.complex128)
+    for bad in (-1e-3, 1.0):
+        with pytest.raises(ValueError, match="rel_tol"):
+            orthonormal_step(np.empty((4, 0), dtype=np.complex128), v, rel_tol=bad)
