@@ -133,7 +133,7 @@ def detect_bomp(
             continue
 
         q = orthonormal_step(Q[:, :rank], P_h[:, best])
-        counter.add(4 * L * rank + L)
+        counter.add(4 * L * rank + 2 * L)
         if q is None:
             continue
         Q[:, rank] = q

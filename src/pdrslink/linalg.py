@@ -124,19 +124,16 @@ def pinv_symmetric(a, rel_tol: float | None = None) -> np.ndarray:
     return (v / w[keep]) @ v.T
 
 
-def orthonormal_step(
-    basis: np.ndarray, v: np.ndarray, rel_tol: float | None = None
-) -> np.ndarray | None:
+def orthonormal_step(basis: np.ndarray, v: np.ndarray) -> np.ndarray | None:
     """Next column of an incremental QR: ``v`` made orthonormal to ``basis``.
 
     Classical Gram-Schmidt with one reorthogonalisation pass removes the
     components of ``v`` along the orthonormal columns of ``basis`` (L x r,
     r may be 0).  Returns the normalised remainder, or None when its norm is
-    at or below ``rel_tol * ||v||``, i.e. ``v`` already lies in the span.
-    ``rel_tol`` defaults as for ``pinv`` of the r+1 stacked vectors,
-    ``max(L, r + 1) * 1e-12``.
+    at or below ``max(L, r + 1) * 1e-12 * ||v||`` (``pinv``'s default cutoff
+    for the r+1 stacked vectors), i.e. ``v`` already lies in the span.
     """
-    rel_tol = _rank_cutoff((basis.shape[0], basis.shape[1] + 1), rel_tol)
+    rel_tol = _rank_cutoff((basis.shape[0], basis.shape[1] + 1), None)
     w = v
     for _ in range(2):
         w = w - basis @ (basis.conj().T @ w)

@@ -94,13 +94,14 @@ def complexity_model(cfg: SystemConfig, detector: str) -> ComplexityModel:
         return ComplexityModel("pdrs", detect, weight_mults=zeta * L * M)
     if detector == "bomp":
         # per pick t: correlation and powers; while the span is short of C^L,
-        # Gram-Schmidt against t-1 basis vectors (two passes, norm, scale),
+        # Gram-Schmidt against t-1 basis vectors (two passes, the norms of
+        # the pilot and of its remainder, scale),
         # then the deflation Y - (Y Q) Q^H, which is free once rank t = L
         detect = 0
         for t in range(1, zeta + 1):
             detect += matmul_mults(M, L, N) + M * N
             if t <= L:
-                detect += 4 * L * (t - 1) + 2 * L
+                detect += 4 * L * (t - 1) + 3 * L
             if t < L:
                 detect += 2 * t * L * M
         return ComplexityModel("bomp", detect)

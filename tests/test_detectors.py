@@ -190,8 +190,9 @@ def test_bomp_single_iteration_counted_mults():
     cfg, pool, cb, act, frame = build(seed=6)
     res = detect_bomp(frame, pool, 1, svd_cost=4)
     M, N, L = cfg.M, cfg.N, cfg.L
-    # correlation, powers, normalising the first basis vector, deflation
-    expect = M * L * N + M * N + 2 * L + 2 * 1 * L * M
+    # correlation, powers, the two norms and the scaling of the first basis
+    # vector, deflation
+    expect = M * L * N + M * N + 3 * L + 2 * 1 * L * M
     assert res.mults == expect
 
 
@@ -249,7 +250,7 @@ def test_bomp_skips_a_pilot_already_in_the_span():
     assert np.array_equal(res.detected, np.arange(N))
     assert res.scores[2] == 0.0 and res.scores[3] == 0.0
     correlation = N * (M * L * N + M * N)
-    gram_schmidt = 2 * L + (4 * L + 2 * L) + (4 * L * 2 + L) + (4 * L * 2 + 2 * L)
+    gram_schmidt = 3 * L + (4 * L + 3 * L) + (4 * L * 2 + 2 * L) + (4 * L * 2 + 3 * L)
     deflation = 2 * 1 * L * M + 2 * 2 * L * M
     assert res.mults == correlation + gram_schmidt + deflation
 

@@ -208,10 +208,3 @@ def test_orthonormal_step_rejects_vectors_in_the_span():
     assert orthonormal_step(Q, np.zeros(7, dtype=np.complex128)) is None
     full = np.linalg.qr(cgauss(7, 7, 1.0, RngStream(81, 1)))[0]
     assert orthonormal_step(full, V[:, 0]) is None
-
-
-def test_orthonormal_step_rejects_bad_rel_tol():
-    v = np.ones(4, dtype=np.complex128)
-    for bad in (-1e-3, 1.0):
-        with pytest.raises(ValueError, match="rel_tol"):
-            orthonormal_step(np.empty((4, 0), dtype=np.complex128), v, rel_tol=bad)

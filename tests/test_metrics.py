@@ -172,8 +172,9 @@ def test_pdrs_model_terms():
 def test_bomp_model_single_iteration():
     cfg = SystemConfig(M=16, N=32, L=12, l=4, K=8, zeta=1, snr_db=10.0)
     m = complexity_model(cfg, "bomp")
-    # correlation, powers, normalising the first basis vector, deflation
-    assert m.detect_mults == 16 * 12 * 32 + 16 * 32 + 2 * 12 + 2 * 12 * 16
+    # correlation, powers, the two norms and the scaling of the first basis
+    # vector, deflation
+    assert m.detect_mults == 16 * 12 * 32 + 16 * 32 + 3 * 12 + 2 * 12 * 16
 
 
 def test_oracle_model_is_free():
