@@ -1,6 +1,5 @@
 """Link-level simulator and detector library for grant-free pilot activity detection."""
 
-from ._kernels import USE_NUMBA
 from .combining import WeightMatrix, demod_qpsk, dwe_weights, ls_channel_estimate, zf_weights
 from .detectors import (
     DetectionResult,
@@ -49,7 +48,6 @@ from .scenario import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "USE_NUMBA",
     "WeightMatrix",
     "demod_qpsk",
     "dwe_weights",

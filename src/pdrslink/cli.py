@@ -11,10 +11,9 @@ import sys
 from dataclasses import replace
 
 from . import frameio, harness
-from .detectors import detect_bomp, detect_fpr, detect_pdrs_dwe, fpr_gram_pinv, oracle_support
+from .detectors import fpr_gram_pinv
 from .metrics import complexity_model, detection_metrics
-from .rng import RngStream
-from .scenario import SystemConfig, assemble_frame, gen_pdrs_codebook, gen_pilot_pool, sample_activity
+from .scenario import SystemConfig
 
 __all__ = ["main"]
 
@@ -49,14 +48,10 @@ def _cmd_detect(args) -> int:
     frame, pool, codebook = frameio.load_frame(args.frame)
     truth = frame.ground_truth
     zeta = args.zeta if args.zeta is not None else truth.K
-    if args.detector in ("pdrs", "pdrs-lszf"):
-        res = detect_pdrs_dwe(frame, pool, codebook, zeta)
-    elif args.detector == "bomp":
-        res = detect_bomp(frame, pool, zeta)
-    elif args.detector == "fpr":
-        res = detect_fpr(frame, pool, zeta, fpr_gram_pinv(pool))
-    else:
-        res = oracle_support(frame)
+    spec = harness.DETECTOR_TABLE[args.detector]
+    gram_pinv = fpr_gram_pinv(pool) if spec.needs_gram else None
+    # a stored frame carries no config, so svd_cost keeps its default
+    res = spec.detect(frame, pool, codebook, zeta, SystemConfig.svd_cost, gram_pinv)
     m = detection_metrics(res, truth)
     print(
         f"frame: M={frame.M} N={truth.n_pilots} L={pool.length} "
@@ -77,17 +72,16 @@ def _cmd_complexity(args) -> int:
     cfg = _load_config(args)
     norm = cfg.K**3
 
-    rng = RngStream(cfg.seed, harness.TRIAL_STREAM_BASE)
-    pool = gen_pilot_pool(cfg, RngStream(cfg.seed, harness.POOL_STREAM))
-    codebook = gen_pdrs_codebook(cfg, RngStream(cfg.seed, harness.CODEBOOK_STREAM))
-    frame = assemble_frame(cfg, pool, codebook, sample_activity(cfg, rng), rng)
+    pool, codebook = harness.synth_pool(cfg), harness.synth_codebook(cfg)
+    frame = harness.synth_frame(cfg, pool, codebook, 0)
 
-    counted = {
-        "pdrs": detect_pdrs_dwe(frame, pool, codebook, cfg.zeta, cfg.svd_cost).mults,
-        "bomp": detect_bomp(frame, pool, cfg.zeta, cfg.svd_cost).mults,
-        "fpr": detect_fpr(frame, pool, cfg.zeta, fpr_gram_pinv(pool)).mults,
-        "oracle": 0,
-    }
+    # one row per complexity model, counted on the first detector that uses it
+    counted: dict[str, int] = {}
+    for spec in harness.DETECTOR_TABLE.values():
+        if spec.model not in counted:
+            gram_pinv = fpr_gram_pinv(pool) if spec.needs_gram else None
+            res = spec.detect(frame, pool, codebook, cfg.zeta, cfg.svd_cost, gram_pinv)
+            counted[spec.model] = res.mults
     models = {name: complexity_model(cfg, name) for name in counted}
 
     print(
@@ -136,10 +130,8 @@ def _cmd_lemma_check(args) -> int:
 
 def _cmd_gen_frame(args) -> int:
     cfg = _load_config(args)
-    rng = RngStream(cfg.seed, harness.TRIAL_STREAM_BASE)
-    pool = gen_pilot_pool(cfg, RngStream(cfg.seed, harness.POOL_STREAM))
-    codebook = gen_pdrs_codebook(cfg, RngStream(cfg.seed, harness.CODEBOOK_STREAM))
-    frame = assemble_frame(cfg, pool, codebook, sample_activity(cfg, rng), rng)
+    pool, codebook = harness.synth_pool(cfg), harness.synth_codebook(cfg)
+    frame = harness.synth_frame(cfg, pool, codebook, 0)
     frameio.save_frame(args.out, frame, pool, codebook)
     print(
         f"wrote {args.out}: M={cfg.M} N={cfg.N} L={cfg.L} l={cfg.l} "

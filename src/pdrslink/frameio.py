@@ -74,7 +74,7 @@ def save_frame(
 
 
 def load_frame(path: str | Path) -> tuple[ReceivedFrame, PilotPool, PdrsCodebook]:
-    """Read a version 1 or 2 frame container; raises ValueError on a bad magic, mode or size."""
+    """Read a version 1 or 2 frame container; ValueError on a bad magic, mode, size or nan/inf."""
     raw = Path(path).read_bytes()
     magic = raw[: len(MAGIC)]
     off = len(MAGIC) + _HEADER.size + (_MODE.size if magic == MAGIC else 0)
@@ -100,6 +100,9 @@ def load_frame(path: str | Path) -> tuple[ReceivedFrame, PilotPool, PdrsCodebook
     if end != len(raw):
         raise ValueError(f"{path}: size mismatch, expected {end} bytes, file has {len(raw)}")
     active = np.frombuffer(buf[off:end], dtype=np.uint32).astype(np.int64)
+    for name, block in (("Y_R", Y_R), ("Y", Y), ("Y_D", Y_D)):
+        if not np.isfinite(block).all():
+            raise ValueError(f"{path}: {name} holds a non-finite entry")
 
     pattern = ActivityPattern(active, N)
     frame = ReceivedFrame(Y_R=Y_R, Y=Y, Y_D=Y_D, ground_truth=pattern, sigma2=sigma2)

@@ -4,10 +4,12 @@ Trials are embarrassingly parallel: every trial owns a counter-based
 substream keyed by (seed, 16 + trial_index), workers fill a per-trial result
 slot, and reduction walks the slots in index order, so every reported number
 except wall-clock time is independent of the worker count and of scheduling.
-The pilot pool (stream 0) and, when ``fpr`` runs, its Gram pseudo-inverse
-are built once per sweep and shared by every point, since no sweep variable
-changes the seed, N or L.  The reference-signal codebook (stream 1) follows l
-and is generated once per sweep point; all trials of a point share it.
+The pilot pool (stream 0) and, when a detector needs it, its Gram
+pseudo-inverse are built once per sweep and shared by every point, since no
+sweep variable changes the seed, N or L.  The reference-signal codebook
+(stream 1) follows l and is generated once per sweep point; all trials of a
+point share it.  Only the ``synth_*`` helpers map (seed, stream) to draws, and
+only ``DETECTOR_TABLE`` says how each detector runs.
 """
 
 import csv
@@ -18,6 +20,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,6 +56,8 @@ from .scenario import (
 __all__ = [
     "CSV_HEADER",
     "DETECTORS",
+    "DETECTOR_TABLE",
+    "DetectorSpec",
     "POOL_STREAM",
     "CODEBOOK_STREAM",
     "TRIAL_STREAM_BASE",
@@ -61,6 +66,9 @@ __all__ = [
     "LemmaReport",
     "worker_count",
     "parse_config",
+    "synth_pool",
+    "synth_codebook",
+    "synth_frame",
     "run_trial",
     "run_point",
     "run_sweep",
@@ -68,20 +76,48 @@ __all__ = [
     "lemma_check",
 ]
 
-#: Detector names accepted by the harness.  The suffix selects the combiner:
-#: "pdrs" reads weights out directly, "-lszf" variants and the baselines
-#: estimate the channel by least squares and zero-force it.
-DETECTORS = ("pdrs", "pdrs-lszf", "bomp", "fpr", "oracle", "oracle-dwe")
 
-#: Which closed-form complexity model covers each detector's detection stage.
-_MODEL_OF = {
-    "pdrs": "pdrs",
-    "pdrs-lszf": "pdrs",
-    "bomp": "bomp",
-    "fpr": "fpr",
-    "oracle": "oracle",
-    "oracle-dwe": "oracle",
+class DetectorSpec(NamedTuple):
+    """How one detector runs: its ``DETECTOR_TABLE`` entry.
+
+    ``detect(frame, pool, codebook, zeta, svd_cost, gram_pinv)`` runs it;
+    ``combiner`` is "dwe" (weights read out of its ``pinv(Y)``) or "lszf"
+    (least-squares channel estimate, then zero-forcing); ``model`` keys
+    ``complexity_model``; ``needs_gram`` asks for the pool's Gram pseudo-inverse.
+    """
+
+    detect: Callable[..., DetectionResult]
+    combiner: str
+    model: str
+    needs_gram: bool
+
+
+# Each lambda adapts one detector to the common call and looks it up when called.
+DETECTOR_TABLE: dict[str, DetectorSpec] = {
+    "pdrs": DetectorSpec(
+        lambda fr, pool, cb, zeta, svd, gram: detect_pdrs_dwe(fr, pool, cb, zeta, svd),
+        "dwe", "pdrs", False,
+    ),
+    "pdrs-lszf": DetectorSpec(
+        lambda fr, pool, cb, zeta, svd, gram: detect_pdrs_dwe(fr, pool, cb, zeta, svd),
+        "lszf", "pdrs", False,
+    ),
+    "bomp": DetectorSpec(
+        lambda fr, pool, cb, zeta, svd, gram: detect_bomp(fr, pool, zeta), "lszf", "bomp", False
+    ),
+    "fpr": DetectorSpec(
+        lambda fr, pool, cb, zeta, svd, gram: detect_fpr(fr, pool, zeta, gram), "lszf", "fpr", True
+    ),
+    "oracle": DetectorSpec(
+        lambda fr, pool, cb, zeta, svd, gram: oracle_support(fr), "lszf", "oracle", False
+    ),
+    "oracle-dwe": DetectorSpec(
+        lambda fr, pool, cb, zeta, svd, gram: oracle_support(fr), "dwe", "oracle", False
+    ),
 }
+
+#: Detector names accepted by the harness, in table order.
+DETECTORS = tuple(DETECTOR_TABLE)
 
 POOL_STREAM = 0
 CODEBOOK_STREAM = 1
@@ -128,8 +164,7 @@ class SweepSpec:
         if not self.detectors:
             raise ValueError("detector list must be nonempty")
         for d in self.detectors:
-            if d not in DETECTORS:
-                raise ValueError(f"unknown detector {d!r}, choose from {DETECTORS}")
+            _spec(d)
         for v in self.values:
             self.config_at(v)
 
@@ -202,6 +237,32 @@ def parse_config(path: str | Path) -> SystemConfig:
     return SystemConfig(**overrides)
 
 
+def _spec(name: str) -> DetectorSpec:
+    """The table entry of ``name``; ValueError naming it when there is none."""
+    if name not in DETECTOR_TABLE:
+        raise ValueError(f"unknown detector {name!r}, choose from {DETECTORS}")
+    return DETECTOR_TABLE[name]
+
+
+def synth_pool(cfg: SystemConfig) -> PilotPool:
+    """The pilot pool of ``cfg.seed``, drawn from stream ``POOL_STREAM``."""
+    return gen_pilot_pool(cfg, RngStream(cfg.seed, POOL_STREAM))
+
+
+def synth_codebook(cfg: SystemConfig) -> PdrsCodebook:
+    """The reference codebook of ``cfg.seed``, drawn from stream ``CODEBOOK_STREAM``."""
+    return gen_pdrs_codebook(cfg, RngStream(cfg.seed, CODEBOOK_STREAM))
+
+
+def synth_frame(
+    cfg: SystemConfig, pool: PilotPool, codebook: PdrsCodebook, t: int
+) -> ReceivedFrame:
+    """Trial ``t``'s frame: stream ``TRIAL_STREAM_BASE + t`` draws the active set, then the rest."""
+    rng = RngStream(cfg.seed, TRIAL_STREAM_BASE + t)
+    activity = sample_activity(cfg, rng)
+    return assemble_frame(cfg, pool, codebook, activity, rng)
+
+
 def _run_one_detector(
     name: str,
     frame: ReceivedFrame,
@@ -211,20 +272,12 @@ def _run_one_detector(
     gram_pinv: np.ndarray | None,
 ) -> TrialMetrics:
     t0 = time.perf_counter()
-    if name in ("pdrs", "pdrs-lszf"):
-        res = detect_pdrs_dwe(frame, pool, codebook, cfg.zeta, cfg.svd_cost)
-    elif name == "bomp":
-        res = detect_bomp(frame, pool, cfg.zeta, cfg.svd_cost)
-    elif name == "fpr":
-        if gram_pinv is None:
-            raise ValueError("fpr requires the precomputed Gram pseudo-inverse")
-        res = detect_fpr(frame, pool, cfg.zeta, gram_pinv)
-    elif name in ("oracle", "oracle-dwe"):
-        res = oracle_support(frame)
-    else:
-        raise ValueError(f"unknown detector {name!r}")
+    spec = _spec(name)
+    if spec.needs_gram and gram_pinv is None:
+        raise ValueError(f"{name} requires the precomputed Gram pseudo-inverse")
+    res = spec.detect(frame, pool, codebook, cfg.zeta, cfg.svd_cost, gram_pinv)
 
-    if name in ("pdrs", "oracle-dwe"):
+    if spec.combiner == "dwe":
         weights = dwe_weights(frame, pool, res.detected, y_pinv=res.y_pinv)
     else:
         h_est = ls_channel_estimate(frame, pool, res.detected)
@@ -264,9 +317,7 @@ def run_trial(
     list, so adding a detector to a sweep does not move any other detector's
     numbers.
     """
-    rng = RngStream(cfg.seed, TRIAL_STREAM_BASE + trial_index)
-    activity = sample_activity(cfg, rng)
-    frame = assemble_frame(cfg, pool, codebook, activity, rng)
+    frame = synth_frame(cfg, pool, codebook, trial_index)
     out: dict[str, TrialMetrics] = {}
     for name in detectors:
         try:
@@ -311,9 +362,10 @@ def run_point(
 def _pool_and_gram(
     cfg: SystemConfig, detectors: list[str]
 ) -> tuple[PilotPool, np.ndarray | None]:
-    """The pilot pool of (seed, N, L) and, when fpr runs, its Gram pseudo-inverse."""
-    pool = gen_pilot_pool(cfg, RngStream(cfg.seed, POOL_STREAM))
-    return pool, fpr_gram_pinv(pool) if "fpr" in detectors else None
+    """The pilot pool of (seed, N, L) and, when a detector needs it, its Gram pseudo-inverse."""
+    pool = synth_pool(cfg)
+    needs_gram = any(_spec(name).needs_gram for name in detectors)
+    return pool, fpr_gram_pinv(pool) if needs_gram else None
 
 
 def _run_point(
@@ -325,7 +377,7 @@ def _run_point(
     gram_pinv: np.ndarray | None,
 ) -> list[ResultRow]:
     """``run_point`` with the pool and Gram pseudo-inverse already built."""
-    codebook = gen_pdrs_codebook(cfg, RngStream(cfg.seed, CODEBOOK_STREAM))
+    codebook = synth_codebook(cfg)
 
     slots: list[dict[str, TrialMetrics] | None] = [None] * cfg.trials
     failure: Exception | None = None
@@ -354,7 +406,7 @@ def _run_point(
 
     rows = []
     for name in detectors:
-        model = complexity_model(cfg, _MODEL_OF[name])
+        model = complexity_model(cfg, DETECTOR_TABLE[name].model)
         if failure is None:
             per = [slot[name] for slot in slots]  # type: ignore[index]
             miss = sum(t.miss for t in per)

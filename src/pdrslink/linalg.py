@@ -8,17 +8,12 @@ values for finite inputs.
 
 import numpy as np
 
-from . import _kernels
-
 __all__ = [
     "DEFAULT_PINV_RTOL_SCALE",
     "as_cmatrix",
     "pinv",
     "pinv_symmetric",
     "orthonormal_step",
-    "row_norms_sq",
-    "col_norms_sq",
-    "abs2_hadamard",
 ]
 
 #: default relative singular-value cutoff is max(rows, cols) times this
@@ -141,18 +136,3 @@ def orthonormal_step(basis: np.ndarray, v: np.ndarray) -> np.ndarray | None:
     if norm <= rel_tol * np.linalg.norm(v):
         return None
     return w / norm
-
-
-def row_norms_sq(a) -> np.ndarray:
-    """Per-row squared l2 norms: out[k] = sum_j |a[k, j]|^2."""
-    return _kernels.row_norms_sq(as_cmatrix(a))
-
-
-def col_norms_sq(a) -> np.ndarray:
-    """Per-column squared l2 norms: out[k] = sum_i |a[i, k]|^2."""
-    return _kernels.col_norms_sq(as_cmatrix(a))
-
-
-def abs2_hadamard(a) -> np.ndarray:
-    """Element-wise squared magnitude |a[i, j]|^2 as a real matrix."""
-    return _kernels.abs2(as_cmatrix(a))

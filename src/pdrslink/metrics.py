@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import abs2_hadamard, row_norms_sq
+from ._kernels import abs2, row_norms_sq
 from .scenario import ActivityPattern, SystemConfig
 
 __all__ = [
@@ -187,7 +187,7 @@ def post_sinr(
     if np.any(pos >= active.size) or np.any(active[np.minimum(pos, active.size - 1)] != users):
         raise ValueError("every scored user must be active")
 
-    G = abs2_hadamard(W @ H[:, active])
+    G = abs2(W @ H[:, active])
     sig = G[np.arange(users.size), pos]
     interf = np.sum(G, axis=1) - sig
     denom = interf + sigma2 * row_norms_sq(W)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import linalg
+from . import _kernels, linalg
 from .rng import RngStream, cgauss
 
 __all__ = [
@@ -109,9 +109,9 @@ class SystemConfig:
 
 
 def _validate_unit_rows(mat: np.ndarray, target: float, what: str) -> None:
-    norms = linalg.row_norms_sq(mat)
+    norms = _kernels.row_norms_sq(mat)
     worst = float(np.max(np.abs(norms - target)))
-    if worst > _ROW_NORM_TOL:
+    if not worst <= _ROW_NORM_TOL:  # a nan entry fails too
         raise ValueError(f"{what} rows must have squared norm {target} (worst error {worst:.3g})")
 
 
@@ -214,7 +214,7 @@ class ReceivedFrame:
 def gen_pilot_pool(cfg: SystemConfig, rng: RngStream) -> PilotPool:
     """Random complex-Gaussian pilot pool with every row rescaled to ||p||^2 = L."""
     P = cgauss(cfg.N, cfg.L, 1.0, rng)
-    P *= (np.sqrt(cfg.L) / np.sqrt(linalg.row_norms_sq(P)))[:, None]
+    P *= (np.sqrt(cfg.L) / np.sqrt(_kernels.row_norms_sq(P)))[:, None]
     return PilotPool(P)
 
 
@@ -227,7 +227,7 @@ def gen_pdrs_codebook(cfg: SystemConfig, rng: RngStream) -> PdrsCodebook:
     """
     if cfg.pdrs_mode == "gaussian":
         R = cgauss(cfg.N, cfg.l, 1.0, rng)
-        R *= (np.sqrt(cfg.l) / np.sqrt(linalg.row_norms_sq(R)))[:, None]
+        R *= (np.sqrt(cfg.l) / np.sqrt(_kernels.row_norms_sq(R)))[:, None]
         return PdrsCodebook(R, mode="gaussian")
     # orthogonal-reuse: rows of the l x l DFT matrix have squared norm l and
     # are mutually orthogonal

@@ -1,8 +1,19 @@
-import numpy as np
+import math
+import struct
+
 import pytest
 
 from pdrslink.cli import main
-from pdrslink.harness import CSV_HEADER, read_csv
+from pdrslink.frameio import _HEADER, MAGIC
+from pdrslink.harness import (
+    CSV_HEADER,
+    DETECTOR_TABLE,
+    DETECTORS,
+    parse_config,
+    read_csv,
+    run_point,
+)
+from pdrslink.metrics import complexity_model
 
 SMALL_CFG = """
 M = 12
@@ -125,3 +136,32 @@ def test_bad_config_path(capsys):
     rc = main(["sweep", "--config", "/nonexistent/x.cfg", "--values", "0"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_detect_rejects_a_frame_holding_nan(cfg_file, tmp_path, capsys):
+    frame_path = tmp_path / "one.pdrs"
+    main(["gen-frame", "--config", cfg_file, "--out", str(frame_path)])
+    raw = bytearray(frame_path.read_bytes())
+    # Y[0, 0] follows the M x l = 12 x 2 block Y_R
+    struct.pack_into("<d", raw, len(MAGIC) + _HEADER.size + 1 + 16 * 12 * 2, float("nan"))
+    frame_path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(["detect", "--frame", str(frame_path), "--detector", "bomp"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", DETECTORS)
+def test_every_table_detector_runs_everywhere(name, cfg_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PDRS_THREADS", "1")
+    cfg = parse_config(cfg_file)
+    model = complexity_model(cfg, DETECTOR_TABLE[name].model)
+    (row,) = run_point(cfg, [name])
+    assert row.detector == name and row.modeled_mults == model.detect_mults
+    assert not math.isnan(row.ser) and not math.isnan(row.mean_post_sinr_db)
+
+    frame_path = tmp_path / "one.pdrs"
+    assert main(["gen-frame", "--config", cfg_file, "--out", str(frame_path)]) == 0
+    capsys.readouterr()
+    assert main(["detect", "--frame", str(frame_path), "--detector", name]) == 0
+    captured = capsys.readouterr()
+    assert f"detector: {name}, zeta=5" in captured.out and captured.err == ""

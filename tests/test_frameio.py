@@ -143,3 +143,20 @@ def test_rejects_nan_noise_variance(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="sigma2"):
         load_frame(path)
+
+
+@pytest.mark.parametrize(
+    ("block", "entries_before"),
+    # complex entries stored ahead of the block, at M=5, l=2, L=6, D=7
+    [("Y_R", 0), ("Y", 5 * 2), ("Y_D", 5 * 2 + 5 * 6), ("pilot pool", 5 * 2 + 5 * 6 + 5 * 7)],
+)
+def test_rejects_non_finite_blocks(tmp_path, block, entries_before):
+    frame, pool, cb = make_frame()
+    path = tmp_path / "frame.pdrs"
+    save_frame(path, frame, pool, cb)
+    raw = bytearray(path.read_bytes())
+    start = len(MAGIC) + _HEADER.size + 1 + 16 * entries_before
+    struct.pack_into("<d", raw, start, float("nan"))
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=rf"(^|\s){block} "):
+        load_frame(path)

@@ -243,6 +243,18 @@ def test_received_frame_validation():
         )
 
 
+def test_pool_and_codebook_reject_nan():
+    cfg = small_cfg()
+    P = gen_pilot_pool(cfg, RngStream(cfg.seed, 0)).P.copy()
+    P[2, 1] = np.nan
+    with pytest.raises(ValueError, match="pilot pool"):
+        PilotPool(P)
+    R = gen_pdrs_codebook(cfg, RngStream(cfg.seed, 1)).R.copy()
+    R[4, 0] = np.nan
+    with pytest.raises(ValueError, match="codebook"):
+        PdrsCodebook(R)
+
+
 def test_codebook_mode_validation():
     with pytest.raises(ValueError):
         PdrsCodebook(np.ones((3, 1), dtype=np.complex128), mode="bogus")
