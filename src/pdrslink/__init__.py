@@ -26,7 +26,6 @@ from .harness import (
 from .linalg import pinv
 from .metrics import (
     ComplexityModel,
-    MultCounter,
     TrialMetrics,
     complexity_model,
     detection_metrics,
@@ -74,7 +73,6 @@ __all__ = [
     "run_trial",
     "pinv",
     "ComplexityModel",
-    "MultCounter",
     "TrialMetrics",
     "complexity_model",
     "detection_metrics",

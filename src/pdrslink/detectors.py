@@ -3,7 +3,8 @@
 All detectors return a sorted detected support of exactly ``zeta`` users
 plus the per-user ranking scores and the exact multiplication tally of the
 run.  Tie-breaking is deterministic: equal scores resolve to the lower user
-index.
+index.  A non-finite score (a frame holding nan or inf) is never ranked: the
+detector raises a ValueError instead.
 """
 
 from dataclasses import dataclass, field
@@ -12,7 +13,7 @@ import numpy as np
 
 from ._kernels import col_norms_sq, residual_row_norms
 from .linalg import orthonormal_step, pinv, pinv_symmetric
-from .metrics import MultCounter, matmul_mults, pinv_mults
+from .metrics import matmul_mults, pinv_mults
 from .scenario import PdrsCodebook, PilotPool, ReceivedFrame
 
 __all__ = [
@@ -36,15 +37,11 @@ class DetectionResult:
     y_pinv: np.ndarray | None = field(default=None, repr=False)
 
 
-def _smallest(scores: np.ndarray, zeta: int) -> np.ndarray:
-    """Indices of the zeta smallest scores, ties to the lower index."""
-    order = np.argsort(scores, kind="stable")
-    return np.sort(order[:zeta])
-
-
-def _largest(scores: np.ndarray, zeta: int) -> np.ndarray:
-    """Indices of the zeta largest scores, ties to the lower index."""
-    order = np.argsort(-scores, kind="stable")
+def _pick(scores: np.ndarray, zeta: int, largest: bool) -> np.ndarray:
+    """Sorted indices of the zeta smallest (or largest) scores, ties to the lower index."""
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("non-finite detection score: the frame holds nan or inf")
+    order = np.argsort(-scores if largest else scores, kind="stable")
     return np.sort(order[:zeta])
 
 
@@ -68,20 +65,18 @@ def detect_pdrs_dwe(
     N, ell = codebook.R.shape
     if not 1 <= zeta <= N:
         raise ValueError(f"zeta must be in [1, {N}], got {zeta}")
-    counter = MultCounter()
 
     y_pinv = pinv(Y)
-    counter.add(pinv_mults(M, L, svd_cost))
+    mults = pinv_mults(M, L, svd_cost)
     T = y_pinv @ Y_R
-    counter.add(matmul_mults(L, M, ell))
+    mults += matmul_mults(L, M, ell)
     recon = pool.P @ T
-    counter.add(matmul_mults(N, L, ell))
+    mults += matmul_mults(N, L, ell)
     scores = residual_row_norms(recon, codebook.R)
-    counter.add(N * ell)
+    mults += N * ell
 
-    scores = np.where(np.isfinite(scores), scores, np.inf)
-    detected = _smallest(scores, zeta)
-    return DetectionResult(detected, scores, counter.complex_mults, y_pinv=y_pinv)
+    detected = _pick(scores, zeta, largest=False)
+    return DetectionResult(detected, scores, mults, y_pinv=y_pinv)
 
 
 def detect_bomp(
@@ -110,7 +105,7 @@ def detect_bomp(
     N = pool.n_pilots
     if not 1 <= zeta <= N:
         raise ValueError(f"zeta must be in [1, {N}], got {zeta}")
-    counter = MultCounter()
+    mults = 0
     P_h = pool.P.conj().T
 
     Q = np.empty((L, min(zeta, L)), dtype=np.complex128)
@@ -120,36 +115,39 @@ def detect_bomp(
     scores = np.zeros(N, dtype=np.float64)
     for _ in range(zeta):
         C = Z @ P_h
-        counter.add(matmul_mults(M, L, N))
+        mults += matmul_mults(M, L, N)
         power = col_norms_sq(C)
-        counter.add(M * N)
-        power = np.where(np.isfinite(power), power, -np.inf)
+        mults += M * N
         if selected:
+            # later residuals come from Y and an orthonormal basis, so they
+            # are finite when the first powers are; -inf masks admitted users
             power[selected] = -np.inf
-        best = int(np.argmax(power))
+            best = int(np.argmax(power))
+        else:
+            best = int(_pick(power, 1, largest=True)[0])
         scores[best] = power[best]
         selected.append(best)
         if rank == L:
             continue
 
         q = orthonormal_step(Q[:, :rank], P_h[:, best])
-        counter.add(4 * L * rank + 2 * L)
+        mults += 4 * L * rank + 2 * L
         if q is None:
             continue
         Q[:, rank] = q
-        counter.add(L)
+        mults += L
         rank += 1
         if rank == L:
             Z = np.zeros_like(Y)
         else:
             Qr = Q[:, :rank]
             Z = Y - (Y @ Qr) @ Qr.conj().T
-            counter.add(2 * matmul_mults(M, L, rank))
+            mults += 2 * matmul_mults(M, L, rank)
     detected = np.sort(np.asarray(selected, dtype=np.int64))
-    return DetectionResult(detected, scores, counter.complex_mults)
+    return DetectionResult(detected, scores, mults)
 
 
-def fpr_gram_pinv(pool: PilotPool, rel_tol: float | None = None) -> np.ndarray:
+def fpr_gram_pinv(pool: PilotPool) -> np.ndarray:
     """Pseudo-inverse of the squared-modulus pilot Gram matrix.
 
     One-time precomputation per pilot pool; the per-frame ledger charges only
@@ -158,7 +156,7 @@ def fpr_gram_pinv(pool: PilotPool, rel_tol: float | None = None) -> np.ndarray:
     pseudo-inverse comes from a real symmetric eigendecomposition.
     """
     G = np.abs(pool.P @ pool.P.conj().T) ** 2
-    return pinv_symmetric(G, rel_tol=rel_tol)
+    return pinv_symmetric(G)
 
 
 def detect_fpr(
@@ -181,18 +179,13 @@ def detect_fpr(
         raise ValueError(f"zeta must be in [1, {N}], got {zeta}")
     if gram_pinv.shape != (N, N):
         raise ValueError(f"gram_pinv must be {N}x{N}, got {gram_pinv.shape}")
-    counter = MultCounter()
 
     H_mf = Y @ pool.P.conj().T
-    counter.add(matmul_mults(M, L, N))
     p_mf = col_norms_sq(H_mf)
-    counter.add(M * N)
     p_rec = gram_pinv @ p_mf
-    counter.add_real(N * N)
 
-    scores = np.where(np.isfinite(p_rec), p_rec, -np.inf)
-    detected = _largest(scores, zeta)
-    return DetectionResult(detected, scores, counter.complex_mults, real_mults=counter.real_mults)
+    detected = _pick(p_rec, zeta, largest=True)
+    return DetectionResult(detected, p_rec, matmul_mults(M, L, N) + M * N, real_mults=N * N)
 
 
 def oracle_support(frame: ReceivedFrame) -> DetectionResult:

@@ -1,8 +1,8 @@
 """Monte-Carlo experiment runner.
 
 Trials are embarrassingly parallel: every trial owns a counter-based
-substream keyed by (seed, 16 + trial_index), workers fill a per-trial result
-slot, and reduction walks the slots in index order, so every reported number
+substream keyed by (seed, 16 + trial_index), a thread pool maps the trials,
+and reduction walks the results in trial order, so every reported number
 except wall-clock time is independent of the worker count and of scheduling.
 The pilot pool (stream 0) and, when a detector needs it, its Gram
 pseudo-inverse are built once per sweep and shared by every point, since no
@@ -123,12 +123,6 @@ POOL_STREAM = 0
 CODEBOOK_STREAM = 1
 TRIAL_STREAM_BASE = 16
 
-CSV_HEADER = (
-    "sweep_var,sweep_value,snr_db,K,L,N,M,l,zeta,detector,trials,"
-    "miss_rate,false_pos_rate,ser,mean_post_sinr_db,"
-    "modeled_mults,counted_mults,wall_clock_ms,seed"
-)
-
 SWEEP_VARS = ("snr_db", "K", "l", "alpha")
 
 
@@ -174,11 +168,10 @@ class SweepSpec:
         if self.variable == "snr_db":
             return replace(base, snr_db=float(value))
         if self.variable == "K":
-            k = int(value)
-            return replace(base, K=k, zeta=int(round(base.alpha * k)))
+            return replace(base, K=int(value)).with_zeta_from_alpha(base.alpha)
         if self.variable == "l":
             return replace(base, l=int(value))
-        return replace(base, zeta=int(round(float(value) * base.K)))
+        return base.with_zeta_from_alpha(float(value))
 
 
 @dataclass
@@ -213,9 +206,12 @@ class ResultRow:
         return ",".join(parts)
 
 
+CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
+
+
 def parse_config(path: str | Path) -> SystemConfig:
     """Read key = value lines (# comments) into a SystemConfig."""
-    known = {f.name for f in fields(SystemConfig)}
+    kinds = {f.name: f.type for f in fields(SystemConfig)}
     overrides: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -224,12 +220,9 @@ def parse_config(path: str | Path) -> SystemConfig:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, val = (s.strip() for s in line.partition("="))
-        if key not in known:
+        if key not in kinds:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key == "pdrs_mode":
-            overrides[key] = val
-            continue
-        kind = float if key == "snr_db" else int
+        kind = kinds[key]
         try:
             overrides[key] = kind(val)
         except ValueError:
@@ -298,7 +291,6 @@ def _run_one_detector(
             weights.W[tp_mask], tp_users, frame.H, truth.active, frame.sigma2
         )
     m.mult_count = res.mults
-    m.real_mults = res.real_mults
     m.wall_ms = (time.perf_counter() - t0) * 1e3
     return m
 
@@ -379,36 +371,22 @@ def _run_point(
     """``run_point`` with the pool and Gram pseudo-inverse already built."""
     codebook = synth_codebook(cfg)
 
-    slots: list[dict[str, TrialMetrics] | None] = [None] * cfg.trials
-    failure: Exception | None = None
+    def work(i: int) -> dict[str, TrialMetrics]:
+        return run_trial(cfg, pool, codebook, gram_pinv, i, detectors)
 
-    def work(i: int) -> None:
-        slots[i] = run_trial(cfg, pool, codebook, gram_pinv, i, detectors)
-
+    # map yields in trial order; on the first error it cancels pending trials
+    trials: list[dict[str, TrialMetrics]] | None = None
     try:
-        n_workers = worker_count()
-        if n_workers == 1:
-            for i in range(cfg.trials):
-                work(i)
-        else:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool_exec:
-                futures = [pool_exec.submit(work, i) for i in range(cfg.trials)]
-                try:
-                    for fut in futures:
-                        fut.result()
-                except Exception:
-                    for fut in futures:
-                        fut.cancel()
-                    raise
+        with ThreadPoolExecutor(max_workers=worker_count()) as executor:
+            trials = list(executor.map(work, range(cfg.trials)))
     except Exception as exc:
-        failure = exc
         print(f"sweep point {sweep_var}={value}: {exc}", file=sys.stderr)
 
     rows = []
     for name in detectors:
         model = complexity_model(cfg, DETECTOR_TABLE[name].model)
-        if failure is None:
-            per = [slot[name] for slot in slots]  # type: ignore[index]
+        if trials is not None:
+            per = [trial[name] for trial in trials]
             miss = sum(t.miss for t in per)
             fp = sum(t.false_pos for t in per)
             err = sum(t.sym_errors for t in per)

@@ -18,7 +18,6 @@ from .scenario import ActivityPattern, SystemConfig
 
 __all__ = [
     "SINR_CAP_DB",
-    "MultCounter",
     "matmul_mults",
     "pinv_mults",
     "ComplexityModel",
@@ -32,22 +31,6 @@ __all__ = [
 #: Post-combining SINR clamp; +cap is reached only at exactly zero
 #: interference-plus-noise power, -cap only at zero signal power.
 SINR_CAP_DB = 300.0
-
-
-class MultCounter:
-    """Running tally of complex (and separately real) multiplications."""
-
-    __slots__ = ("complex_mults", "real_mults")
-
-    def __init__(self) -> None:
-        self.complex_mults = 0
-        self.real_mults = 0
-
-    def add(self, n: int) -> None:
-        self.complex_mults += int(n)
-
-    def add_real(self, n: int) -> None:
-        self.real_mults += int(n)
 
 
 def matmul_mults(a: int, b: int, c: int) -> int:
@@ -90,7 +73,8 @@ def complexity_model(cfg: SystemConfig, detector: str) -> ComplexityModel:
     M, N, L, ell, zeta = cfg.M, cfg.N, cfg.L, cfg.l, cfg.zeta
     c = cfg.svd_cost
     if detector == "pdrs":
-        detect = pinv_mults(M, L, c) + matmul_mults(L, M, ell) + matmul_mults(N, L, ell)
+        # pinv(Y), T = pinv(Y) Y_R, the reconstructions P T, their residual norms
+        detect = pinv_mults(M, L, c) + matmul_mults(L, M, ell) + matmul_mults(N, L, ell) + N * ell
         return ComplexityModel("pdrs", detect, weight_mults=zeta * L * M)
     if detector == "bomp":
         # per pick t: correlation and powers; while the span is short of C^L,
@@ -132,7 +116,6 @@ class TrialMetrics:
     sym_total: int = 0
     post_sinr_db: np.ndarray = field(default_factory=lambda: np.zeros(0))
     mult_count: int = 0
-    real_mults: int = 0
     wall_ms: float = 0.0
 
     def __post_init__(self):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from pdrslink.detectors import (
     fpr_gram_pinv,
     oracle_support,
 )
+from pdrslink.harness import DETECTOR_TABLE, synth_codebook, synth_frame, synth_pool
 from pdrslink.linalg import pinv
 from pdrslink.metrics import complexity_model, pinv_mults
 from pdrslink.rng import RngStream
@@ -331,3 +334,27 @@ def test_aggressive_support_contains_actives_noiseless():
     cfg, pool, cb, act, frame = build(seed=14, zeta=16, snr_db=float("inf"))
     res = detect_pdrs_dwe(frame, pool, cb, 16)
     assert np.all(np.isin(act.active, res.detected))
+
+
+@pytest.mark.parametrize("block", ["Y", "Y_R"])
+@pytest.mark.parametrize("name", ["pdrs", "bomp", "fpr"])
+def test_a_nan_in_the_frame_is_never_ranked(name, block):
+    cfg = SystemConfig(M=16, N=32, L=12, l=4, K=8, zeta=6, snr_db=12.0, D=0, trials=1, seed=3)
+    pool, cb = synth_pool(cfg), synth_codebook(cfg)
+    frame = synth_frame(cfg, pool, cb, 0)
+    bad = getattr(frame, block).copy()
+    bad[0, 0] = np.nan
+    poisoned = replace(frame, **{block: bad})
+    gram = fpr_gram_pinv(pool)
+
+    def run(fr):
+        return DETECTOR_TABLE[name].detect(fr, pool, cb, cfg.zeta, cfg.svd_cost, gram)
+
+    if block == "Y" or name == "pdrs":
+        # a ranked nan used to come back as a plausible support; pdrs on a
+        # nan Y fails inside pinv's SVD (LinAlgError is a ValueError)
+        with pytest.raises(ValueError):
+            run(poisoned)
+    else:
+        # bomp and fpr never read Y_R
+        assert np.array_equal(run(poisoned).detected, run(frame).detected)

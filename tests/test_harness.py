@@ -102,14 +102,15 @@ def test_run_point_rejects_empty_detectors():
         run_point(small_cfg(), [])
 
 
-def test_run_point_failure_yields_diagnostic_rows(monkeypatch, capsys):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_point_failure_yields_diagnostic_rows(monkeypatch, capsys, threads):
     cfg = small_cfg(trials=3)
 
     def boom(*a, **kw):
         raise ValueError("synthetic failure")
 
     monkeypatch.setattr(harness, "detect_pdrs_dwe", boom)
-    monkeypatch.setenv("PDRS_THREADS", "1")
+    monkeypatch.setenv("PDRS_THREADS", threads)
     rows = run_point(cfg, ["pdrs"])
     assert len(rows) == 1
     assert math.isnan(rows[0].miss_rate) and math.isnan(rows[0].ser)

@@ -6,7 +6,6 @@ import pytest
 from pdrslink.metrics import (
     SINR_CAP_DB,
     ComplexityModel,
-    MultCounter,
     TrialMetrics,
     complexity_model,
     detection_metrics,
@@ -117,15 +116,6 @@ def test_symbol_errors():
         symbol_errors(a, b.T)
 
 
-def test_mult_counter():
-    c = MultCounter()
-    c.add(5)
-    c.add(7)
-    c.add_real(3)
-    assert c.complex_mults == 12
-    assert c.real_mults == 3
-
-
 def test_cost_helpers():
     assert matmul_mults(3, 4, 5) == 60
     assert pinv_mults(8, 3, 4) == 4 * 8 * 9 + 27
@@ -163,8 +153,9 @@ def test_pdrs_model_terms():
         pinv_mults(ANCHOR.M, ANCHOR.L, ANCHOR.svd_cost)
         + ANCHOR.L * ANCHOR.M * ANCHOR.l
         + ANCHOR.N * ANCHOR.L * ANCHOR.l
+        + ANCHOR.N * ANCHOR.l
     )
-    assert m.detect_mults == expect
+    assert m.detect_mults == expect == 6_040_480
     assert m.weight_mults == ANCHOR.zeta * ANCHOR.L * ANCHOR.M
     assert m.total_complex == expect + m.weight_mults
 
