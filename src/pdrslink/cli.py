@@ -48,7 +48,7 @@ def _cmd_detect(args) -> int:
     frame, pool, codebook = frameio.load_frame(args.frame)
     truth = frame.ground_truth
     zeta = args.zeta if args.zeta is not None else truth.K
-    spec = harness.DETECTOR_TABLE[args.detector]
+    spec = harness.STAGE_TABLE[harness.DETECTOR_TABLE[args.detector].stage]
     gram_pinv = fpr_gram_pinv(pool) if spec.needs_gram else None
     # a stored frame carries no config, so svd_cost keeps its default
     res = spec.detect(frame, pool, codebook, zeta, SystemConfig.svd_cost, gram_pinv)
@@ -75,13 +75,11 @@ def _cmd_complexity(args) -> int:
     pool, codebook = harness.synth_pool(cfg), harness.synth_codebook(cfg)
     frame = harness.synth_frame(cfg, pool, codebook, 0)
 
-    # one row per complexity model, counted on the first detector that uses it
+    # one row per detection stage; its name keys its complexity model
     counted: dict[str, int] = {}
-    for spec in harness.DETECTOR_TABLE.values():
-        if spec.model not in counted:
-            gram_pinv = fpr_gram_pinv(pool) if spec.needs_gram else None
-            res = spec.detect(frame, pool, codebook, cfg.zeta, cfg.svd_cost, gram_pinv)
-            counted[spec.model] = res.mults
+    for name, spec in harness.STAGE_TABLE.items():
+        gram_pinv = fpr_gram_pinv(pool) if spec.needs_gram else None
+        counted[name] = spec.detect(frame, pool, codebook, cfg.zeta, cfg.svd_cost, gram_pinv).mults
     models = {name: complexity_model(cfg, name) for name in counted}
 
     print(

@@ -65,6 +65,8 @@ def detect_pdrs_dwe(
     N, ell = codebook.R.shape
     if not 1 <= zeta <= N:
         raise ValueError(f"zeta must be in [1, {N}], got {zeta}")
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("frame block Y holds nan or inf")
 
     y_pinv = pinv(Y)
     mults = pinv_mults(M, L, svd_cost)

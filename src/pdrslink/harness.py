@@ -8,11 +8,11 @@ The pilot pool (stream 0) and, when a detector needs it, its Gram
 pseudo-inverse are built once per sweep and shared by every point, since no
 sweep variable changes the seed, N or L.  The reference-signal codebook
 (stream 1) follows l and is generated once per sweep point; all trials of a
-point share it.  Only the ``synth_*`` helpers map (seed, stream) to draws, and
-only ``DETECTOR_TABLE`` says how each detector runs.
+point share it.  Only the ``synth_*`` helpers map (seed, stream) to draws.
+``STAGE_TABLE`` says how each detection method runs, and ``DETECTOR_TABLE``
+pairs one with a combiner to make each detector.
 """
 
-import csv
 import math
 import os
 import sys
@@ -58,6 +58,8 @@ __all__ = [
     "DETECTORS",
     "DETECTOR_TABLE",
     "DetectorSpec",
+    "STAGE_TABLE",
+    "StageSpec",
     "POOL_STREAM",
     "CODEBOOK_STREAM",
     "TRIAL_STREAM_BASE",
@@ -77,43 +79,47 @@ __all__ = [
 ]
 
 
-class DetectorSpec(NamedTuple):
-    """How one detector runs: its ``DETECTOR_TABLE`` entry.
+class StageSpec(NamedTuple):
+    """One detection method: its ``STAGE_TABLE`` entry, keyed by its ``complexity_model`` name.
 
     ``detect(frame, pool, codebook, zeta, svd_cost, gram_pinv)`` runs it;
-    ``combiner`` is "dwe" (weights read out of its ``pinv(Y)``) or "lszf"
-    (least-squares channel estimate, then zero-forcing); ``model`` keys
-    ``complexity_model``; ``needs_gram`` asks for the pool's Gram pseudo-inverse.
+    ``needs_gram`` asks for the pool's Gram pseudo-inverse.
     """
 
     detect: Callable[..., DetectionResult]
-    combiner: str
-    model: str
     needs_gram: bool
 
 
-# Each lambda adapts one detector to the common call and looks it up when called.
+# Each lambda adapts one detection method to the common call and looks it up when called.
+STAGE_TABLE: dict[str, StageSpec] = {
+    "pdrs": StageSpec(
+        lambda fr, pool, cb, zeta, svd, gram: detect_pdrs_dwe(fr, pool, cb, zeta, svd), False
+    ),
+    "bomp": StageSpec(lambda fr, pool, cb, zeta, svd, gram: detect_bomp(fr, pool, zeta), False),
+    "fpr": StageSpec(lambda fr, pool, cb, zeta, svd, gram: detect_fpr(fr, pool, zeta, gram), True),
+    "oracle": StageSpec(lambda fr, pool, cb, zeta, svd, gram: oracle_support(fr), False),
+}
+
+
+class DetectorSpec(NamedTuple):
+    """One detector: its ``DETECTOR_TABLE`` entry.
+
+    ``stage`` names its ``STAGE_TABLE`` entry; ``combiner`` is "dwe" (weights
+    read out of the stage's ``pinv(Y)``) or "lszf" (least-squares channel
+    estimate, then zero-forcing).
+    """
+
+    stage: str
+    combiner: str
+
+
 DETECTOR_TABLE: dict[str, DetectorSpec] = {
-    "pdrs": DetectorSpec(
-        lambda fr, pool, cb, zeta, svd, gram: detect_pdrs_dwe(fr, pool, cb, zeta, svd),
-        "dwe", "pdrs", False,
-    ),
-    "pdrs-lszf": DetectorSpec(
-        lambda fr, pool, cb, zeta, svd, gram: detect_pdrs_dwe(fr, pool, cb, zeta, svd),
-        "lszf", "pdrs", False,
-    ),
-    "bomp": DetectorSpec(
-        lambda fr, pool, cb, zeta, svd, gram: detect_bomp(fr, pool, zeta), "lszf", "bomp", False
-    ),
-    "fpr": DetectorSpec(
-        lambda fr, pool, cb, zeta, svd, gram: detect_fpr(fr, pool, zeta, gram), "lszf", "fpr", True
-    ),
-    "oracle": DetectorSpec(
-        lambda fr, pool, cb, zeta, svd, gram: oracle_support(fr), "lszf", "oracle", False
-    ),
-    "oracle-dwe": DetectorSpec(
-        lambda fr, pool, cb, zeta, svd, gram: oracle_support(fr), "dwe", "oracle", False
-    ),
+    "pdrs": DetectorSpec("pdrs", "dwe"),
+    "pdrs-lszf": DetectorSpec("pdrs", "lszf"),
+    "bomp": DetectorSpec("bomp", "lszf"),
+    "fpr": DetectorSpec("fpr", "lszf"),
+    "oracle": DetectorSpec("oracle", "lszf"),
+    "oracle-dwe": DetectorSpec("oracle", "dwe"),
 }
 
 #: Detector names accepted by the harness, in table order.
@@ -256,21 +262,12 @@ def synth_frame(
     return assemble_frame(cfg, pool, codebook, activity, rng)
 
 
-def _run_one_detector(
-    name: str,
-    frame: ReceivedFrame,
-    pool: PilotPool,
-    codebook: PdrsCodebook,
-    cfg: SystemConfig,
-    gram_pinv: np.ndarray | None,
+def _combine_and_score(
+    combiner: str, res: DetectionResult, frame: ReceivedFrame, pool: PilotPool
 ) -> TrialMetrics:
+    """Combine, demodulate and score one detected support; ``wall_ms`` times this alone."""
     t0 = time.perf_counter()
-    spec = _spec(name)
-    if spec.needs_gram and gram_pinv is None:
-        raise ValueError(f"{name} requires the precomputed Gram pseudo-inverse")
-    res = spec.detect(frame, pool, codebook, cfg.zeta, cfg.svd_cost, gram_pinv)
-
-    if spec.combiner == "dwe":
+    if combiner == "dwe":
         weights = dwe_weights(frame, pool, res.detected, y_pinv=res.y_pinv)
     else:
         h_est = ls_channel_estimate(frame, pool, res.detected)
@@ -307,15 +304,28 @@ def run_trial(
 
     The frame depends only on (cfg.seed, trial_index), never on the detector
     list, so adding a detector to a sweep does not move any other detector's
-    numbers.
+    numbers.  Each distinct detection stage runs once; every detector that
+    shares it is charged its full time in ``wall_ms``.
     """
     frame = synth_frame(cfg, pool, codebook, trial_index)
+    stages: dict[str, tuple[DetectionResult, float]] = {}
     out: dict[str, TrialMetrics] = {}
     for name in detectors:
         try:
-            out[name] = _run_one_detector(name, frame, pool, codebook, cfg, gram_pinv)
+            spec = _spec(name)
+            if spec.stage not in stages:
+                t0 = time.perf_counter()
+                stage = STAGE_TABLE[spec.stage]
+                if stage.needs_gram and gram_pinv is None:
+                    raise ValueError(f"{spec.stage} requires the precomputed Gram pseudo-inverse")
+                res = stage.detect(frame, pool, codebook, cfg.zeta, cfg.svd_cost, gram_pinv)
+                stages[spec.stage] = res, (time.perf_counter() - t0) * 1e3
+            res, stage_ms = stages[spec.stage]
+            m = _combine_and_score(spec.combiner, res, frame, pool)
         except Exception as exc:
             raise RuntimeError(f"trial {trial_index}, detector {name}: {exc}") from exc
+        m.wall_ms += stage_ms
+        out[name] = m
     return out
 
 
@@ -356,7 +366,7 @@ def _pool_and_gram(
 ) -> tuple[PilotPool, np.ndarray | None]:
     """The pilot pool of (seed, N, L) and, when a detector needs it, its Gram pseudo-inverse."""
     pool = synth_pool(cfg)
-    needs_gram = any(_spec(name).needs_gram for name in detectors)
+    needs_gram = any(STAGE_TABLE[_spec(name).stage].needs_gram for name in detectors)
     return pool, fpr_gram_pinv(pool) if needs_gram else None
 
 
@@ -384,7 +394,7 @@ def _run_point(
 
     rows = []
     for name in detectors:
-        model = complexity_model(cfg, DETECTOR_TABLE[name].model)
+        model = complexity_model(cfg, DETECTOR_TABLE[name].stage)
         if trials is not None:
             per = [trial[name] for trial in trials]
             miss = sum(t.miss for t in per)
@@ -450,12 +460,6 @@ def emit_csv(rows: list[ResultRow], path: str | Path) -> None:
         raise ValueError("no rows to write")
     lines = [CSV_HEADER] + [r.csv_line() for r in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_csv(path: str | Path) -> list[dict]:
-    """Parse an emitted CSV back into per-row dicts (strings preserved)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
 
 
 @dataclass

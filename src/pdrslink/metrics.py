@@ -63,10 +63,6 @@ class ComplexityModel:
     weight_mults: int = 0
     real_mults: int = 0
 
-    @property
-    def total_complex(self) -> int:
-        return self.detect_mults + self.weight_mults
-
 
 def complexity_model(cfg: SystemConfig, detector: str) -> ComplexityModel:
     """Modeled per-frame multiplication counts for one detector."""

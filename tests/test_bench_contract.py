@@ -1,13 +1,15 @@
-"""Every pdrslink name the benchmark in ``pdrsbench/`` uses must resolve.
+"""Every pdrslink name the benchmark in ``pdrsbench/`` uses must resolve,
+and every call it makes to one must bind to that name's signature.
 
 The benchmark's own tests are not part of this suite, so a change that
-deletes or renames a name the benchmark imports would otherwise pass here
-and break only the benchmark run.  The benchmark sources are parsed, not
-imported: collecting them must not run anything.
+deletes or renames a name or a parameter the benchmark uses would otherwise
+pass here and break only the benchmark run.  The benchmark sources are
+parsed, not imported: collecting them must not run anything.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "pdrsbench"
@@ -45,6 +47,40 @@ def bench_references() -> list[str]:
     return sorted(refs)
 
 
+def bench_calls() -> list[tuple[str, str, int, list[str]]]:
+    """Calls the benchmark makes to pdrslink names.
+
+    Each is (``file:line``, dotted name, positional count, keyword names).
+    A call that passes ``*args`` or ``**kw`` has no fixed shape and is left out.
+    """
+    calls = []
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {
+            alias.asname or alias.name: f"{node.module}.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pdrslink"
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            name = _dotted(node.func) if isinstance(node, ast.Call) else None
+            if name is None:
+                continue
+            head, dot, rest = name.partition(".")
+            if head in imported:
+                name = imported[head] + dot + rest
+            elif head != "pdrslink":
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords
+            ):
+                continue
+            calls.append(
+                (f"{path.name}:{node.lineno}", name, len(node.args), [k.arg for k in node.keywords])
+            )
+    return calls
+
+
 def resolve(dotted: str):
     """The object a dotted name denotes, importing submodules on the way."""
     head, *rest = dotted.split(".")
@@ -75,3 +111,16 @@ def test_every_bench_reference_resolves():
         except (ImportError, AttributeError) as exc:
             unresolved.append(f"{ref} ({exc})")
     assert not unresolved, "benchmark names missing from pdrslink: " + "; ".join(unresolved)
+
+
+def test_every_bench_call_binds():
+    calls = bench_calls()
+    # tracing.py passes detect_bomp's unused svd_cost positionally
+    assert ("pdrslink.detect_bomp", 4) in {(name, npos) for _, name, npos, _ in calls}
+    unbound = []
+    for where, name, npos, keywords in calls:
+        try:
+            inspect.signature(resolve(name)).bind(*[None] * npos, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unbound.append(f"{where}: {name} ({exc})")
+    assert not unbound, "benchmark calls that no longer bind: " + "; ".join(unbound)

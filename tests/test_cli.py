@@ -1,3 +1,4 @@
+import csv
 import math
 import struct
 
@@ -10,7 +11,6 @@ from pdrslink.harness import (
     DETECTOR_TABLE,
     DETECTORS,
     parse_config,
-    read_csv,
     run_point,
 )
 from pdrslink.metrics import complexity_model
@@ -50,7 +50,8 @@ def test_sweep_writes_csv(cfg_file, tmp_path, capsys):
     )
     assert rc == 0
     assert "wrote 4 rows" in capsys.readouterr().out
-    rows = read_csv(out)
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 4
     assert out.read_text().splitlines()[0] == CSV_HEADER
 
@@ -154,7 +155,7 @@ def test_detect_rejects_a_frame_holding_nan(cfg_file, tmp_path, capsys):
 def test_every_table_detector_runs_everywhere(name, cfg_file, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PDRS_THREADS", "1")
     cfg = parse_config(cfg_file)
-    model = complexity_model(cfg, DETECTOR_TABLE[name].model)
+    model = complexity_model(cfg, DETECTOR_TABLE[name].stage)
     (row,) = run_point(cfg, [name])
     assert row.detector == name and row.modeled_mults == model.detect_mults
     assert not math.isnan(row.ser) and not math.isnan(row.mean_post_sinr_db)

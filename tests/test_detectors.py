@@ -10,7 +10,7 @@ from pdrslink.detectors import (
     fpr_gram_pinv,
     oracle_support,
 )
-from pdrslink.harness import DETECTOR_TABLE, synth_codebook, synth_frame, synth_pool
+from pdrslink.harness import STAGE_TABLE, synth_codebook, synth_frame, synth_pool
 from pdrslink.linalg import pinv
 from pdrslink.metrics import complexity_model, pinv_mults
 from pdrslink.rng import RngStream
@@ -348,12 +348,14 @@ def test_a_nan_in_the_frame_is_never_ranked(name, block):
     gram = fpr_gram_pinv(pool)
 
     def run(fr):
-        return DETECTOR_TABLE[name].detect(fr, pool, cb, cfg.zeta, cfg.svd_cost, gram)
+        return STAGE_TABLE[name].detect(fr, pool, cb, cfg.zeta, cfg.svd_cost, gram)
 
     if block == "Y" or name == "pdrs":
-        # a ranked nan used to come back as a plausible support; pdrs on a
-        # nan Y fails inside pinv's SVD (LinAlgError is a ValueError)
-        with pytest.raises(ValueError):
+        # a ranked nan used to come back as a plausible support; pdrs checks
+        # Y before pinv, whose SVD would fail without naming the block
+        pdrs_y = (name, block) == ("pdrs", "Y")
+        match = "frame block Y holds nan" if pdrs_y else "non-finite detection score"
+        with pytest.raises(ValueError, match=match):
             run(poisoned)
     else:
         # bomp and fpr never read Y_R

@@ -1,3 +1,4 @@
+import csv
 import math
 from dataclasses import fields
 
@@ -14,7 +15,6 @@ from pdrslink.harness import (
     emit_csv,
     lemma_check,
     parse_config,
-    read_csv,
     run_point,
     run_trial,
     worker_count,
@@ -205,6 +205,27 @@ def test_run_sweep_builds_pool_and_gram_once(monkeypatch):
     assert calls == {"fpr_gram_pinv": 1, "gen_pilot_pool": 1}
 
 
+@pytest.mark.parametrize(
+    "stage, detectors",
+    [("pdrs", ["pdrs", "pdrs-lszf"]), ("oracle", ["oracle", "oracle-dwe"])],
+    ids=["pdrs", "oracle"],
+)
+def test_a_shared_stage_runs_once_per_frame(monkeypatch, stage, detectors):
+    cfg = small_cfg(trials=5)
+    alone = [row for name in detectors for row in run_point(cfg, [name])]
+    calls = []
+    spec = harness.STAGE_TABLE[stage]
+
+    def counted(*args):
+        calls.append(1)  # list.append is atomic across the trial threads
+        return spec.detect(*args)
+
+    monkeypatch.setitem(harness.STAGE_TABLE, stage, spec._replace(detect=counted))
+    shared = run_point(cfg, detectors)
+    assert len(calls) == cfg.trials
+    assert _rows_without_wall_clock(shared) == _rows_without_wall_clock(alone)
+
+
 def test_snr_monotonicity_with_slack():
     cfg = small_cfg(M=10, N=24, L=8, l=1, K=5, zeta=5, D=0, trials=120, seed=33)
     spec = SweepSpec(base=cfg, variable="snr_db", values=[-6.0, 0.0, 6.0, 12.0], detectors=["pdrs"])
@@ -241,7 +262,8 @@ def test_csv_round_trip(tmp_path):
     rows = run_point(cfg, ["pdrs"])
     path = tmp_path / "out.csv"
     emit_csv(rows, path)
-    parsed = read_csv(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        parsed = list(csv.DictReader(fh))
     assert len(parsed) == 1
     got = parsed[0]
     row = rows[0]

@@ -157,7 +157,6 @@ def test_pdrs_model_terms():
     )
     assert m.detect_mults == expect == 6_040_480
     assert m.weight_mults == ANCHOR.zeta * ANCHOR.L * ANCHOR.M
-    assert m.total_complex == expect + m.weight_mults
 
 
 def test_bomp_model_single_iteration():
