@@ -169,15 +169,17 @@ class SweepSpec:
             self.config_at(v)
 
     def config_at(self, value) -> SystemConfig:
-        """Base config with the sweep variable applied; K sweeps keep alpha."""
+        """Base config with the sweep variable applied; K sweeps keep alpha; K and l must be whole."""
         base = self.base
         if self.variable == "snr_db":
             return replace(base, snr_db=float(value))
+        if self.variable == "alpha":
+            return base.with_zeta_from_alpha(float(value))
+        if not float(value).is_integer():
+            raise ValueError(f"sweep variable {self.variable} takes whole numbers, got {value}")
         if self.variable == "K":
             return replace(base, K=int(value)).with_zeta_from_alpha(base.alpha)
-        if self.variable == "l":
-            return replace(base, l=int(value))
-        return base.with_zeta_from_alpha(float(value))
+        return replace(base, l=int(value))
 
 
 @dataclass
@@ -280,10 +282,9 @@ def _combine_and_score(
     if frame.Y_D.shape[1] and tp_users.size:
         decided = demod_qpsk(weights.apply(frame.Y_D)[tp_mask])
         sent_rows = np.searchsorted(truth.active, tp_users)
-        if frame.X_D is not None:
-            m.sym_errors = symbol_errors(decided, frame.X_D[sent_rows])
-            m.sym_total = decided.size
-    if frame.H is not None and tp_users.size:
+        m.sym_errors = symbol_errors(decided, frame.X_D[sent_rows])
+        m.sym_total = decided.size
+    if tp_users.size:
         m.post_sinr_db = post_sinr(
             weights.W[tp_mask], tp_users, frame.H, truth.active, frame.sigma2
         )
@@ -351,8 +352,9 @@ def run_point(
 ) -> list[ResultRow]:
     """Run cfg.trials Monte-Carlo trials at one sweep point.
 
-    On a trial failure the point is abandoned: a diagnostic row with nan
-    metrics is emitted per detector and the error goes to stderr.
+    Every trial runs.  If any fails, the point is abandoned: a diagnostic row
+    with nan metrics is emitted per detector, and one stderr line gives the
+    number of failed trials and the first error in trial order.
     """
     if not detectors:
         raise ValueError("detector list must be nonempty")
@@ -381,21 +383,24 @@ def _run_point(
     """``run_point`` with the pool and Gram pseudo-inverse already built."""
     codebook = synth_codebook(cfg)
 
-    def work(i: int) -> dict[str, TrialMetrics]:
-        return run_trial(cfg, pool, codebook, gram_pinv, i, detectors)
+    def work(i: int) -> dict[str, TrialMetrics] | Exception:
+        try:
+            return run_trial(cfg, pool, codebook, gram_pinv, i, detectors)
+        except Exception as exc:
+            return exc
 
-    # map yields in trial order; on the first error it cancels pending trials
-    trials: list[dict[str, TrialMetrics]] | None = None
-    try:
-        with ThreadPoolExecutor(max_workers=worker_count()) as executor:
-            trials = list(executor.map(work, range(cfg.trials)))
-    except Exception as exc:
-        print(f"sweep point {sweep_var}={value}: {exc}", file=sys.stderr)
+    # map yields in trial order; a failed trial yields its error, so all run
+    with ThreadPoolExecutor(max_workers=worker_count()) as executor:
+        trials = list(executor.map(work, range(cfg.trials)))
+    errors = [t for t in trials if isinstance(t, Exception)]
+    if errors:
+        failed = f"{len(errors)} of {cfg.trials} trials failed; first: {errors[0]}"
+        print(f"sweep point {sweep_var}={value}: {failed}", file=sys.stderr)
 
     rows = []
     for name in detectors:
         model = complexity_model(cfg, DETECTOR_TABLE[name].stage)
-        if trials is not None:
+        if not errors:
             per = [trial[name] for trial in trials]
             miss = sum(t.miss for t in per)
             fp = sum(t.false_pos for t in per)

@@ -78,21 +78,19 @@ def pinv(a, rel_tol: float | None = None) -> np.ndarray:
     return (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
 
 
-def pinv_symmetric(a, rel_tol: float | None = None) -> np.ndarray:
+def pinv_symmetric(a) -> np.ndarray:
     """Real pseudo-inverse of a real symmetric matrix via its eigendecomposition.
 
     The singular values of a symmetric matrix are the magnitudes of its
     eigenvalues, so this is ``pinv(a).real`` computed in real arithmetic with
-    the same cutoff: eigenvalues with ``|lambda| <= rel_tol * max|lambda|``
-    are treated as zero.  A matrix that is not symmetric to rounding raises
-    ValueError.
+    ``pinv``'s default cutoff: eigenvalues with
+    ``|lambda| <= n * 1e-12 * max|lambda|`` are treated as zero.  A matrix
+    that is not symmetric to rounding raises ValueError.
 
     Parameters
     ----------
     a : array_like
         Non-empty real square matrix.
-    rel_tol : float, optional
-        Relative cutoff in [0, 1); defaults as for ``pinv``.
 
     Returns
     -------
@@ -105,7 +103,7 @@ def pinv_symmetric(a, rel_tol: float | None = None) -> np.ndarray:
     m = m.astype(np.float64, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValueError(f"expected a non-empty square matrix, got shape={m.shape}")
-    rel_tol = _rank_cutoff(m.shape, rel_tol)
+    rel_tol = _rank_cutoff(m.shape, None)
     if np.linalg.norm(m - m.T) > 1e-10 * np.linalg.norm(m):
         raise ValueError("pinv_symmetric takes a symmetric matrix")
     try:

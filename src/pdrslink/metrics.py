@@ -152,12 +152,15 @@ def post_sinr(
 ) -> np.ndarray:
     """Post-combining SINR per weight row, in dB.
 
+    ``H`` is the active users' channel, column k belonging to ``active[k]``.
     Row i recovers user ``users[i]`` (which must be active); its SINR is
     |w_i h_n|^2 over the power leaked from the other active users plus
     sigma2 * ||w_i||^2, clamped to +-SINR_CAP_DB.
     """
     users = np.asarray(users, dtype=np.int64)
     active = np.asarray(active, dtype=np.int64)
+    if H.shape[1] != active.size:
+        raise ValueError(f"H must have one column per active user: H {H.shape}, active {active.shape}")
     if W.shape[0] != users.size:
         raise ValueError("one weight row per user is required")
     if users.size == 0:
@@ -166,7 +169,7 @@ def post_sinr(
     if np.any(pos >= active.size) or np.any(active[np.minimum(pos, active.size - 1)] != users):
         raise ValueError("every scored user must be active")
 
-    G = abs2(W @ H[:, active])
+    G = abs2(W @ H)
     sig = G[np.arange(users.size), pos]
     interf = np.sum(G, axis=1) - sig
     denom = interf + sigma2 * row_norms_sq(W)

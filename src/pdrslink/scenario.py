@@ -183,8 +183,10 @@ class ActivityPattern:
 class ReceivedFrame:
     """One received frame plus the ground truth that produced it.
 
-    ``H`` and ``X_D`` are None for frames loaded from disk (the wire format
-    carries only what a detector needs plus the true support).
+    Per-user truth covers the active users only, in ``ground_truth.active``
+    order: ``H`` is M x K and ``X_D`` is K x D.  Both are None for frames
+    loaded from disk (the wire format carries only what a detector needs
+    plus the true support).
     """
 
     Y_R: np.ndarray
@@ -199,8 +201,8 @@ class ReceivedFrame:
         m = self.Y.shape[0]
         if self.Y_R.shape[0] != m or self.Y_D.shape[0] != m:
             raise ValueError("Y_R, Y, Y_D must share the antenna dimension")
-        if self.H is not None and self.H.shape != (m, self.ground_truth.n_pilots):
-            raise ValueError("H must be M x N when present")
+        if self.H is not None and self.H.shape != (m, self.ground_truth.K):
+            raise ValueError("H must be M x K when present")
         if self.X_D is not None and self.X_D.shape != (self.ground_truth.K, self.Y_D.shape[1]):
             raise ValueError("X_D must be K x D when present")
         if not (math.isfinite(self.sigma2) and self.sigma2 >= 0):
@@ -251,31 +253,22 @@ def assemble_frame(
     codebook: PdrsCodebook,
     activity: ActivityPattern,
     rng: RngStream,
-    channel: np.ndarray | None = None,
 ) -> ReceivedFrame:
     """Build one noisy received frame.
 
-    The channel is i.i.d. CN(0, 1) (flat Rayleigh, shared by all three
-    segments); data symbols are uniform unit-power QPSK.  Draw order on the
-    stream is fixed (channel, data symbols, then noise for the reference,
-    pilot, and data blocks) and is part of the determinism contract.
-    ``channel`` overrides the random channel for hand-computable fixtures.
+    Only the active users' channel is drawn: M x K, i.i.d. CN(0, 1) (flat
+    Rayleigh, shared by all three segments), column k belonging to user
+    ``activity.active[k]``; data symbols are uniform unit-power QPSK.  Draw
+    order on the stream is fixed (channel, data symbols, then noise for the
+    reference, pilot, and data blocks) and is part of the determinism contract.
     """
     sigma2 = cfg.sigma2
-    if channel is None:
-        H = cgauss(cfg.M, cfg.N, 1.0, rng)
-    else:
-        H = np.asarray(channel, dtype=np.complex128)
-        if H.shape != (cfg.M, cfg.N):
-            raise ValueError(f"channel must be {cfg.M}x{cfg.N}, got {H.shape}")
     act = activity.active
-    symbol_idx = rng.gen.integers(0, 4, size=(activity.K, cfg.D))
-    X_D = QPSK_POINTS[symbol_idx]
-
-    H_act = H[:, act]
-    Y_R = H_act @ codebook.R[act]
-    Y = H_act @ pool.P[act]
-    Y_D = H_act @ X_D
+    H = cgauss(cfg.M, activity.K, 1.0, rng)
+    X_D = QPSK_POINTS[rng.gen.integers(0, 4, size=(activity.K, cfg.D))]
+    Y_R = H @ codebook.R[act]
+    Y = H @ pool.P[act]
+    Y_D = H @ X_D
     if sigma2 > 0.0:
         s = np.sqrt(sigma2)
         Y_R = Y_R + s * cgauss(cfg.M, cfg.l, 1.0, rng)

@@ -78,6 +78,14 @@ def test_sweep_rejects_bad_detector(cfg_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_sweep_rejects_a_fractional_l(cfg_file, capsys):
+    rc = main(["sweep", "--config", cfg_file, "--var", "l", "--values", "1.5,2.9", "--detectors", "oracle"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "l takes whole numbers, got 1.5" in captured.err
+    assert captured.out == ""
+
+
 def test_gen_frame_then_detect(cfg_file, tmp_path, capsys):
     frame_path = tmp_path / "one.pdrs"
     assert main(["gen-frame", "--config", cfg_file, "--out", str(frame_path)]) == 0

@@ -62,7 +62,7 @@ def test_dwe_row_is_pilot_times_pinv():
 def test_noiseless_dwe_zero_forces_the_channel():
     cfg, pool, cb, act, frame = build(seed=5, snr_db=float("inf"))
     w = dwe_weights(frame, pool, act.active)
-    gain = w.W @ frame.H[:, act.active]
+    gain = w.W @ frame.H
     assert np.max(np.abs(gain - np.eye(act.K))) < 1e-9
 
 
@@ -70,7 +70,7 @@ def test_ls_estimate_recovers_channel_noiseless():
     cfg, pool, cb, act, frame = build(seed=6, snr_db=float("inf"))
     h_est = ls_channel_estimate(frame, pool, act.active)
     assert h_est.shape == (cfg.M, act.K)
-    assert np.max(np.abs(h_est - frame.H[:, act.active])) < 1e-9
+    assert np.max(np.abs(h_est - frame.H)) < 1e-9
 
 
 def test_ls_estimate_rejects_empty_support():
@@ -96,7 +96,7 @@ def test_zf_inverts_estimated_channel_noiseless():
     cfg, pool, cb, act, frame = build(seed=8, snr_db=float("inf"))
     h_est = ls_channel_estimate(frame, pool, act.active)
     w = zf_weights(h_est, act.active)
-    gain = w.W @ frame.H[:, act.active]
+    gain = w.W @ frame.H
     assert np.max(np.abs(gain - np.eye(act.K))) < 1e-9
 
 

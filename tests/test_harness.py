@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 from dataclasses import fields
 
@@ -114,7 +115,53 @@ def test_run_point_failure_yields_diagnostic_rows(monkeypatch, capsys, threads):
     rows = run_point(cfg, ["pdrs"])
     assert len(rows) == 1
     assert math.isnan(rows[0].miss_rate) and math.isnan(rows[0].ser)
-    assert "synthetic failure" in capsys.readouterr().err
+    assert rows[0].counted_mults == 0
+    err = capsys.readouterr().err
+    assert "3 of 3 trials failed; first: trial 0, detector pdrs: synthetic failure" in err
+
+
+@pytest.mark.parametrize("failing, count", [({1}, 1), ({1, 3}, 2)])
+def test_run_point_counts_every_failed_trial(monkeypatch, capsys, failing, count):
+    cfg = small_cfg(trials=4)
+    synth = harness.synth_frame
+
+    def flaky(cfg, pool, codebook, t):
+        if t in failing:
+            raise ValueError(f"synthetic failure of trial {t}")
+        return synth(cfg, pool, codebook, t)
+
+    monkeypatch.setattr(harness, "synth_frame", flaky)
+    monkeypatch.setenv("PDRS_THREADS", "2")
+    rows = run_point(cfg, ["pdrs", "oracle"])
+    assert [r.detector for r in rows] == ["pdrs", "oracle"]
+    assert all(math.isnan(r.miss_rate) and r.counted_mults == 0 for r in rows)
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"sweep point snr_db=8.0: {count} of 4 trials failed; first: synthetic failure of trial 1"
+    ]
+
+
+#: sha256 of the active set, channel and data symbols of trials 0 and 1 under
+#: determinism contract v2.  They are Philox draws scaled element-wise, so
+#: neither the BLAS nor the CPU moves them.
+FRAME_DRAW_DIGESTS_V2 = {
+    0: "a6e578facaebaa40c6a9527512559eef7c0d1411682d9389f497dc835aae654a",
+    1: "664a457d3d7ff42dfcc4b7e41eba037ae5b2905ea5419fec8b4631bb791156fa",
+}
+
+
+@pytest.mark.parametrize("t", [0, 1])
+def test_trial_draws_are_pinned_by_the_determinism_contract(t):
+    cfg = small_cfg()
+    frame = harness.synth_frame(cfg, harness.synth_pool(cfg), harness.synth_codebook(cfg), t)
+    assert frame.H.shape == (cfg.M, cfg.K)
+    digest = hashlib.sha256()
+    for block in (frame.ground_truth.active, frame.H, frame.X_D):
+        digest.update(block.tobytes())
+    assert digest.hexdigest() == FRAME_DRAW_DIGESTS_V2[t], (
+        "trial draws changed, so the determinism contract changed: bump its version in "
+        "README \"Determinism\" and declare the new version in CHANGES.md"
+    )
 
 
 def test_sweep_spec_validation():
@@ -130,6 +177,14 @@ def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         # K above the pool size must be rejected up front
         SweepSpec(base=cfg, variable="K", values=[cfg.N + 1])
+
+
+@pytest.mark.parametrize("variable, value", [("K", 4.6), ("l", 1.5), ("l", 2.9)])
+def test_sweep_spec_rejects_a_fractional_whole_number(variable, value):
+    cfg = small_cfg()
+    assert getattr(SweepSpec(cfg, variable, [2.0]).config_at(2.0), variable) == 2
+    with pytest.raises(ValueError, match=f"{variable} takes whole numbers, got {value}"):
+        SweepSpec(cfg, variable, [2, value])
 
 
 def test_sweep_config_application():
@@ -357,6 +412,9 @@ def test_worker_count_rejects_non_positive_cap(monkeypatch, cap):
     monkeypatch.setenv("PDRS_THREADS", cap)
     with pytest.raises(ValueError, match="PDRS_THREADS"):
         worker_count()
+    # a bad cap is a bad input, not a failed trial: no nan row hides it
+    with pytest.raises(ValueError, match="PDRS_THREADS"):
+        run_point(small_cfg(), ["oracle"])
 
 
 def test_lemma_check_passes_at_modest_size():

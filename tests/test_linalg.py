@@ -166,19 +166,6 @@ def test_pinv_symmetric_zero_matrix():
     assert np.all(z == 0)
 
 
-def test_pinv_symmetric_explicit_rel_tol():
-    a = np.diag([1.0, -1e-3])
-    assert np.linalg.norm(pinv_symmetric(a, rel_tol=1e-2) - np.diag([1.0, 0.0])) < 1e-12
-    assert np.linalg.norm(pinv_symmetric(a, rel_tol=1e-4) - np.diag([1.0, -1e3])) < 1e-9
-
-
-def test_pinv_symmetric_rejects_bad_rel_tol():
-    a = np.eye(2)
-    for bad in (-1e-3, 1.0, 2.0, float("nan")):
-        with pytest.raises(ValueError, match="rel_tol"):
-            pinv_symmetric(a, rel_tol=bad)
-
-
 def test_pinv_symmetric_rejects_bad_inputs():
     with pytest.raises(ValueError, match="square"):
         pinv_symmetric(np.zeros((2, 3)))

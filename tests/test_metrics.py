@@ -55,11 +55,13 @@ def test_trial_metrics_ser():
 
 
 def sinr_loop_reference(W, users, H, active, sigma2):
+    # column k of H is the channel of user active[k]
+    col = {int(n): k for k, n in enumerate(active)}
     out = []
     for i, n in enumerate(users):
         w = W[i]
-        sig = abs(w @ H[:, n]) ** 2
-        interf = sum(abs(w @ H[:, j]) ** 2 for j in active if j != n)
+        sig = abs(w @ H[:, col[n]]) ** 2
+        interf = sum(abs(w @ H[:, col[j]]) ** 2 for j in active if j != n)
         noise = sigma2 * float(np.sum(np.abs(w) ** 2))
         out.append(10.0 * math.log10(sig / (interf + noise)))
     return np.array(out)
@@ -67,8 +69,8 @@ def sinr_loop_reference(W, users, H, active, sigma2):
 
 def test_post_sinr_matches_loop_reference():
     rng = RngStream(70, 0)
-    H = cgauss(8, 12, 1.0, rng)
     active = np.array([1, 4, 7, 9])
+    H = cgauss(8, active.size, 1.0, rng)
     W = cgauss(3, 8, 1.0, rng)
     users = np.array([1, 7, 9])
     got = post_sinr(W, users, H, active, 0.3)
@@ -86,15 +88,23 @@ def test_post_sinr_matched_filter_single_user():
 
 def test_post_sinr_caps_at_sentinel():
     # orthogonal single-path channels: the combiner nulls interference exactly
-    H = np.eye(6, dtype=np.complex128)
     active = np.array([0, 2])
-    W = H[:, active].conj().T.copy()
+    H = np.eye(6, dtype=np.complex128)[:, active]
+    W = H.conj().T.copy()
     got = post_sinr(W, active, H, active, 0.0)
     assert np.all(got == SINR_CAP_DB)
 
 
+def test_post_sinr_rejects_a_channel_of_the_wrong_width():
+    # an M x N channel of all users must not be scored column by column
+    H = cgauss(4, 6, 1.0, RngStream(75, 0))
+    W = cgauss(1, 4, 1.0, RngStream(75, 1))
+    with pytest.raises(ValueError, match=r"H \(4, 6\), active \(2,\)"):
+        post_sinr(W, np.array([1]), H, np.array([0, 1]), 0.1)
+
+
 def test_post_sinr_rejects_inactive_user():
-    H = cgauss(4, 6, 1.0, RngStream(73, 0))
+    H = cgauss(4, 2, 1.0, RngStream(73, 0))
     W = cgauss(1, 4, 1.0, RngStream(73, 1))
     with pytest.raises(ValueError):
         post_sinr(W, np.array([3]), H, np.array([0, 1]), 0.1)
@@ -103,7 +113,7 @@ def test_post_sinr_rejects_inactive_user():
 
 
 def test_post_sinr_empty():
-    H = cgauss(4, 6, 1.0, RngStream(74, 0))
+    H = cgauss(4, 1, 1.0, RngStream(74, 0))
     got = post_sinr(np.zeros((0, 4), dtype=np.complex128), np.array([], dtype=np.int64), H, np.array([0]), 0.1)
     assert got.size == 0
 

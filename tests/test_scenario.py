@@ -147,21 +147,22 @@ def test_activity_flags():
     assert np.array_equal(act.flags(), np.array([0, 1, 0, 1, 0], dtype=np.int8))
 
 
-def _frame(cfg, channel=None):
+def _frame(cfg):
     rng = RngStream(cfg.seed, 16)
     pool = gen_pilot_pool(cfg, RngStream(cfg.seed, 0))
     cb = gen_pdrs_codebook(cfg, RngStream(cfg.seed, 1))
     act = sample_activity(cfg, rng)
-    return pool, cb, act, assemble_frame(cfg, pool, cb, act, rng, channel=channel)
+    return pool, cb, act, assemble_frame(cfg, pool, cb, act, rng)
 
 
 def test_noiseless_frame_is_exact_product():
     cfg = small_cfg(snr_db=float("inf"))
     pool, cb, act, frame = _frame(cfg)
     a = act.active
-    assert np.array_equal(frame.Y, frame.H[:, a] @ pool.P[a])
-    assert np.array_equal(frame.Y_R, frame.H[:, a] @ cb.R[a])
-    assert np.array_equal(frame.Y_D, frame.H[:, a] @ frame.X_D)
+    assert frame.H.shape == (cfg.M, cfg.K)
+    assert np.array_equal(frame.Y, frame.H @ pool.P[a])
+    assert np.array_equal(frame.Y_R, frame.H @ cb.R[a])
+    assert np.array_equal(frame.Y_D, frame.H @ frame.X_D)
     assert frame.sigma2 == 0.0
 
 
@@ -169,7 +170,7 @@ def test_noisy_frame_departs_from_product():
     cfg = small_cfg(snr_db=0.0)
     pool, cb, act, frame = _frame(cfg)
     a = act.active
-    assert not np.array_equal(frame.Y, frame.H[:, a] @ pool.P[a])
+    assert not np.array_equal(frame.Y, frame.H @ pool.P[a])
     assert frame.sigma2 == 1.0
 
 
@@ -190,20 +191,6 @@ def test_frame_determinism_and_stream_separation():
     assert np.array_equal(f1.Y_D, f2.Y_D)
     _, _, _, f3 = _frame(small_cfg(seed=4))
     assert not np.array_equal(f1.Y, f3.Y)
-
-
-def test_channel_override():
-    cfg = small_cfg(snr_db=float("inf"))
-    H = np.full((cfg.M, cfg.N), 1.0 + 0.0j)
-    pool, cb, act, frame = _frame(cfg, channel=H)
-    assert np.array_equal(frame.H, H)
-    assert np.array_equal(frame.Y, H[:, act.active] @ pool.P[act.active])
-
-
-def test_channel_override_shape_check():
-    cfg = small_cfg()
-    with pytest.raises(ValueError):
-        _frame(cfg, channel=np.zeros((2, 2), dtype=np.complex128))
 
 
 def test_qpsk_symbols_come_from_constellation():
@@ -240,6 +227,16 @@ def test_received_frame_validation():
             ground_truth=act,
             sigma2=0.1,
             H=np.zeros((2, 2), dtype=np.complex128),
+        )
+    with pytest.raises(ValueError, match="M x K"):
+        # the channel of all N users is not a frame's channel
+        ReceivedFrame(
+            Y_R=frame.Y_R,
+            Y=frame.Y,
+            Y_D=frame.Y_D,
+            ground_truth=act,
+            sigma2=0.1,
+            H=np.zeros((cfg.M, cfg.N), dtype=np.complex128),
         )
 
 
