@@ -264,35 +264,6 @@ def synth_frame(
     return assemble_frame(cfg, pool, codebook, activity, rng)
 
 
-def _combine_and_score(
-    combiner: str, res: DetectionResult, frame: ReceivedFrame, pool: PilotPool
-) -> TrialMetrics:
-    """Combine, demodulate and score one detected support; ``wall_ms`` times this alone."""
-    t0 = time.perf_counter()
-    if combiner == "dwe":
-        weights = dwe_weights(frame, pool, res.detected, y_pinv=res.y_pinv)
-    else:
-        h_est = ls_channel_estimate(frame, pool, res.detected)
-        weights = zf_weights(h_est, res.detected)
-
-    truth = frame.ground_truth
-    m = detection_metrics(res, truth)
-    tp_mask = np.isin(res.detected, truth.active, assume_unique=True)
-    tp_users = res.detected[tp_mask]
-    if frame.Y_D.shape[1] and tp_users.size:
-        decided = demod_qpsk(weights.apply(frame.Y_D)[tp_mask])
-        sent_rows = np.searchsorted(truth.active, tp_users)
-        m.sym_errors = symbol_errors(decided, frame.X_D[sent_rows])
-        m.sym_total = decided.size
-    if tp_users.size:
-        m.post_sinr_db = post_sinr(
-            weights.W[tp_mask], tp_users, frame.H, truth.active, frame.sigma2
-        )
-    m.mult_count = res.mults
-    m.wall_ms = (time.perf_counter() - t0) * 1e3
-    return m
-
-
 def run_trial(
     cfg: SystemConfig,
     pool: PilotPool,
@@ -306,14 +277,22 @@ def run_trial(
     The frame depends only on (cfg.seed, trial_index), never on the detector
     list, so adding a detector to a sweep does not move any other detector's
     numbers.  Each distinct detection stage runs once; every detector that
-    shares it is charged its full time in ``wall_ms``.
+    shares it is charged its full time in ``wall_ms``.  A failure raises
+    RuntimeError naming the trial and the step that raised:
+    ``trial <t>, synthesis: <msg>``, or ``trial <t>, detector <name>,
+    <step>: <msg>`` with step detect, combine, score, demod or sinr.
     """
-    frame = synth_frame(cfg, pool, codebook, trial_index)
+    specs = {name: _spec(name) for name in detectors}
+    try:
+        frame = synth_frame(cfg, pool, codebook, trial_index)
+    except Exception as exc:
+        raise RuntimeError(f"trial {trial_index}, synthesis: {exc}") from exc
+    truth = frame.ground_truth
     stages: dict[str, tuple[DetectionResult, float]] = {}
     out: dict[str, TrialMetrics] = {}
-    for name in detectors:
+    for name, spec in specs.items():
+        step = "detect"
         try:
-            spec = _spec(name)
             if spec.stage not in stages:
                 t0 = time.perf_counter()
                 stage = STAGE_TABLE[spec.stage]
@@ -322,10 +301,33 @@ def run_trial(
                 res = stage.detect(frame, pool, codebook, cfg.zeta, cfg.svd_cost, gram_pinv)
                 stages[spec.stage] = res, (time.perf_counter() - t0) * 1e3
             res, stage_ms = stages[spec.stage]
-            m = _combine_and_score(spec.combiner, res, frame, pool)
+
+            t0 = time.perf_counter()
+            step = "combine"
+            if spec.combiner == "dwe":
+                weights = dwe_weights(frame, pool, res.detected, y_pinv=res.y_pinv)
+            else:
+                h_est = ls_channel_estimate(frame, pool, res.detected)
+                weights = zf_weights(h_est, res.detected)
+            step = "score"
+            m = detection_metrics(res, truth)
+            tp_mask = np.isin(res.detected, truth.active, assume_unique=True)
+            tp_users = res.detected[tp_mask]
+            if frame.Y_D.shape[1] and tp_users.size:
+                step = "demod"
+                decided = demod_qpsk(weights.apply(frame.Y_D)[tp_mask])
+                sent_rows = np.searchsorted(truth.active, tp_users)
+                m.sym_errors = symbol_errors(decided, frame.X_D[sent_rows])
+                m.sym_total = decided.size
+            if tp_users.size:
+                step = "sinr"
+                m.post_sinr_db = post_sinr(
+                    weights.W[tp_mask], tp_users, frame.H, truth.active, frame.sigma2
+                )
         except Exception as exc:
-            raise RuntimeError(f"trial {trial_index}, detector {name}: {exc}") from exc
-        m.wall_ms += stage_ms
+            raise RuntimeError(f"trial {trial_index}, detector {name}, {step}: {exc}") from exc
+        m.mult_count = res.mults
+        m.wall_ms = stage_ms + (time.perf_counter() - t0) * 1e3
         out[name] = m
     return out
 

@@ -2,10 +2,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdrslink.frameio import _HEADER, MAGIC, MAGIC_V1, load_frame, save_frame
 from pdrslink.rng import RngStream
 from pdrslink.scenario import (
+    PDRS_MODES,
     SystemConfig,
     assemble_frame,
     gen_pdrs_codebook,
@@ -40,6 +43,44 @@ def test_round_trip_bitwise(tmp_path):
     assert got.sigma2 == frame.sigma2
     # the container deliberately drops the channel and sent symbols
     assert got.H is None and got.X_D is None
+
+
+@st.composite
+def frame_configs(draw):
+    L = draw(st.integers(1, 6))
+    N = draw(st.integers(L + 1, 12))
+    K = draw(st.integers(1, N))
+    return dict(
+        M=draw(st.integers(1, 6)),
+        N=N,
+        L=L,
+        l=draw(st.integers(1, 3)),
+        K=K,
+        zeta=K,
+        snr_db=draw(st.sampled_from([-5.0, 10.0, float("inf")])),
+        D=draw(st.integers(0, 4)),
+        pdrs_mode=draw(st.sampled_from(PDRS_MODES)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(frame_configs())
+def test_round_trip_is_bit_for_bit(tmp_path_factory, kw):
+    frame, pool, cb = make_frame(**kw)
+    path = tmp_path_factory.mktemp("frames") / "frame.pdrs"
+    save_frame(path, frame, pool, cb)
+    got, got_pool, got_cb = load_frame(path)
+    for a, b in ((got.Y_R, frame.Y_R), (got.Y, frame.Y), (got.Y_D, frame.Y_D),
+                 (got_pool.P, pool.P), (got_cb.R, cb.R)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert np.array_equal(got.ground_truth.active, frame.ground_truth.active)
+    assert got.ground_truth.n_pilots == kw["N"]
+    assert struct.pack("<d", got.sigma2) == struct.pack("<d", frame.sigma2)
+    assert got_cb.mode == kw["pdrs_mode"]
+    again = path.with_name("again.pdrs")
+    save_frame(again, got, got_pool, got_cb)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_magic_is_stable(tmp_path):

@@ -85,8 +85,35 @@ def test_trial_errors_carry_the_trial_index(monkeypatch):
         raise ValueError("synthetic failure")
 
     monkeypatch.setattr(harness, "detect_pdrs_dwe", boom)
-    with pytest.raises(RuntimeError, match=r"trial 7, detector pdrs"):
+    with pytest.raises(RuntimeError, match=r"^trial 7, detector pdrs, detect: synthetic failure$"):
         run_trial(cfg, pool, cb, None, 7, ["pdrs"])
+
+
+@pytest.mark.parametrize(
+    "detector, target, step",
+    [
+        ("pdrs", "synth_frame", "synthesis"),
+        ("pdrs", "dwe_weights", "combine"),
+        ("pdrs-lszf", "ls_channel_estimate", "combine"),
+        ("pdrs-lszf", "zf_weights", "combine"),
+        ("pdrs", "detection_metrics", "score"),
+        ("pdrs", "demod_qpsk", "demod"),
+        ("pdrs-lszf", "symbol_errors", "demod"),
+        ("pdrs", "post_sinr", "sinr"),
+    ],
+)
+def test_trial_errors_name_the_step_that_raised(monkeypatch, detector, target, step):
+    cfg = small_cfg(snr_db=float("inf"), zeta=8)
+    pool = harness.synth_pool(cfg)
+    cb = harness.synth_codebook(cfg)
+
+    def boom(*a, **kw):
+        raise ValueError("synthetic failure")
+
+    monkeypatch.setattr(harness, target, boom)
+    where = "synthesis" if step == "synthesis" else f"detector {detector}, {step}"
+    with pytest.raises(RuntimeError, match=rf"^trial 3, {where}: synthetic failure$"):
+        run_trial(cfg, pool, cb, None, 3, [detector])
 
 
 def test_run_point_schedule_invariance(monkeypatch):
@@ -117,7 +144,7 @@ def test_run_point_failure_yields_diagnostic_rows(monkeypatch, capsys, threads):
     assert math.isnan(rows[0].miss_rate) and math.isnan(rows[0].ser)
     assert rows[0].counted_mults == 0
     err = capsys.readouterr().err
-    assert "3 of 3 trials failed; first: trial 0, detector pdrs: synthetic failure" in err
+    assert "3 of 3 trials failed; first: trial 0, detector pdrs, detect: synthetic failure" in err
 
 
 @pytest.mark.parametrize("failing, count", [({1}, 1), ({1, 3}, 2)])
@@ -127,7 +154,7 @@ def test_run_point_counts_every_failed_trial(monkeypatch, capsys, failing, count
 
     def flaky(cfg, pool, codebook, t):
         if t in failing:
-            raise ValueError(f"synthetic failure of trial {t}")
+            raise ValueError("synthetic failure")
         return synth(cfg, pool, codebook, t)
 
     monkeypatch.setattr(harness, "synth_frame", flaky)
@@ -137,7 +164,7 @@ def test_run_point_counts_every_failed_trial(monkeypatch, capsys, failing, count
     assert all(math.isnan(r.miss_rate) and r.counted_mults == 0 for r in rows)
     err = capsys.readouterr().err.splitlines()
     assert err == [
-        f"sweep point snr_db=8.0: {count} of 4 trials failed; first: synthetic failure of trial 1"
+        f"sweep point snr_db=8.0: {count} of 4 trials failed; first: trial 1, synthesis: synthetic failure"
     ]
 
 

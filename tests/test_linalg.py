@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdrslink.linalg import as_cmatrix, orthonormal_step, pinv, pinv_symmetric
 from pdrslink.rng import RngStream, cgauss
@@ -68,6 +70,126 @@ def test_pinv_rank_deficient_identities():
         assert rel_err(ap @ a @ ap, ap) < 1e-10
         assert rel_err((a @ ap).conj().T, a @ ap) < 1e-10
         assert rel_err((ap @ a).conj().T, ap @ a) < 1e-10
+
+
+def svd_pinv_reference(a, rel_tol=None):
+    """``pinv`` as it was before its LU and QR paths: the SVD for every input."""
+    m = np.asarray(a, dtype=np.complex128)
+    if rel_tol is None:
+        rel_tol = max(m.shape) * 1e-12
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    keep = s > rel_tol * s.max()
+    if not np.any(keep):
+        return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
+    return (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
+
+
+def kahan(n, theta):
+    """The n x n Kahan matrix: its QR has no small |diag(R)|, yet it is nearly singular."""
+    s, c = np.sin(theta), np.cos(theta)
+    upper = np.eye(n) + np.triu(np.full((n, n), -c), 1)
+    return (s ** np.arange(n))[:, None] * upper
+
+
+def low_rank(m, n, r, rng):
+    """An m x n complex product of rank r (a zero matrix when r is 0)."""
+    if r == 0:
+        return np.zeros((m, n), dtype=np.complex128)
+    return cgauss(m, r, 1.0, rng) @ cgauss(r, n, 1.0, rng)
+
+
+def count_calls(monkeypatch, name):
+    """Wrap ``np.linalg.<name>`` so each call is counted; returns the counter list."""
+    calls = []
+    original = getattr(np.linalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(128, 96), (12, 5), (96, 96), (7, 7), (1, 1), (5, 12), (96, 128)])
+def test_pinv_matches_the_svd_reference_on_full_rank_inputs(shape):
+    a = cgauss(*shape, 1.0, RngStream(106, shape[0] * 1000 + shape[1]))
+    assert rel_err(pinv(a), svd_pinv_reference(a)) < 1e-12
+
+
+def test_pinv_truncates_the_kahan_matrix_like_the_svd():
+    n = 90
+    a = np.vstack([kahan(n, 1.2), np.zeros((8, n))])
+    r = np.abs(np.diag(np.linalg.qr(a)[1]))
+    assert r.min() / r.max() > 1e3 * max(a.shape) * 1e-12  # a |diag(R)| test would pass it
+    ref = svd_pinv_reference(a)
+    assert np.array_equal(pinv(a), ref)
+    assert np.linalg.matrix_rank(ref) == n - 1
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        low_rank(12, 5, 3, RngStream(107, 0)),
+        low_rank(128, 96, 95, RngStream(107, 1)),
+        low_rank(6, 6, 5, RngStream(107, 2)),
+        low_rank(96, 96, 48, RngStream(107, 3)),
+        np.zeros((7, 4), dtype=np.complex128),
+        np.zeros((1, 1), dtype=np.complex128),
+    ],
+    ids=["tall", "tall-anchor", "square", "square-anchor", "zero", "zero-1x1"],
+)
+def test_pinv_falls_back_to_the_svd_when_rank_is_lost(monkeypatch, a):
+    calls = count_calls(monkeypatch, "svd")
+    got = pinv(a)
+    assert calls == ["svd"]
+    assert np.array_equal(got, svd_pinv_reference(a))
+
+
+@st.composite
+def pinv_inputs(draw):
+    m, n = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    r = draw(st.integers(0, min(m, n)))
+    rng = RngStream(108, draw(st.integers(0, 2**16)))
+    return cgauss(m, n, 1.0, rng) if r == min(m, n) else low_rank(m, n, r, rng)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(pinv_inputs())
+def test_pinv_is_the_moore_penrose_inverse(a):
+    ap = pinv(a)
+    assert ap.shape == a.shape[::-1]
+    ref = svd_pinv_reference(a)
+    s = np.linalg.svd(a, compute_uv=False)
+    kept = s[s > max(a.shape) * 1e-12 * s[0]]
+    # the LU and QR paths differ from the SVD by rounding, which grows with the condition number
+    tol = 1e-13 * kept[0] / kept[-1] if kept.size else 0.0
+    assert rel_err(ap, ref) <= tol
+    if kept.size:
+        assert rel_err(a @ ap @ a, a) < 1e-10
+        assert rel_err(ap @ a @ ap, ap) < 1e-10
+        assert rel_err((a @ ap).conj().T, a @ ap) < 1e-10
+        assert rel_err((ap @ a).conj().T, ap @ a) < 1e-10
+
+
+@pytest.mark.parametrize("shape", [(128, 96), (96, 96)])
+def test_pinv_of_a_full_rank_tall_or_square_input_skips_the_svd(monkeypatch, shape):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    a = cgauss(*shape, 1.0, RngStream(109, shape[0]))
+    assert pinv(a).shape == shape[::-1]
+
+
+def test_pinv_of_a_wide_input_goes_straight_to_the_svd(monkeypatch):
+    a = low_rank(128, 192, 96, RngStream(110, 0))
+    qr = count_calls(monkeypatch, "qr")
+    inv = count_calls(monkeypatch, "inv")
+    svd = count_calls(monkeypatch, "svd")
+    got = pinv(a)
+    assert (qr, inv, svd) == ([], [], ["svd"])
+    assert np.linalg.matrix_rank(got) == 96
 
 
 def test_pinv_zero_matrix():
