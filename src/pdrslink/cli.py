@@ -48,6 +48,8 @@ def _cmd_detect(args) -> int:
     frame, pool, codebook = frameio.load_frame(args.frame)
     truth = frame.ground_truth
     zeta = args.zeta if args.zeta is not None else truth.K
+    if not 1 <= zeta <= truth.n_pilots:
+        raise ValueError(f"zeta must satisfy 1 <= zeta <= N = {truth.n_pilots}, got {zeta}")
     spec = harness.STAGE_TABLE[harness.DETECTOR_TABLE[args.detector].stage]
     gram_pinv = fpr_gram_pinv(pool) if spec.needs_gram else None
     # a stored frame carries no config, so svd_cost keeps its default

@@ -131,6 +131,9 @@ TRIAL_STREAM_BASE = 16
 
 SWEEP_VARS = ("snr_db", "K", "l", "alpha")
 
+#: Bound on the worst relative error of the Moore-Penrose identities in ``lemma_check``.
+MP_TOL = 1e-9
+
 
 def worker_count() -> int:
     """Trial workers: cpu count capped by the PDRS_THREADS environment variable."""
@@ -218,9 +221,10 @@ CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
 
 
 def parse_config(path: str | Path) -> SystemConfig:
-    """Read key = value lines (# comments) into a SystemConfig."""
+    """Read key = value lines (# comments) into a SystemConfig; a key may appear once."""
     kinds = {f.name: f.type for f in fields(SystemConfig)}
     overrides: dict = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -230,6 +234,9 @@ def parse_config(path: str | Path) -> SystemConfig:
         key, _, val = (s.strip() for s in line.partition("="))
         if key not in kinds:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: {key} is set again (first on line {first_line[key]})")
+        first_line[key] = lineno
         kind = kinds[key]
         try:
             overrides[key] = kind(val)
@@ -346,32 +353,40 @@ def _guarded_rate(count: int, samples: int) -> float:
     return p
 
 
-def run_point(
-    cfg: SystemConfig,
-    detectors: list[str],
-    sweep_var: str = "snr_db",
-    sweep_value: float | None = None,
-) -> list[ResultRow]:
-    """Run cfg.trials Monte-Carlo trials at one sweep point.
+def run_point(cfg: SystemConfig, detectors: list[str]) -> list[ResultRow]:
+    """Run cfg.trials Monte-Carlo trials at one point: a one-value ``snr_db`` sweep.
 
-    Every trial runs.  If any fails, the point is abandoned: a diagnostic row
-    with nan metrics is emitted per detector, and one stderr line gives the
-    number of failed trials and the first error in trial order.
+    Rows come in the caller's detector order.  Every trial runs.  If any
+    fails, the point is abandoned: a diagnostic row with nan metrics is
+    emitted per detector, and one stderr line gives the number of failed
+    trials and the first error in trial order.
     """
-    if not detectors:
-        raise ValueError("detector list must be nonempty")
-    pool, gram_pinv = _pool_and_gram(cfg, detectors)
-    value = cfg.snr_db if sweep_value is None else sweep_value
-    return _run_point(cfg, detectors, sweep_var, value, pool, gram_pinv)
+    return _run_sweep(SweepSpec(cfg, "snr_db", [cfg.snr_db], list(detectors)))
 
 
-def _pool_and_gram(
-    cfg: SystemConfig, detectors: list[str]
-) -> tuple[PilotPool, np.ndarray | None]:
-    """The pilot pool of (seed, N, L) and, when a detector needs it, its Gram pseudo-inverse."""
-    pool = synth_pool(cfg)
-    needs_gram = any(STAGE_TABLE[_spec(name).stage].needs_gram for name in detectors)
-    return pool, fpr_gram_pinv(pool) if needs_gram else None
+def run_sweep(spec: SweepSpec) -> list[ResultRow]:
+    """All sweep points, rows ordered by sweep value then detector name.
+
+    Each point's rows equal those of ``run_point`` on ``spec.config_at(value)``
+    with the same detectors, relabelled with the sweep variable and value.
+    """
+    return _run_sweep(replace(spec, detectors=sorted(spec.detectors)))
+
+
+def _run_sweep(spec: SweepSpec) -> list[ResultRow]:
+    """Every point of ``spec`` in value order, detectors in ``spec``'s order.
+
+    The pilot pool and, when a stage needs it, its Gram pseudo-inverse are
+    built once and shared by every point.
+    """
+    pool = synth_pool(spec.base)
+    needs_gram = any(STAGE_TABLE[DETECTOR_TABLE[d].stage].needs_gram for d in spec.detectors)
+    gram_pinv = fpr_gram_pinv(pool) if needs_gram else None
+    rows: list[ResultRow] = []
+    for value in sorted(spec.values):
+        cfg = spec.config_at(value)
+        rows.extend(_run_point(cfg, spec.detectors, spec.variable, float(value), pool, gram_pinv))
+    return rows
 
 
 def _run_point(
@@ -382,7 +397,7 @@ def _run_point(
     pool: PilotPool,
     gram_pinv: np.ndarray | None,
 ) -> list[ResultRow]:
-    """``run_point`` with the pool and Gram pseudo-inverse already built."""
+    """One sweep point's rows, with the pool and Gram pseudo-inverse already built."""
     codebook = synth_codebook(cfg)
 
     def work(i: int) -> dict[str, TrialMetrics] | Exception:
@@ -443,21 +458,6 @@ def _run_point(
                 seed=cfg.seed,
             )
         )
-    return rows
-
-
-def run_sweep(spec: SweepSpec) -> list[ResultRow]:
-    """All sweep points, rows ordered by sweep value then detector name.
-
-    The rows equal those of ``run_point`` at each point; the pilot pool and
-    the Gram pseudo-inverse are built once for the whole sweep.
-    """
-    detectors = sorted(spec.detectors)
-    pool, gram_pinv = _pool_and_gram(spec.base, detectors)
-    rows: list[ResultRow] = []
-    for value in sorted(spec.values):
-        cfg = spec.config_at(value)
-        rows.extend(_run_point(cfg, detectors, spec.variable, float(value), pool, gram_pinv))
     return rows
 
 
@@ -573,20 +573,21 @@ def _weight_equiv_suite(count: int, seed: int, noisy: bool) -> float:
     return worst
 
 
-def lemma_check(
-    iterations: int = 100,
-    equiv_tol: float = 1e-8,
-    mp_tol: float = 1e-9,
-    seed: int = 1,
-) -> LemmaReport:
-    """Run the pseudo-inverse and weight-equivalence suites."""
+def lemma_check(iterations: int = 100, equiv_tol: float = 1e-8, seed: int = 1) -> LemmaReport:
+    """Run the pseudo-inverse and weight-equivalence suites.
+
+    The Moore-Penrose identities are held to ``MP_TOL``; the two weight
+    equivalence suites to ``equiv_tol``.
+    """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if not 0 <= seed < 2**64 - 1:  # the suites key streams by seed and seed + 1
+        raise ValueError(f"seed must satisfy 0 <= seed < 2**64 - 1, got {seed}")
     return LemmaReport(
         mp_worst=_mp_suite(2 * iterations, seed),
         noisy_equiv_worst=_weight_equiv_suite(iterations, seed, noisy=True),
         noiseless_equiv_worst=_weight_equiv_suite(iterations, seed + 1, noisy=False),
-        mp_tol=mp_tol,
+        mp_tol=MP_TOL,
         equiv_tol=equiv_tol,
         instances=iterations,
     )

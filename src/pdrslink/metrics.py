@@ -8,7 +8,6 @@ unit.  Real-valued multiplications (the active-power recovery solve) are
 tallied separately and never mixed with the complex count.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +57,6 @@ class ComplexityModel:
     pseudo-inverse) are amortized over frames and excluded.
     """
 
-    detector: str
     detect_mults: int
     weight_mults: int = 0
     real_mults: int = 0
@@ -71,7 +69,7 @@ def complexity_model(cfg: SystemConfig, detector: str) -> ComplexityModel:
     if detector == "pdrs":
         # pinv(Y), T = pinv(Y) Y_R, the reconstructions P T, their residual norms
         detect = pinv_mults(M, L, c) + matmul_mults(L, M, ell) + matmul_mults(N, L, ell) + N * ell
-        return ComplexityModel("pdrs", detect, weight_mults=zeta * L * M)
+        return ComplexityModel(detect, weight_mults=zeta * L * M)
     if detector == "bomp":
         # per pick t: correlation and powers; while the span is short of C^L,
         # Gram-Schmidt against t-1 basis vectors (two passes, the norms of
@@ -84,12 +82,12 @@ def complexity_model(cfg: SystemConfig, detector: str) -> ComplexityModel:
                 detect += 4 * L * (t - 1) + 3 * L
             if t < L:
                 detect += 2 * t * L * M
-        return ComplexityModel("bomp", detect)
+        return ComplexityModel(detect)
     if detector == "fpr":
         detect = matmul_mults(M, L, N) + M * N
-        return ComplexityModel("fpr", detect, real_mults=N * N)
+        return ComplexityModel(detect, real_mults=N * N)
     if detector == "oracle":
-        return ComplexityModel("oracle", 0)
+        return ComplexityModel(0)
     raise ValueError(f"unknown detector {detector!r}")
 
 
@@ -124,14 +122,10 @@ class TrialMetrics:
     def per_user_miss_rate(self) -> float:
         return self.miss / self.K
 
-    @property
-    def ser(self) -> float:
-        return self.sym_errors / self.sym_total if self.sym_total else math.nan
-
 
 def detection_metrics(result, ground_truth: ActivityPattern) -> TrialMetrics:
-    """Score a detected support against the truth (detection fields only)."""
-    detected = np.asarray(getattr(result, "detected", result), dtype=np.int64)
+    """Score a ``DetectionResult``'s support against the truth (detection fields only)."""
+    detected = result.detected
     hits = np.intersect1d(detected, ground_truth.active, assume_unique=True)
     true_pos = int(hits.size)
     return TrialMetrics(

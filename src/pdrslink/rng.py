@@ -17,20 +17,19 @@ __all__ = ["RngStream", "cgauss"]
 class RngStream:
     """One single-owner random substream identified by (seed, stream_id).
 
-    Instances must not be shared mid-sequence; create one per trial (or per
-    fixed purpose such as pilot-pool generation) instead.
+    ``gen`` is the Philox generator keyed by the pair; it is built on
+    construction and cannot be passed in.  Instances must not be shared
+    mid-sequence; create one per trial (or per fixed purpose such as
+    pilot-pool generation) instead.
     """
 
     seed: int
     stream_id: int = 0
-    _gen: np.random.Generator | None = field(default=None, repr=False, compare=False)
+    gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
-    @property
-    def gen(self) -> np.random.Generator:
-        if self._gen is None:
-            key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-            self._gen = np.random.Generator(np.random.Philox(key=key))
-        return self._gen
+    def __post_init__(self):
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
+        self.gen = np.random.Generator(np.random.Philox(key=key))
 
 
 def cgauss(rows: int, cols: int, variance: float, rng: RngStream) -> np.ndarray:

@@ -72,17 +72,6 @@ class SystemConfig:
     svd_cost: int = 4
 
     def __post_init__(self):
-        self.validate()
-
-    @property
-    def alpha(self) -> float:
-        return self.zeta / self.K
-
-    @property
-    def sigma2(self) -> float:
-        return noise_power(self.snr_db)
-
-    def validate(self) -> None:
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
         if not 1 <= self.K <= self.N:
@@ -97,12 +86,22 @@ class SystemConfig:
             raise ValueError(f"D must be >= 0, got {self.D}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if math.isnan(self.snr_db) or (math.isinf(self.snr_db) and self.snr_db < 0):
-            raise ValueError(f"snr_db must be finite or +inf, got {self.snr_db}")
+        if not self.snr_db > -3000.0:  # nan too; far below this, sigma2 overflows a float
+            raise ValueError(f"snr_db must be above -3000 dB or +inf, got {self.snr_db}")
         if self.pdrs_mode not in PDRS_MODES:
             raise ValueError(f"pdrs_mode must be one of {PDRS_MODES}, got {self.pdrs_mode!r}")
         if self.svd_cost < 1:
             raise ValueError(f"svd_cost must be >= 1, got {self.svd_cost}")
+        if not 0 <= self.seed < 2**64:  # the seed keys a uint64 Philox stream
+            raise ValueError(f"seed must satisfy 0 <= seed < 2**64, got {self.seed}")
+
+    @property
+    def alpha(self) -> float:
+        return self.zeta / self.K
+
+    @property
+    def sigma2(self) -> float:
+        return noise_power(self.snr_db)
 
     def with_zeta_from_alpha(self, alpha: float) -> "SystemConfig":
         return replace(self, zeta=int(round(alpha * self.K)))

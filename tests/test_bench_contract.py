@@ -1,10 +1,11 @@
 """Every pdrslink name the benchmark in ``pdrsbench/`` uses must resolve,
 and every call it makes to one must bind to that name's signature.
 
-The benchmark's own tests are not part of this suite, so a change that
-deletes or renames a name or a parameter the benchmark uses would otherwise
-pass here and break only the benchmark run.  The benchmark sources are
-parsed, not imported: collecting them must not run anything.
+The benchmark's own tests (``pdrsbench/test_bench.py``) run in this suite
+too, but they execute only some of the benchmark's calls: the replay and
+probe paths they skip would otherwise break only in the benchmark run.  The
+benchmark sources are parsed, not imported: collecting them must not run
+anything.
 """
 
 import ast

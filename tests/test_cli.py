@@ -109,6 +109,43 @@ def test_detect_with_explicit_zeta(cfg_file, tmp_path, capsys):
     assert "counted real mults:" in out
 
 
+@pytest.mark.parametrize("detector", ["oracle", "pdrs"])
+@pytest.mark.parametrize("zeta", ["0", "25"])
+def test_detect_rejects_a_zeta_outside_the_pool(cfg_file, tmp_path, capsys, detector, zeta):
+    frame_path = tmp_path / "one.pdrs"
+    main(["gen-frame", "--config", cfg_file, "--out", str(frame_path)])
+    capsys.readouterr()
+    rc = main(["detect", "--frame", str(frame_path), "--detector", detector, "--zeta", zeta])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: zeta must satisfy 1 <= zeta <= N = 24, got {zeta}\n"
+
+
+@pytest.mark.parametrize("verb", ["sweep", "gen-frame"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_a_seed_outside_the_philox_key_exits_2(tmp_path, capsys, verb, seed):
+    args = {
+        "sweep": ["sweep", "--values", "4", "--trials", "1", "--detectors", "oracle"],
+        "gen-frame": ["gen-frame", "--out", str(tmp_path / "one.pdrs")],
+    }[verb]
+    assert main(args + ["--seed", seed]) == 2
+    assert capsys.readouterr().err == f"error: seed must satisfy 0 <= seed < 2**64, got {seed}\n"
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64 - 1)])
+def test_lemma_check_rejects_a_seed_outside_the_philox_key(capsys, seed):
+    assert main(["lemma-check", "--iterations", "1", "--seed", seed]) == 2
+    assert capsys.readouterr().err == f"error: seed must satisfy 0 <= seed < 2**64 - 1, got {seed}\n"
+
+
+def test_a_repeated_config_key_exits_2(cfg_file, capsys):
+    with open(cfg_file, "a", encoding="utf-8") as fh:
+        fh.write("M = 16\n")
+    assert main(["sweep", "--config", cfg_file, "--values", "4", "--detectors", "oracle"]) == 2
+    assert capsys.readouterr().err == f"error: {cfg_file}:12: M is set again (first on line 2)\n"
+
+
 def test_detect_missing_frame(tmp_path, capsys):
     rc = main(["detect", "--frame", str(tmp_path / "absent.pdrs")])
     assert rc == 2

@@ -201,3 +201,32 @@ def test_rejects_non_finite_blocks(tmp_path, block, entries_before):
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match=rf"(^|\s){block} "):
         load_frame(path)
+
+
+def _corrupt(data, raw: bytes) -> bytes:
+    """``raw`` truncated, with one byte or one header u32 overwritten, or with bytes appended."""
+    kind = data.draw(st.sampled_from(["truncate", "byte", "header", "append"]))
+    if kind == "truncate":
+        return raw[: data.draw(st.integers(0, len(raw) - 1))]
+    if kind == "append":
+        return raw + data.draw(st.binary(min_size=1, max_size=64))
+    out = bytearray(raw)
+    if kind == "byte":
+        out[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+    else:
+        field = data.draw(st.integers(0, 5))  # M, N, L, l, D, K
+        value = data.draw(st.one_of(st.integers(0, 32), st.integers(0, 2**32 - 1)))
+        struct.pack_into("<I", out, len(MAGIC) + 4 * field, value)
+    return bytes(out)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_a_corrupted_container_loads_or_raises_value_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "corrupted.pdrs"
+    save_frame(path, *make_frame(M=3, N=6, L=2, l=1, K=2, zeta=2, D=2))
+    path.write_bytes(_corrupt(data, path.read_bytes()))
+    try:
+        load_frame(path)
+    except ValueError:
+        pass  # any other exception type fails the property

@@ -1,7 +1,7 @@
 import csv
 import hashlib
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -261,7 +261,8 @@ def test_run_sweep_rows_equal_run_point_rows(variable, values):
     swept = harness.run_sweep(spec)
     separate = []
     for v in sorted(values):
-        separate.extend(run_point(spec.config_at(v), sorted(dets), variable, float(v)))
+        rows = run_point(spec.config_at(v), sorted(dets))
+        separate.extend(replace(r, sweep_var=variable, sweep_value=float(v)) for r in rows)
     assert _rows_without_wall_clock(swept) == _rows_without_wall_clock(separate)
 
 
@@ -397,6 +398,13 @@ def test_parse_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("bandwidth = 5\n")
     with pytest.raises(ValueError, match="unknown config key"):
+        parse_config(path)
+
+
+def test_parse_config_rejects_a_repeated_key(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("M = 8\nN = 100\n\nM = 16\n")
+    with pytest.raises(ValueError, match=r"cfg\.txt:4: M is set again \(first on line 1\)$"):
         parse_config(path)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pdrslink.detectors import DetectionResult
 from pdrslink.metrics import (
     SINR_CAP_DB,
     ComplexityModel,
@@ -20,13 +21,18 @@ from pdrslink.scenario import ActivityPattern, SystemConfig
 ANCHOR = SystemConfig(M=128, N=1000, L=96, l=4, K=96, zeta=96, snr_db=4.0)
 
 
+def _result(detected) -> DetectionResult:
+    detected = np.array(list(detected), dtype=np.int64)
+    return DetectionResult(detected, np.zeros(detected.size), 0)
+
+
 def test_detection_metrics_examples():
     truth = ActivityPattern(np.array([1, 3]), 8)
-    m = detection_metrics(np.array([1, 2]), truth)
+    m = detection_metrics(_result([1, 2]), truth)
     assert (m.true_pos, m.false_pos, m.miss) == (1, 1, 1)
     assert m.per_user_miss_rate == 0.5
 
-    exact = detection_metrics(np.array([1, 3]), truth)
+    exact = detection_metrics(_result([1, 3]), truth)
     assert (exact.true_pos, exact.false_pos, exact.miss) == (2, 0, 0)
     assert exact.per_user_miss_rate == 0.0
 
@@ -34,7 +40,7 @@ def test_detection_metrics_examples():
 def test_detection_metrics_aggressive_support():
     # support twice the active count: every active caught, K false positives
     truth = ActivityPattern(np.arange(4), 16)
-    m = detection_metrics(np.arange(8), truth)
+    m = detection_metrics(_result(range(8)), truth)
     assert (m.true_pos, m.false_pos, m.miss) == (4, 4, 0)
     assert m.zeta == 8
 
@@ -45,13 +51,6 @@ def test_trial_metrics_invariants():
         TrialMetrics(true_pos=3, false_pos=1, miss=1, K=5, zeta=4)
     with pytest.raises(ValueError):
         TrialMetrics(true_pos=3, false_pos=2, miss=2, K=5, zeta=4)
-
-
-def test_trial_metrics_ser():
-    m = TrialMetrics(true_pos=2, false_pos=0, miss=0, K=2, zeta=2, sym_errors=3, sym_total=24)
-    assert m.ser == 0.125
-    empty = TrialMetrics(true_pos=2, false_pos=0, miss=0, K=2, zeta=2)
-    assert math.isnan(empty.ser)
 
 
 def sinr_loop_reference(W, users, H, active, sigma2):

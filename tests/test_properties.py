@@ -5,10 +5,11 @@ distinct, in-range indices, whatever the dimensions: zeta above the pilot
 length or equal to the pool size, every user active, one-symbol reference
 signals, no data block, noiseless frames and pools with repeated pilots.
 Every counted ledger must equal its closed-form model, and ``run_point``
-rows must not depend on the number of trial workers.
+rows must not depend on the number of trial workers.  A config file of small
+or junk values is either rejected with a ValueError or synthesises a frame.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdrslink.detectors import detect_bomp, detect_fpr, detect_pdrs_dwe, fpr_gram_pinv, oracle_support
-from pdrslink.harness import DETECTORS, run_point
+from pdrslink.harness import DETECTORS, parse_config, run_point, synth_codebook, synth_frame, synth_pool
 from pdrslink.metrics import complexity_model
 from pdrslink.rng import RngStream
 from pdrslink.scenario import (
@@ -103,3 +104,44 @@ def _rows_without_wall_clock(cfg, threads):
 def test_run_point_rows_do_not_depend_on_the_worker_count(scenario, trials):
     cfg = replace(scenario[0], trials=trials)
     assert _rows_without_wall_clock(cfg, "1") == _rows_without_wall_clock(cfg, "2")
+
+
+#: Values that no key, or only some keys, take as valid.
+JUNK = ["", "x", "1.5", "-1", "0", "1e400", "-4000", "nan", "-inf", str(2**64), "orthogonal-reuse"]
+
+#: Small ranges of the integer keys, so a valid config allocates little.
+SMALL = {"M": (1, 8), "N": (2, 12), "L": (1, 8), "l": (1, 4), "K": (1, 8), "zeta": (1, 12),
+         "D": (0, 4), "trials": (1, 3), "svd_cost": (1, 4)}
+
+
+def _small(key: str):
+    if key == "snr_db":
+        return st.one_of(st.floats(-30.0, 30.0).map(repr), st.just("inf"))
+    if key == "pdrs_mode":
+        return st.sampled_from(PDRS_MODES)
+    if key == "seed":
+        return st.sampled_from([0, 1, 2**64 - 1]).map(str)
+    return st.integers(*SMALL[key]).map(str)
+
+
+@st.composite
+def config_texts(draw):
+    """Every SystemConfig key once in any order, up to two with junk values, maybe one key again."""
+    keys = draw(st.permutations([f.name for f in fields(SystemConfig)]))
+    junk = draw(st.lists(st.sampled_from(keys), max_size=2))
+    keys += draw(st.lists(st.sampled_from(keys), max_size=1))
+    values = [draw(st.sampled_from(JUNK) if key in junk else _small(key)) for key in keys]
+    return "".join(f"{key} = {value}  # c\n\n" for key, value in zip(keys, values))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(config_texts())
+def test_a_config_file_is_rejected_or_synthesises_a_frame(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "property.cfg"
+    path.write_text(text)
+    try:
+        cfg = parse_config(path)
+    except ValueError:
+        return
+    pool, codebook = synth_pool(cfg), synth_codebook(cfg)
+    synth_frame(cfg, pool, codebook, 0)

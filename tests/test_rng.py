@@ -41,6 +41,12 @@ def test_moments():
     assert abs(np.var(x.real) - 1.5) < 0.05
 
 
+def test_the_generator_is_keyed_not_passed_in():
+    with pytest.raises(TypeError):
+        RngStream(7, 0, np.random.default_rng(7))
+    assert list(RngStream(7, 3).gen.bit_generator.state["state"]["key"]) == [7, 3]
+
+
 def test_rejects_bad_arguments():
     rng = RngStream(1, 0)
     with pytest.raises(ValueError):

@@ -62,10 +62,20 @@ def test_config_validation():
         small_cfg(snr_db=float("nan"))
     with pytest.raises(ValueError):
         small_cfg(snr_db=float("-inf"))
+    with pytest.raises(ValueError, match="snr_db"):
+        small_cfg(snr_db=-4000.0)  # its noise power overflows a float
     with pytest.raises(ValueError):
         small_cfg(pdrs_mode="fancy")
     with pytest.raises(ValueError):
         small_cfg(svd_cost=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_config_rejects_a_seed_outside_the_philox_key(seed):
+    small_cfg(seed=0)
+    small_cfg(seed=2**64 - 1)
+    with pytest.raises(ValueError, match=rf"^seed must satisfy 0 <= seed < 2\*\*64, got {seed}$"):
+        small_cfg(seed=seed)
 
 
 def test_qpsk_points_have_unit_modulus():
