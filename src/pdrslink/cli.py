@@ -13,7 +13,7 @@ from dataclasses import replace
 from . import frameio, harness
 from .detectors import fpr_gram_pinv
 from .metrics import complexity_model, detection_metrics
-from .scenario import SystemConfig
+from .scenario import SystemConfig, synth_codebook, synth_frame, synth_pool
 
 __all__ = ["main"]
 
@@ -74,8 +74,8 @@ def _cmd_complexity(args) -> int:
     cfg = _load_config(args)
     norm = cfg.K**3
 
-    pool, codebook = harness.synth_pool(cfg), harness.synth_codebook(cfg)
-    frame = harness.synth_frame(cfg, pool, codebook, 0)
+    pool, codebook = synth_pool(cfg), synth_codebook(cfg)
+    frame = synth_frame(cfg, pool, codebook, 0)
 
     # one row per detection stage; its name keys its complexity model
     counted: dict[str, int] = {}
@@ -130,8 +130,8 @@ def _cmd_lemma_check(args) -> int:
 
 def _cmd_gen_frame(args) -> int:
     cfg = _load_config(args)
-    pool, codebook = harness.synth_pool(cfg), harness.synth_codebook(cfg)
-    frame = harness.synth_frame(cfg, pool, codebook, 0)
+    pool, codebook = synth_pool(cfg), synth_codebook(cfg)
+    frame = synth_frame(cfg, pool, codebook, 0)
     frameio.save_frame(args.out, frame, pool, codebook)
     print(
         f"wrote {args.out}: M={cfg.M} N={cfg.N} L={cfg.L} l={cfg.l} "

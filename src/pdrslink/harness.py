@@ -1,14 +1,14 @@
 """Monte-Carlo experiment runner.
 
-Trials are embarrassingly parallel: every trial owns a counter-based
-substream keyed by (seed, 16 + trial_index), a thread pool maps the trials,
-and reduction walks the results in trial order, so every reported number
-except wall-clock time is independent of the worker count and of scheduling.
-The pilot pool (stream 0) and, when a detector needs it, its Gram
-pseudo-inverse are built once per sweep and shared by every point, since no
-sweep variable changes the seed, N or L.  The reference-signal codebook
-(stream 1) follows l and is generated once per sweep point; all trials of a
-point share it.  Only the ``synth_*`` helpers map (seed, stream) to draws.
+Trials are embarrassingly parallel: every trial's frame comes from
+``scenario.synth_frame`` on its own counter-based stream, a thread pool maps
+the trials, and reduction walks the results in trial order, so every
+reported number except wall-clock time is independent of the worker count
+and of scheduling.  The pilot pool (``scenario.synth_pool``) and, when a
+detector needs it, its Gram pseudo-inverse are built once per sweep and
+shared by every point, since no sweep variable changes the seed, N or L.
+The reference-signal codebook (``scenario.synth_codebook``) follows l and is
+built once per sweep point; all trials of a point share it.
 ``STAGE_TABLE`` says how each detection method runs, and ``DETECTOR_TABLE``
 pairs one with a combiner to make each detector.
 """
@@ -42,16 +42,10 @@ from .metrics import (
     symbol_errors,
 )
 from .rng import RngStream, cgauss
-from .scenario import (
-    PdrsCodebook,
-    PilotPool,
-    ReceivedFrame,
-    SystemConfig,
-    assemble_frame,
-    gen_pdrs_codebook,
-    gen_pilot_pool,
-    sample_activity,
-)
+from .scenario import PdrsCodebook, PilotPool, SystemConfig, synth_codebook, synth_frame, synth_pool
+
+# The stream ids live in scenario; pdrsbench/ imports them from here, so they stay importable.
+from .scenario import CODEBOOK_STREAM, POOL_STREAM, TRIAL_STREAM_BASE  # noqa: F401
 
 __all__ = [
     "CSV_HEADER",
@@ -60,17 +54,11 @@ __all__ = [
     "DetectorSpec",
     "STAGE_TABLE",
     "StageSpec",
-    "POOL_STREAM",
-    "CODEBOOK_STREAM",
-    "TRIAL_STREAM_BASE",
     "SweepSpec",
     "ResultRow",
     "LemmaReport",
     "worker_count",
     "parse_config",
-    "synth_pool",
-    "synth_codebook",
-    "synth_frame",
     "run_trial",
     "run_point",
     "run_sweep",
@@ -125,10 +113,6 @@ DETECTOR_TABLE: dict[str, DetectorSpec] = {
 #: Detector names accepted by the harness, in table order.
 DETECTORS = tuple(DETECTOR_TABLE)
 
-POOL_STREAM = 0
-CODEBOOK_STREAM = 1
-TRIAL_STREAM_BASE = 16
-
 SWEEP_VARS = ("snr_db", "K", "l", "alpha")
 
 #: Bound on the worst relative error of the Moore-Penrose identities in ``lemma_check``.
@@ -152,7 +136,7 @@ def worker_count() -> int:
 
 @dataclass
 class SweepSpec:
-    """One experiment: a base config, a variable to sweep, and detectors."""
+    """One experiment: a base config, a variable to sweep, and detectors; none may repeat."""
 
     base: SystemConfig
     variable: str
@@ -168,15 +152,22 @@ class SweepSpec:
             raise ValueError("detector list must be nonempty")
         for d in self.detectors:
             _spec(d)
+        values = [float(v) for v in self.values]
+        for what, items in (("value", values), ("detector", self.detectors)):
+            again = [x for i, x in enumerate(items) if x in items[:i]]
+            if again:
+                raise ValueError(f"sweep {what} {again[0]!r} is repeated")
         for v in self.values:
             self.config_at(v)
 
     def config_at(self, value) -> SystemConfig:
-        """Base config with the sweep variable applied; K sweeps keep alpha; K and l must be whole."""
+        """The base config at ``value``: K sweeps keep alpha; K and l must be whole, alpha finite."""
         base = self.base
         if self.variable == "snr_db":
             return replace(base, snr_db=float(value))
         if self.variable == "alpha":
+            if not math.isfinite(float(value)):
+                raise ValueError(f"sweep variable alpha takes finite values, got {value}")
             return base.with_zeta_from_alpha(float(value))
         if not float(value).is_integer():
             raise ValueError(f"sweep variable {self.variable} takes whole numbers, got {value}")
@@ -250,25 +241,6 @@ def _spec(name: str) -> DetectorSpec:
     if name not in DETECTOR_TABLE:
         raise ValueError(f"unknown detector {name!r}, choose from {DETECTORS}")
     return DETECTOR_TABLE[name]
-
-
-def synth_pool(cfg: SystemConfig) -> PilotPool:
-    """The pilot pool of ``cfg.seed``, drawn from stream ``POOL_STREAM``."""
-    return gen_pilot_pool(cfg, RngStream(cfg.seed, POOL_STREAM))
-
-
-def synth_codebook(cfg: SystemConfig) -> PdrsCodebook:
-    """The reference codebook of ``cfg.seed``, drawn from stream ``CODEBOOK_STREAM``."""
-    return gen_pdrs_codebook(cfg, RngStream(cfg.seed, CODEBOOK_STREAM))
-
-
-def synth_frame(
-    cfg: SystemConfig, pool: PilotPool, codebook: PdrsCodebook, t: int
-) -> ReceivedFrame:
-    """Trial ``t``'s frame: stream ``TRIAL_STREAM_BASE + t`` draws the active set, then the rest."""
-    rng = RngStream(cfg.seed, TRIAL_STREAM_BASE + t)
-    activity = sample_activity(cfg, rng)
-    return assemble_frame(cfg, pool, codebook, activity, rng)
 
 
 def run_trial(

@@ -1,4 +1,4 @@
-"""Synthesis of one grant-free uplink frame.
+"""Synthesis of one grant-free uplink frame, and the determinism contract.
 
 A frame consists of a short detection reference block, the non-orthogonal
 pilot block, and a data segment, all passing through the same flat Rayleigh
@@ -6,6 +6,12 @@ channel: ``Y_R = H_A R_A + noise``, ``Y = H_A P_A + noise``,
 ``Y_D = H_A X_D + noise``.  Per-user receive power is unity (open-loop power
 control is assumed perfect), so the per-antenna SNR convention is
 ``sigma2 = 10**(-snr_db/10)``.
+
+Every simulated draw comes from a counter-based stream keyed by (seed,
+stream): the pilot pool from ``POOL_STREAM``, the reference codebook from
+``CODEBOOK_STREAM`` and trial t's frame from ``TRIAL_STREAM_BASE + t``.
+Only the ``synth_*`` functions map those keys to draws, and
+``assemble_frame`` fixes the draw order inside a trial stream.
 """
 
 import math
@@ -29,6 +35,12 @@ __all__ = [
     "gen_pdrs_codebook",
     "sample_activity",
     "assemble_frame",
+    "POOL_STREAM",
+    "CODEBOOK_STREAM",
+    "TRIAL_STREAM_BASE",
+    "synth_pool",
+    "synth_codebook",
+    "synth_frame",
 ]
 
 PDRS_MODES = ("gaussian", "orthogonal-reuse")
@@ -40,6 +52,10 @@ QPSK_POINTS = np.array(
 ) * np.sqrt(0.5)
 
 _ROW_NORM_TOL = 1e-10
+
+POOL_STREAM = 0
+CODEBOOK_STREAM = 1
+TRIAL_STREAM_BASE = 16
 
 
 def noise_power(snr_db: float) -> float:
@@ -104,7 +120,10 @@ class SystemConfig:
         return noise_power(self.snr_db)
 
     def with_zeta_from_alpha(self, alpha: float) -> "SystemConfig":
-        return replace(self, zeta=int(round(alpha * self.K)))
+        zeta = alpha * self.K
+        if not math.isfinite(zeta):  # no int to round it to
+            raise ValueError(f"zeta = alpha * K must be finite, got alpha={alpha}, K={self.K}")
+        return replace(self, zeta=int(round(zeta)))
 
 
 def _validate_unit_rows(mat: np.ndarray, target: float, what: str) -> None:
@@ -275,3 +294,22 @@ def assemble_frame(
         if cfg.D > 0:
             Y_D = Y_D + s * cgauss(cfg.M, cfg.D, 1.0, rng)
     return ReceivedFrame(Y_R=Y_R, Y=Y, Y_D=Y_D, ground_truth=activity, sigma2=sigma2, H=H, X_D=X_D)
+
+
+def synth_pool(cfg: SystemConfig) -> PilotPool:
+    """The pilot pool of ``cfg.seed``, drawn from stream ``POOL_STREAM``."""
+    return gen_pilot_pool(cfg, RngStream(cfg.seed, POOL_STREAM))
+
+
+def synth_codebook(cfg: SystemConfig) -> PdrsCodebook:
+    """The reference codebook of ``cfg.seed``, drawn from stream ``CODEBOOK_STREAM``."""
+    return gen_pdrs_codebook(cfg, RngStream(cfg.seed, CODEBOOK_STREAM))
+
+
+def synth_frame(
+    cfg: SystemConfig, pool: PilotPool, codebook: PdrsCodebook, t: int
+) -> ReceivedFrame:
+    """Trial ``t``'s frame: stream ``TRIAL_STREAM_BASE + t`` draws the active set, then the rest."""
+    rng = RngStream(cfg.seed, TRIAL_STREAM_BASE + t)
+    activity = sample_activity(cfg, rng)
+    return assemble_frame(cfg, pool, codebook, activity, rng)

@@ -86,6 +86,25 @@ def test_sweep_rejects_a_fractional_l(cfg_file, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "values, detectors, message",
+    [("4,4", "oracle", "sweep value 4.0 is repeated"),
+     ("4", "oracle,oracle", "sweep detector 'oracle' is repeated")],
+)
+def test_sweep_rejects_a_repeated_entry(cfg_file, capsys, values, detectors, message):
+    assert main(["sweep", "--config", cfg_file, "--values", values, "--detectors", detectors]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err and captured.out == ""
+
+
+def test_sweep_rejects_an_infinite_alpha(cfg_file, capsys):
+    rc = main(["sweep", "--config", cfg_file, "--var", "alpha", "--values", "inf", "--detectors", "oracle"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "error: sweep variable alpha takes finite values, got inf" in captured.err
+    assert captured.out == ""
+
+
 def test_gen_frame_then_detect(cfg_file, tmp_path, capsys):
     frame_path = tmp_path / "one.pdrs"
     assert main(["gen-frame", "--config", cfg_file, "--out", str(frame_path)]) == 0

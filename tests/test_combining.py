@@ -10,26 +10,16 @@ from pdrslink.combining import (
 )
 from pdrslink.detectors import detect_pdrs_dwe
 from pdrslink.rng import RngStream, cgauss
-from pdrslink.scenario import (
-    QPSK_POINTS,
-    SystemConfig,
-    assemble_frame,
-    gen_pdrs_codebook,
-    gen_pilot_pool,
-    sample_activity,
-)
+from pdrslink.scenario import QPSK_POINTS, SystemConfig, synth_codebook, synth_frame, synth_pool
 
 
 def build(seed=1, **kw):
     base = dict(M=16, N=32, L=12, l=4, K=6, zeta=6, snr_db=10.0, D=9, trials=1, seed=seed)
     base.update(kw)
     cfg = SystemConfig(**base)
-    rng = RngStream(cfg.seed, 16)
-    pool = gen_pilot_pool(cfg, RngStream(cfg.seed, 0))
-    cb = gen_pdrs_codebook(cfg, RngStream(cfg.seed, 1))
-    act = sample_activity(cfg, rng)
-    frame = assemble_frame(cfg, pool, cb, act, rng)
-    return cfg, pool, cb, act, frame
+    pool, cb = synth_pool(cfg), synth_codebook(cfg)
+    frame = synth_frame(cfg, pool, cb, 0)
+    return cfg, pool, cb, frame.ground_truth, frame
 
 
 def test_dwe_rows_do_not_depend_on_companions():

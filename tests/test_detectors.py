@@ -10,20 +10,18 @@ from pdrslink.detectors import (
     fpr_gram_pinv,
     oracle_support,
 )
-from pdrslink.harness import STAGE_TABLE, synth_codebook, synth_frame, synth_pool
+from pdrslink.harness import STAGE_TABLE
 from pdrslink.linalg import pinv
 from pdrslink.metrics import complexity_model, pinv_mults
-from pdrslink.rng import RngStream
 from pdrslink.scenario import (
     ActivityPattern,
     PdrsCodebook,
     PilotPool,
     ReceivedFrame,
     SystemConfig,
-    assemble_frame,
-    gen_pdrs_codebook,
-    gen_pilot_pool,
-    sample_activity,
+    synth_codebook,
+    synth_frame,
+    synth_pool,
 )
 
 
@@ -31,12 +29,9 @@ def build(seed=1, **kw):
     base = dict(M=16, N=32, L=12, l=4, K=8, zeta=8, snr_db=12.0, D=0, trials=1, seed=seed)
     base.update(kw)
     cfg = SystemConfig(**base)
-    rng = RngStream(cfg.seed, 16)
-    pool = gen_pilot_pool(cfg, RngStream(cfg.seed, 0))
-    cb = gen_pdrs_codebook(cfg, RngStream(cfg.seed, 1))
-    act = sample_activity(cfg, rng)
-    frame = assemble_frame(cfg, pool, cb, act, rng)
-    return cfg, pool, cb, act, frame
+    pool, cb = synth_pool(cfg), synth_codebook(cfg)
+    frame = synth_frame(cfg, pool, cb, 0)
+    return cfg, pool, cb, frame.ground_truth, frame
 
 
 # ---------------------------------------------------------------- reference
@@ -222,12 +217,10 @@ def test_bomp_matches_pinv_reference_on_small_frames():
 @pytest.mark.parametrize("snr_db", [0.0, 4.0])
 def test_bomp_matches_pinv_reference_at_anchor(snr_db):
     cfg = SystemConfig(snr_db=snr_db, trials=4, seed=21)
-    pool = gen_pilot_pool(cfg, RngStream(cfg.seed, 0))
-    cb = gen_pdrs_codebook(cfg, RngStream(cfg.seed, 1))
+    pool, cb = synth_pool(cfg), synth_codebook(cfg)
     model = complexity_model(cfg, "bomp").detect_mults
     for t in range(cfg.trials):
-        rng = RngStream(cfg.seed, 16 + t)
-        frame = assemble_frame(cfg, pool, cb, sample_activity(cfg, rng), rng)
+        frame = synth_frame(cfg, pool, cb, t)
         res = detect_bomp(frame, pool, cfg.zeta, cfg.svd_cost)
         assert np.array_equal(res.detected, bomp_pinv_reference(frame.Y, pool.P, cfg.zeta))
         assert res.mults == model

@@ -6,26 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdrslink.frameio import _HEADER, MAGIC, MAGIC_V1, load_frame, save_frame
-from pdrslink.rng import RngStream
-from pdrslink.scenario import (
-    PDRS_MODES,
-    SystemConfig,
-    assemble_frame,
-    gen_pdrs_codebook,
-    gen_pilot_pool,
-    sample_activity,
-)
+from pdrslink.scenario import PDRS_MODES, SystemConfig, synth_codebook, synth_frame, synth_pool
 
 
 def make_frame(seed=9, **kw):
     base = dict(M=5, N=16, L=6, l=2, K=4, zeta=4, snr_db=8.0, D=7, trials=1, seed=seed)
     base.update(kw)
     cfg = SystemConfig(**base)
-    rng = RngStream(cfg.seed, 16)
-    pool = gen_pilot_pool(cfg, RngStream(cfg.seed, 0))
-    cb = gen_pdrs_codebook(cfg, RngStream(cfg.seed, 1))
-    frame = assemble_frame(cfg, pool, cb, sample_activity(cfg, rng), rng)
-    return frame, pool, cb
+    pool, cb = synth_pool(cfg), synth_codebook(cfg)
+    return synth_frame(cfg, pool, cb, 0), pool, cb
 
 
 def test_round_trip_bitwise(tmp_path):

@@ -20,8 +20,7 @@ from pdrslink.harness import (
     run_trial,
     worker_count,
 )
-from pdrslink.rng import RngStream
-from pdrslink.scenario import SystemConfig, gen_pdrs_codebook, gen_pilot_pool
+from pdrslink.scenario import SystemConfig, synth_codebook, synth_frame, synth_pool
 
 
 def small_cfg(**kw):
@@ -55,8 +54,7 @@ def _stable_fields(row: ResultRow):
 
 def test_run_trial_is_deterministic():
     cfg = small_cfg()
-    pool = gen_pilot_pool(cfg, RngStream(cfg.seed, harness.POOL_STREAM))
-    cb = gen_pdrs_codebook(cfg, RngStream(cfg.seed, harness.CODEBOOK_STREAM))
+    pool, cb = synth_pool(cfg), synth_codebook(cfg)
     a = run_trial(cfg, pool, cb, None, 3, ["pdrs"])["pdrs"]
     b = run_trial(cfg, pool, cb, None, 3, ["pdrs"])["pdrs"]
     assert (a.miss, a.false_pos, a.sym_errors) == (b.miss, b.false_pos, b.sym_errors)
@@ -65,8 +63,7 @@ def test_run_trial_is_deterministic():
 
 def test_trial_frame_independent_of_detector_list():
     cfg = small_cfg()
-    pool = gen_pilot_pool(cfg, RngStream(cfg.seed, harness.POOL_STREAM))
-    cb = gen_pdrs_codebook(cfg, RngStream(cfg.seed, harness.CODEBOOK_STREAM))
+    pool, cb = synth_pool(cfg), synth_codebook(cfg)
     alone = run_trial(cfg, pool, cb, None, 0, ["pdrs"])["pdrs"]
     paired = run_trial(cfg, pool, cb, None, 0, ["pdrs", "oracle"])["pdrs"]
     assert (alone.miss, alone.false_pos, alone.sym_errors) == (
@@ -78,8 +75,7 @@ def test_trial_frame_independent_of_detector_list():
 
 def test_trial_errors_carry_the_trial_index(monkeypatch):
     cfg = small_cfg()
-    pool = gen_pilot_pool(cfg, RngStream(cfg.seed, harness.POOL_STREAM))
-    cb = gen_pdrs_codebook(cfg, RngStream(cfg.seed, harness.CODEBOOK_STREAM))
+    pool, cb = synth_pool(cfg), synth_codebook(cfg)
 
     def boom(*a, **kw):
         raise ValueError("synthetic failure")
@@ -104,8 +100,7 @@ def test_trial_errors_carry_the_trial_index(monkeypatch):
 )
 def test_trial_errors_name_the_step_that_raised(monkeypatch, detector, target, step):
     cfg = small_cfg(snr_db=float("inf"), zeta=8)
-    pool = harness.synth_pool(cfg)
-    cb = harness.synth_codebook(cfg)
+    pool, cb = synth_pool(cfg), synth_codebook(cfg)
 
     def boom(*a, **kw):
         raise ValueError("synthetic failure")
@@ -150,12 +145,11 @@ def test_run_point_failure_yields_diagnostic_rows(monkeypatch, capsys, threads):
 @pytest.mark.parametrize("failing, count", [({1}, 1), ({1, 3}, 2)])
 def test_run_point_counts_every_failed_trial(monkeypatch, capsys, failing, count):
     cfg = small_cfg(trials=4)
-    synth = harness.synth_frame
 
     def flaky(cfg, pool, codebook, t):
         if t in failing:
             raise ValueError("synthetic failure")
-        return synth(cfg, pool, codebook, t)
+        return synth_frame(cfg, pool, codebook, t)
 
     monkeypatch.setattr(harness, "synth_frame", flaky)
     monkeypatch.setenv("PDRS_THREADS", "2")
@@ -180,7 +174,7 @@ FRAME_DRAW_DIGESTS_V2 = {
 @pytest.mark.parametrize("t", [0, 1])
 def test_trial_draws_are_pinned_by_the_determinism_contract(t):
     cfg = small_cfg()
-    frame = harness.synth_frame(cfg, harness.synth_pool(cfg), harness.synth_codebook(cfg), t)
+    frame = synth_frame(cfg, synth_pool(cfg), synth_codebook(cfg), t)
     assert frame.H.shape == (cfg.M, cfg.K)
     digest = hashlib.sha256()
     for block in (frame.ground_truth.active, frame.H, frame.X_D):
@@ -212,6 +206,26 @@ def test_sweep_spec_rejects_a_fractional_whole_number(variable, value):
     assert getattr(SweepSpec(cfg, variable, [2.0]).config_at(2.0), variable) == 2
     with pytest.raises(ValueError, match=f"{variable} takes whole numbers, got {value}"):
         SweepSpec(cfg, variable, [2, value])
+
+
+@pytest.mark.parametrize(
+    "values, detectors, repeated",
+    [([4, 4.0], ["pdrs"], "value 4.0"), ([0.0, 4.0], ["oracle", "pdrs", "oracle"], "detector 'oracle'")],
+)
+def test_sweep_spec_rejects_a_repeated_entry(values, detectors, repeated):
+    with pytest.raises(ValueError, match=f"^sweep {repeated} is repeated$"):
+        SweepSpec(small_cfg(), "snr_db", values, detectors)
+
+
+def test_run_point_rejects_a_repeated_detector():
+    with pytest.raises(ValueError, match="^sweep detector 'pdrs' is repeated$"):
+        run_point(small_cfg(), ["pdrs", "pdrs"])
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_sweep_spec_rejects_a_non_finite_alpha(value):
+    with pytest.raises(ValueError, match=f"^sweep variable alpha takes finite values, got {value}$"):
+        SweepSpec(small_cfg(), "alpha", [1.0, value])
 
 
 def test_sweep_config_application():
@@ -267,7 +281,7 @@ def test_run_sweep_rows_equal_run_point_rows(variable, values):
 
 
 def test_run_sweep_builds_pool_and_gram_once(monkeypatch):
-    calls = {"fpr_gram_pinv": 0, "gen_pilot_pool": 0}
+    calls = {"fpr_gram_pinv": 0, "synth_pool": 0}
 
     def counted(name):
         original = getattr(harness, name)
@@ -279,13 +293,13 @@ def test_run_sweep_builds_pool_and_gram_once(monkeypatch):
         monkeypatch.setattr(harness, name, wrapper)
 
     counted("fpr_gram_pinv")
-    counted("gen_pilot_pool")
+    counted("synth_pool")
     spec = SweepSpec(
         base=small_cfg(trials=2), variable="snr_db", values=[0.0, 4.0, 8.0], detectors=["fpr"]
     )
     rows = harness.run_sweep(spec)
     assert len(rows) == 3
-    assert calls == {"fpr_gram_pinv": 1, "gen_pilot_pool": 1}
+    assert calls == {"fpr_gram_pinv": 1, "synth_pool": 1}
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from pdrslink.linalg import as_cmatrix, orthonormal_step, pinv, pinv_symmetric
 from pdrslink.rng import RngStream, cgauss
-from pdrslink.scenario import PilotPool, SystemConfig, gen_pilot_pool
+from pdrslink.scenario import PilotPool, SystemConfig, synth_pool
 
 
 def gauss_inverse(a):
@@ -246,7 +246,7 @@ def random_psd(rng, n, rank):
 def duplicated_pool_gram():
     """|P P^H|^2 of a pool whose last four pilots repeat the first four (rank-deficient)."""
     cfg = SystemConfig(M=4, N=12, L=6, l=1, K=2, zeta=2, trials=1, seed=7)
-    P = gen_pilot_pool(cfg, RngStream(cfg.seed, 0)).P
+    P = synth_pool(cfg).P
     pool = PilotPool(np.vstack([P, P[:4]]))
     return np.abs(pool.P @ pool.P.conj().T) ** 2
 

@@ -6,7 +6,9 @@ length or equal to the pool size, every user active, one-symbol reference
 signals, no data block, noiseless frames and pools with repeated pilots.
 Every counted ledger must equal its closed-form model, and ``run_point``
 rows must not depend on the number of trial workers.  A config file of small
-or junk values is either rejected with a ValueError or synthesises a frame.
+or junk values is either rejected with a ValueError or synthesises a frame,
+and so is a sweep of repeated, fractional or non-finite values and repeated
+or unknown detectors: rejected, or one row per distinct value and detector.
 """
 
 from dataclasses import fields, replace
@@ -17,17 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdrslink.detectors import detect_bomp, detect_fpr, detect_pdrs_dwe, fpr_gram_pinv, oracle_support
-from pdrslink.harness import DETECTORS, parse_config, run_point, synth_codebook, synth_frame, synth_pool
+from pdrslink.harness import DETECTORS, SWEEP_VARS, SweepSpec, parse_config, run_point, run_sweep
 from pdrslink.metrics import complexity_model
-from pdrslink.rng import RngStream
 from pdrslink.scenario import (
     PDRS_MODES,
     PilotPool,
     SystemConfig,
-    assemble_frame,
-    gen_pdrs_codebook,
-    gen_pilot_pool,
-    sample_activity,
+    synth_codebook,
+    synth_frame,
+    synth_pool,
 )
 
 
@@ -54,14 +54,11 @@ def scenarios(draw):
 
 
 def _frame(cfg, copies):
-    P = gen_pilot_pool(cfg, RngStream(cfg.seed, 0)).P
+    P = synth_pool(cfg).P
     for n in copies:
         P[n] = P[n - 1]
-    pool = PilotPool(P)
-    codebook = gen_pdrs_codebook(cfg, RngStream(cfg.seed, 1))
-    rng = RngStream(cfg.seed, 16)
-    frame = assemble_frame(cfg, pool, codebook, sample_activity(cfg, rng), rng)
-    return frame, pool, codebook
+    pool, codebook = PilotPool(P), synth_codebook(cfg)
+    return synth_frame(cfg, pool, codebook, 0), pool, codebook
 
 
 def _assert_support(detected, size, N):
@@ -145,3 +142,37 @@ def test_a_config_file_is_rejected_or_synthesises_a_frame(tmp_path_factory, text
         return
     pool, codebook = synth_pool(cfg), synth_codebook(cfg)
     synth_frame(cfg, pool, codebook, 0)
+
+
+#: Sweep values: whole numbers, fractions, non-finite values and one so large
+#: that ``alpha * K`` overflows; some variable rejects each kind.
+SWEEP_VALUES = st.one_of(
+    st.integers(0, 8).map(float),
+    st.sampled_from([0.5, 1.5, 1e308, float("inf"), float("-inf"), float("nan")]),
+)
+
+
+@st.composite
+def sweep_specs(draw):
+    """SweepSpec arguments on a tiny base config; values and detectors may repeat."""
+    base = SystemConfig(
+        M=4, N=8, L=3, l=2, K=2, zeta=2, snr_db=10.0, D=2, trials=1, seed=draw(st.integers(0, 2**16))
+    )
+    variable = draw(st.sampled_from(SWEEP_VARS))
+    values = draw(st.lists(SWEEP_VALUES, min_size=1, max_size=3))
+    detectors = draw(st.lists(st.sampled_from(DETECTORS + ("bogus",)), min_size=1, max_size=3))
+    return base, variable, values, detectors
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(sweep_specs())
+def test_a_sweep_spec_is_rejected_or_runs_every_point(args):
+    try:
+        spec = SweepSpec(*args)
+    except ValueError:
+        return
+    values = [float(v) for v in spec.values]
+    assert len(set(values)) == len(values)
+    assert len(set(spec.detectors)) == len(spec.detectors)
+    assert all(isinstance(spec.config_at(v), SystemConfig) for v in spec.values)
+    assert len(run_sweep(spec)) == len(spec.values) * len(spec.detectors)

@@ -11,11 +11,13 @@ from pdrslink.scenario import (
     PilotPool,
     ReceivedFrame,
     SystemConfig,
-    assemble_frame,
     gen_pdrs_codebook,
     gen_pilot_pool,
     noise_power,
     sample_activity,
+    synth_codebook,
+    synth_frame,
+    synth_pool,
 )
 
 
@@ -158,11 +160,9 @@ def test_activity_flags():
 
 
 def _frame(cfg):
-    rng = RngStream(cfg.seed, 16)
-    pool = gen_pilot_pool(cfg, RngStream(cfg.seed, 0))
-    cb = gen_pdrs_codebook(cfg, RngStream(cfg.seed, 1))
-    act = sample_activity(cfg, rng)
-    return pool, cb, act, assemble_frame(cfg, pool, cb, act, rng)
+    pool, cb = synth_pool(cfg), synth_codebook(cfg)
+    frame = synth_frame(cfg, pool, cb, 0)
+    return pool, cb, frame.ground_truth, frame
 
 
 def test_noiseless_frame_is_exact_product():
@@ -252,11 +252,11 @@ def test_received_frame_validation():
 
 def test_pool_and_codebook_reject_nan():
     cfg = small_cfg()
-    P = gen_pilot_pool(cfg, RngStream(cfg.seed, 0)).P.copy()
+    P = synth_pool(cfg).P.copy()
     P[2, 1] = np.nan
     with pytest.raises(ValueError, match="pilot pool"):
         PilotPool(P)
-    R = gen_pdrs_codebook(cfg, RngStream(cfg.seed, 1)).R.copy()
+    R = synth_codebook(cfg).R.copy()
     R[4, 0] = np.nan
     with pytest.raises(ValueError, match="codebook"):
         PdrsCodebook(R)
