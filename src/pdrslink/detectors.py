@@ -3,8 +3,8 @@
 All detectors return a sorted detected support of exactly ``zeta`` users
 plus the per-user ranking scores and the exact multiplication tally of the
 run.  Tie-breaking is deterministic: equal scores resolve to the lower user
-index.  A non-finite score (a frame holding nan or inf) is never ranked: the
-detector raises a ValueError instead.
+index.  A non-finite score (a frame or an FPR Gram pseudo-inverse holding
+nan or inf) is never ranked: the detector raises a ValueError instead.
 """
 
 from dataclasses import dataclass, field
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import col_norms_sq, residual_row_norms
-from .linalg import orthonormal_step, pinv, pinv_symmetric
+from .linalg import orthonormal_step, pinv
 from .metrics import matmul_mults, pinv_mults
 from .scenario import PdrsCodebook, PilotPool, ReceivedFrame
 
@@ -153,12 +153,12 @@ def fpr_gram_pinv(pool: PilotPool) -> np.ndarray:
     """Pseudo-inverse of the squared-modulus pilot Gram matrix.
 
     One-time precomputation per pilot pool; the per-frame ledger charges only
-    its application.  ``G = |P P^H|^2`` is real symmetric (positive
-    semidefinite, as the Schur product of two PSD matrices), so its
-    pseudo-inverse comes from a real symmetric eigendecomposition.
+    its application.  ``G = |P P^H|^2`` is real, so ``pinv`` keeps it in
+    float64: a certified LU inverse, or the SVD when the Gram has lost rank
+    (a pool with repeated pilots).
     """
     G = np.abs(pool.P @ pool.P.conj().T) ** 2
-    return pinv_symmetric(G)
+    return pinv(G)
 
 
 def detect_fpr(
@@ -172,7 +172,8 @@ def detect_fpr(
     Matched filtering gives per-user powers contaminated by pilot
     cross-correlations; multiplying by the precomputed Gram pseudo-inverse
     unmixes them, and the zeta largest recovered powers form the support.
-    The unmixing solve is real-valued and tallied separately.
+    The unmixing solve is real-valued and tallied separately; ``gram_pinv``
+    is ``fpr_gram_pinv(pool)``, an N x N float64 matrix.
     """
     Y = frame.Y
     M, L = Y.shape
@@ -181,10 +182,23 @@ def detect_fpr(
         raise ValueError(f"zeta must be in [1, {N}], got {zeta}")
     if gram_pinv.shape != (N, N):
         raise ValueError(f"gram_pinv must be {N}x{N}, got {gram_pinv.shape}")
+    if gram_pinv.dtype != np.float64:
+        raise ValueError(
+            f"gram_pinv must be the float64 Gram pseudo-inverse, got {gram_pinv.dtype}"
+        )
 
     H_mf = Y @ pool.P.conj().T
     p_mf = col_norms_sq(H_mf)
     p_rec = gram_pinv @ p_mf
+    if not np.all(np.isfinite(p_rec)):
+        # only a failed frame pays for scanning the inputs to name the culprit
+        if not np.all(np.isfinite(Y)):
+            culprit = "frame block Y holds nan or inf"
+        elif not np.all(np.isfinite(gram_pinv)):
+            culprit = "gram_pinv holds nan or inf"
+        else:
+            culprit = "the recovered powers overflow"
+        raise ValueError(f"non-finite detection score: {culprit}")
 
     detected = _pick(p_rec, zeta, largest=True)
     return DetectionResult(detected, p_rec, matmul_mults(M, L, N) + M * N, real_mults=N * N)

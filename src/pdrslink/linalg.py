@@ -1,13 +1,14 @@
 """Dense-matrix kernel shared by every other module.
 
-Matrices are plain 2-D ``numpy.ndarray`` of complex128 (row-major), except
-for ``pinv_symmetric``, which works in float64; vectors are 1-D float/complex
-arrays.  All functions are pure, never mutate their inputs, and return finite
-values for finite inputs.
+Matrices are plain 2-D ``numpy.ndarray`` (row-major) and vectors are 1-D
+float/complex arrays.  All functions are pure, never mutate their inputs,
+and return finite values for finite inputs.
 
-``pinv`` picks its factorization from the input's shape: an LU inverse for a
-square matrix, a reduced QR for a tall one, and the SVD for a wide one or for
-any input whose fast result fails the full-rank certificate
+``pinv`` keeps a real input real: a non-complex input is computed in
+float64 and a complex one in complex128.  For either dtype it picks its
+factorization from the input's shape: an LU inverse for a square matrix, a
+reduced QR for a tall one, and the SVD for a wide one or for any input
+whose fast result fails the full-rank certificate
 ``||A||_F * ||X||_F * rel_tol < 1``.  The certificate bounds the condition
 number below ``1 / rel_tol``, so the SVD would have kept every singular value
 and both give the same pseudo-inverse up to rounding.
@@ -19,7 +20,6 @@ __all__ = [
     "DEFAULT_PINV_RTOL_SCALE",
     "as_cmatrix",
     "pinv",
-    "pinv_symmetric",
     "orthonormal_step",
 ]
 
@@ -29,7 +29,12 @@ DEFAULT_PINV_RTOL_SCALE = 1e-12
 
 def as_cmatrix(a) -> np.ndarray:
     """Coerce to a non-empty 2-D complex128 array, validating shape."""
-    m = np.asarray(a, dtype=np.complex128)
+    return _as_matrix(a, np.complex128)
+
+
+def _as_matrix(a, dtype) -> np.ndarray:
+    """Coerce to a non-empty 2-D array of ``dtype``, validating shape."""
+    m = np.asarray(a, dtype=dtype)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.shape[0] == 0 or m.shape[1] == 0:
@@ -44,11 +49,6 @@ def _rank_cutoff(shape: tuple[int, ...], rel_tol: float | None) -> float:
     if not 0.0 <= rel_tol < 1.0:
         raise ValueError(f"rel_tol must be in [0, 1), got {rel_tol}")
     return rel_tol
-
-
-def _kept(magnitudes: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Mask of the singular values (or |eigenvalues|) above ``rel_tol`` times the largest."""
-    return magnitudes > rel_tol * magnitudes.max()
 
 
 def pinv(a, rel_tol: float | None = None) -> np.ndarray:
@@ -67,6 +67,9 @@ def pinv(a, rel_tol: float | None = None) -> np.ndarray:
     one that fails the certificate take the SVD, which applies the cutoff.
     The choice changes the result in its last bits only.
 
+    A real (non-complex) input is computed and returned in float64, a complex
+    one in complex128; the rule above is the same for both.
+
     Parameters
     ----------
     a : array_like
@@ -77,9 +80,10 @@ def pinv(a, rel_tol: float | None = None) -> np.ndarray:
     Returns
     -------
     np.ndarray
-        The pseudo-inverse, shape (cols, rows).
+        The pseudo-inverse, shape (cols, rows), float64 or complex128.
     """
-    m = as_cmatrix(a)
+    a = np.asarray(a)
+    m = _as_matrix(a, np.complex128 if np.iscomplexobj(a) else np.float64)
     rel_tol = _rank_cutoff(m.shape, rel_tol)
     rows, cols = m.shape
     if rows >= cols:
@@ -105,49 +109,10 @@ def _svd_pinv(m: np.ndarray, rel_tol: float) -> np.ndarray:
         raise np.linalg.LinAlgError(
             f"SVD did not converge for {m.shape[0]}x{m.shape[1]} matrix"
         ) from exc
-    keep = _kept(s, rel_tol)
+    keep = s > rel_tol * s.max()
     if not np.any(keep):
-        return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
+        return np.zeros((m.shape[1], m.shape[0]), dtype=m.dtype)
     return (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
-
-
-def pinv_symmetric(a) -> np.ndarray:
-    """Real pseudo-inverse of a real symmetric matrix via its eigendecomposition.
-
-    The singular values of a symmetric matrix are the magnitudes of its
-    eigenvalues, so this is ``pinv(a).real`` computed in real arithmetic with
-    ``pinv``'s default cutoff: eigenvalues with
-    ``|lambda| <= n * 1e-12 * max|lambda|`` are treated as zero.  A matrix
-    that is not symmetric to rounding raises ValueError.
-
-    Parameters
-    ----------
-    a : array_like
-        Non-empty real square matrix.
-
-    Returns
-    -------
-    np.ndarray
-        The float64 pseudo-inverse, same shape as ``a``.
-    """
-    m = np.asarray(a)
-    if np.iscomplexobj(m):
-        raise ValueError("pinv_symmetric takes a real matrix")
-    m = m.astype(np.float64, copy=False)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise ValueError(f"expected a non-empty square matrix, got shape={m.shape}")
-    rel_tol = _rank_cutoff(m.shape, None)
-    if np.linalg.norm(m - m.T) > 1e-10 * np.linalg.norm(m):
-        raise ValueError("pinv_symmetric takes a symmetric matrix")
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"eigendecomposition did not converge for {m.shape[0]}x{m.shape[1]} matrix"
-        ) from exc
-    keep = _kept(np.abs(w), rel_tol)
-    v = v[:, keep]
-    return (v / w[keep]) @ v.T
 
 
 def orthonormal_step(basis: np.ndarray, v: np.ndarray) -> np.ndarray | None:

@@ -19,13 +19,15 @@ from pdrslink.combining import demod_qpsk, dwe_weights, ls_channel_estimate, zf_
 from pdrslink.detectors import detect_bomp, detect_fpr, detect_pdrs_dwe, fpr_gram_pinv
 from pdrslink.harness import _mp_suite, _weight_equiv_suite
 from pdrslink.metrics import complexity_model
-from pdrslink.rng import RngStream, cgauss
+from pdrslink.rng import RngStream
 from pdrslink.scenario import (
+    TRIAL_STREAM_BASE,
     SystemConfig,
     assemble_frame,
-    gen_pdrs_codebook,
-    gen_pilot_pool,
     sample_activity,
+    synth_codebook,
+    synth_frame,
+    synth_pool,
 )
 
 SEED = 2024
@@ -112,9 +114,9 @@ def test_criterion_5_weight_detection_independence(capsys):
         cfg = SystemConfig(
             M=16, N=32, L=12, l=4, K=6, zeta=6, snr_db=6.0, D=0, trials=1, seed=SEED + i
         )
-        rng = RngStream(cfg.seed, 16)
-        pool = gen_pilot_pool(cfg, RngStream(cfg.seed, 0))
-        cb = gen_pdrs_codebook(cfg, RngStream(cfg.seed, 1))
+        pool, cb = synth_pool(cfg), synth_codebook(cfg)
+        # trial 0's frame, keyed by hand: the extras below continue its stream
+        rng = RngStream(cfg.seed, TRIAL_STREAM_BASE)
         act = sample_activity(cfg, rng)
         frame = assemble_frame(cfg, pool, cb, act, rng)
         subset = act.active
@@ -178,10 +180,8 @@ def test_criterion_8_complexity_ledger(capsys):
     t0 = time.perf_counter()
     models = {name: complexity_model(cfg, name) for name in ("pdrs", "bomp", "fpr")}
 
-    rng = RngStream(cfg.seed, 16)
-    pool = gen_pilot_pool(cfg, RngStream(cfg.seed, 0))
-    cb = gen_pdrs_codebook(cfg, RngStream(cfg.seed, 1))
-    frame = assemble_frame(cfg, pool, cb, sample_activity(cfg, rng), rng)
+    pool, cb = synth_pool(cfg), synth_codebook(cfg)
+    frame = synth_frame(cfg, pool, cb, 0)
     counted = {
         "pdrs": detect_pdrs_dwe(frame, pool, cb, cfg.zeta, cfg.svd_cost).mults,
         "bomp": detect_bomp(frame, pool, cfg.zeta, cfg.svd_cost).mults,
@@ -214,8 +214,7 @@ def test_criterion_8_complexity_ledger(capsys):
 
 def test_criterion_9_combined_ser_equivalence(capsys):
     cfg = anchor_cfg(D=240, trials=25)
-    pool = gen_pilot_pool(cfg, RngStream(cfg.seed, 0))
-    cb = gen_pdrs_codebook(cfg, RngStream(cfg.seed, 1))
+    pool, cb = synth_pool(cfg), synth_codebook(cfg)
     t0 = time.perf_counter()
 
     total = 0
@@ -223,9 +222,7 @@ def test_criterion_9_combined_ser_equivalence(capsys):
     worst_weight_gap = 0.0
     boundary_ok = True
     for t in range(cfg.trials):
-        rng = RngStream(cfg.seed, 16 + t)
-        act = sample_activity(cfg, rng)
-        frame = assemble_frame(cfg, pool, cb, act, rng)
+        frame = synth_frame(cfg, pool, cb, t)
         res = detect_pdrs_dwe(frame, pool, cb, cfg.zeta)
         assert np.linalg.matrix_rank(pool.P[res.detected]) == cfg.L
         direct = dwe_weights(frame, pool, res.detected, y_pinv=res.y_pinv)

@@ -296,6 +296,50 @@ def test_fpr_gram_pinv_is_real_and_consistent():
     assert np.allclose(G @ gram @ G, G, rtol=1e-8, atol=1e-8)
 
 
+def test_fpr_gram_pinv_stays_off_the_eigh_and_svd_paths(monkeypatch):
+    cfg, pool, cb, act, frame = build(seed=10)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh or svd called on a full-rank Gram")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    assert fpr_gram_pinv(pool).dtype == np.float64
+
+
+def test_fpr_gram_pinv_of_a_duplicated_pool_takes_one_svd(monkeypatch):
+    cfg, pool, cb, act, frame = build(seed=10)
+    dup = PilotPool(np.vstack([pool.P, pool.P[:4]]))
+    calls = []
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    gram = fpr_gram_pinv(dup)
+    assert len(calls) == 1
+    assert gram.dtype == np.float64
+    G = np.abs(dup.P @ dup.P.conj().T) ** 2
+    assert np.linalg.matrix_rank(gram) == np.linalg.matrix_rank(G) < dup.n_pilots
+
+
+def test_fpr_rejects_a_complex_gram():
+    cfg, pool, cb, act, frame = build(seed=11)
+    G = np.abs(pool.P @ pool.P.conj().T) ** 2
+    with pytest.raises(ValueError, match="gram_pinv must be the float64"):
+        detect_fpr(frame, pool, cfg.zeta, pinv(G.astype(np.complex128)))
+
+
+def test_fpr_names_a_non_finite_gram():
+    cfg, pool, cb, act, frame = build(seed=11)
+    gram = fpr_gram_pinv(pool).copy()
+    gram[3, 5] = np.nan
+    with pytest.raises(ValueError, match="gram_pinv holds nan or inf"):
+        detect_fpr(frame, pool, cfg.zeta, gram)
+
+
 def test_fpr_rejects_wrong_gram_shape():
     cfg, pool, cb, act, frame = build(seed=11)
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdrslink.linalg import as_cmatrix, orthonormal_step, pinv, pinv_symmetric
+from pdrslink.linalg import as_cmatrix, orthonormal_step, pinv
 from pdrslink.rng import RngStream, cgauss
 from pdrslink.scenario import PilotPool, SystemConfig, synth_pool
 
@@ -73,14 +73,18 @@ def test_pinv_rank_deficient_identities():
 
 
 def svd_pinv_reference(a, rel_tol=None):
-    """``pinv`` as it was before its LU and QR paths: the SVD for every input."""
-    m = np.asarray(a, dtype=np.complex128)
+    """``pinv`` as it was before its LU and QR paths: the SVD for every input.
+
+    A real input stays real (float64), as in ``pinv``.
+    """
+    a = np.asarray(a)
+    m = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
     if rel_tol is None:
         rel_tol = max(m.shape) * 1e-12
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     keep = s > rel_tol * s.max()
     if not np.any(keep):
-        return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
+        return np.zeros((m.shape[1], m.shape[0]), dtype=m.dtype)
     return (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
 
 
@@ -91,11 +95,16 @@ def kahan(n, theta):
     return (s ** np.arange(n))[:, None] * upper
 
 
-def low_rank(m, n, r, rng):
-    """An m x n complex product of rank r (a zero matrix when r is 0)."""
+def gauss(m, n, rng, real=False):
+    """An m x n standard Gaussian matrix, real or circularly-symmetric complex."""
+    return rng.gen.standard_normal((m, n)) if real else cgauss(m, n, 1.0, rng)
+
+
+def low_rank(m, n, r, rng, real=False):
+    """An m x n product of rank r (a zero matrix when r is 0), real or complex."""
     if r == 0:
-        return np.zeros((m, n), dtype=np.complex128)
-    return cgauss(m, r, 1.0, rng) @ cgauss(r, n, 1.0, rng)
+        return np.zeros((m, n), dtype=np.float64 if real else np.complex128)
+    return gauss(m, r, rng, real) @ gauss(r, n, rng, real)
 
 
 def count_calls(monkeypatch, name):
@@ -151,7 +160,8 @@ def pinv_inputs(draw):
     m, n = draw(st.integers(1, 16)), draw(st.integers(1, 16))
     r = draw(st.integers(0, min(m, n)))
     rng = RngStream(108, draw(st.integers(0, 2**16)))
-    return cgauss(m, n, 1.0, rng) if r == min(m, n) else low_rank(m, n, r, rng)
+    real = draw(st.booleans())
+    return gauss(m, n, rng, real) if r == min(m, n) else low_rank(m, n, r, rng, real)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -159,6 +169,7 @@ def pinv_inputs(draw):
 def test_pinv_is_the_moore_penrose_inverse(a):
     ap = pinv(a)
     assert ap.shape == a.shape[::-1]
+    assert ap.dtype == a.dtype  # float64 stays real, complex128 stays complex
     ref = svd_pinv_reference(a)
     s = np.linalg.svd(a, compute_uv=False)
     kept = s[s > max(a.shape) * 1e-12 * s[0]]
@@ -261,9 +272,9 @@ def symmetric_cases():
     return cases
 
 
-def test_pinv_symmetric_moore_penrose_identities():
+def test_pinv_real_moore_penrose_identities():
     for a in symmetric_cases():
-        ap = pinv_symmetric(a)
+        ap = pinv(a)
         assert ap.dtype == np.float64
         assert rel_err(a @ ap @ a, a) < 1e-10
         assert rel_err(ap @ a @ ap, ap) < 1e-10
@@ -271,32 +282,24 @@ def test_pinv_symmetric_moore_penrose_identities():
         assert rel_err((ap @ a).T, ap @ a) < 1e-10
 
 
-def test_pinv_symmetric_duplicated_pool_gram_is_rank_deficient():
+def test_pinv_real_duplicated_pool_gram_is_rank_deficient():
     g = duplicated_pool_gram()
     assert np.linalg.matrix_rank(g) < g.shape[0]
-    assert np.linalg.matrix_rank(pinv_symmetric(g)) == np.linalg.matrix_rank(g)
+    gp = pinv(g)
+    assert gp.dtype == np.float64
+    assert np.linalg.matrix_rank(gp) == np.linalg.matrix_rank(g)
 
 
-def test_pinv_symmetric_matches_complex_pinv():
+def test_pinv_real_matches_complex_pinv():
     for a in symmetric_cases():
-        assert rel_err(pinv(a).real, pinv_symmetric(a)) <= 1e-12
+        assert rel_err(pinv(a.astype(np.complex128)).real, pinv(a)) <= 1e-12
 
 
-def test_pinv_symmetric_zero_matrix():
-    z = pinv_symmetric(np.zeros((4, 4)))
+def test_pinv_real_zero_matrix():
+    z = pinv(np.zeros((4, 4)))
+    assert z.dtype == np.float64
     assert z.shape == (4, 4)
     assert np.all(z == 0)
-
-
-def test_pinv_symmetric_rejects_bad_inputs():
-    with pytest.raises(ValueError, match="square"):
-        pinv_symmetric(np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="square"):
-        pinv_symmetric(np.zeros((0, 0)))
-    with pytest.raises(ValueError, match="symmetric"):
-        pinv_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError, match="real"):
-        pinv_symmetric(np.eye(2, dtype=np.complex128))
 
 
 def test_orthonormal_step_builds_the_projector_of_pinv():
