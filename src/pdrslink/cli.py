@@ -30,7 +30,12 @@ def _load_config(args) -> SystemConfig:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    values = []
+    for v in filter(str.strip, args.values.split(",")):
+        try:
+            values.append(float(v))
+        except ValueError:
+            raise ValueError(f"--values: {v.strip()!r} is not a number") from None
     detectors = [d.strip() for d in args.detectors.split(",") if d.strip()]
     spec = harness.SweepSpec(base=cfg, variable=args.var, values=values, detectors=detectors)
     rows = harness.run_sweep(spec)
@@ -120,9 +125,7 @@ def _cmd_complexity(args) -> int:
 
 
 def _cmd_lemma_check(args) -> int:
-    report = harness.lemma_check(
-        iterations=args.iterations, equiv_tol=args.tol, seed=args.seed
-    )
+    report = harness.lemma_check(iterations=args.iterations, seed=args.seed)
     for line in report.lines():
         print(line)
     return 0 if report.ok else 1
@@ -171,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemma-check", help="run the numerical verification suites")
     p.add_argument("--iterations", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-8, help="weight-equivalence tolerance")
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=_cmd_lemma_check)
 

@@ -99,6 +99,8 @@ def detect_bomp(
     leaves the residual unchanged.  Once the selected pilots span C^L the
     residual is set to exactly zero, so with zeta > L every remaining pick is
     the lowest unselected index (the tie rule), not a draw of rounding noise.
+    Every pick is one ``argmax`` over the powers with admitted users masked to
+    ``-inf``; a non-finite winning power, at any pick, raises ValueError.
     ``svd_cost`` is accepted for signature compatibility with the other
     detectors; BOMP no longer computes a pseudo-inverse, so it has no effect.
     """
@@ -120,13 +122,11 @@ def detect_bomp(
         mults += matmul_mults(M, L, N)
         power = col_norms_sq(C)
         mults += M * N
-        if selected:
-            # later residuals come from Y and an orthonormal basis, so they
-            # are finite when the first powers are; -inf masks admitted users
-            power[selected] = -np.inf
-            best = int(np.argmax(power))
-        else:
-            best = int(_pick(power, 1, largest=True)[0])
+        # -inf masks admitted users; argmax returns the first nan or +inf
+        power[selected] = -np.inf
+        best = int(np.argmax(power))
+        if not np.isfinite(power[best]):
+            raise ValueError("non-finite detection score: the frame holds nan or inf")
         scores[best] = power[best]
         selected.append(best)
         if rank == L:
@@ -173,13 +173,16 @@ def detect_fpr(
     cross-correlations; multiplying by the precomputed Gram pseudo-inverse
     unmixes them, and the zeta largest recovered powers form the support.
     The unmixing solve is real-valued and tallied separately; ``gram_pinv``
-    is ``fpr_gram_pinv(pool)``, an N x N float64 matrix.
+    is ``fpr_gram_pinv(pool)``, an N x N float64 ndarray, and anything else
+    (``None`` included) raises a ValueError that names it.
     """
     Y = frame.Y
     M, L = Y.shape
     N = pool.n_pilots
     if not 1 <= zeta <= N:
         raise ValueError(f"zeta must be in [1, {N}], got {zeta}")
+    if not isinstance(gram_pinv, np.ndarray):
+        raise ValueError(f"gram_pinv must be an ndarray, got {type(gram_pinv).__name__}")
     if gram_pinv.shape != (N, N):
         raise ValueError(f"gram_pinv must be {N}x{N}, got {gram_pinv.shape}")
     if gram_pinv.dtype != np.float64:

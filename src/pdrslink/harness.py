@@ -117,6 +117,8 @@ SWEEP_VARS = ("snr_db", "K", "l", "alpha")
 
 #: Bound on the worst relative error of the Moore-Penrose identities in ``lemma_check``.
 MP_TOL = 1e-9
+#: Bound on the worst relative gap of the two weight-equivalence suites in ``lemma_check``.
+EQUIV_TOL = 1e-8
 
 
 def worker_count() -> int:
@@ -233,7 +235,10 @@ def parse_config(path: str | Path) -> SystemConfig:
             overrides[key] = kind(val)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: {key} = {val!r} is not a valid {kind.__name__}") from None
-    return SystemConfig(**overrides)
+    try:
+        return SystemConfig(**overrides)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _spec(name: str) -> DetectorSpec:
@@ -275,8 +280,6 @@ def run_trial(
             if spec.stage not in stages:
                 t0 = time.perf_counter()
                 stage = STAGE_TABLE[spec.stage]
-                if stage.needs_gram and gram_pinv is None:
-                    raise ValueError(f"{spec.stage} requires the precomputed Gram pseudo-inverse")
                 res = stage.detect(frame, pool, codebook, cfg.zeta, cfg.svd_cost, gram_pinv)
                 stages[spec.stage] = res, (time.perf_counter() - t0) * 1e3
             res, stage_ms = stages[spec.stage]
@@ -333,21 +336,14 @@ def run_point(cfg: SystemConfig, detectors: list[str]) -> list[ResultRow]:
     emitted per detector, and one stderr line gives the number of failed
     trials and the first error in trial order.
     """
-    return _run_sweep(SweepSpec(cfg, "snr_db", [cfg.snr_db], list(detectors)))
+    return run_sweep(SweepSpec(cfg, "snr_db", [cfg.snr_db], list(detectors)))
 
 
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
-    """All sweep points, rows ordered by sweep value then detector name.
+    """All sweep points, rows ordered by sweep value, then in ``spec``'s detector order.
 
     Each point's rows equal those of ``run_point`` on ``spec.config_at(value)``
     with the same detectors, relabelled with the sweep variable and value.
-    """
-    return _run_sweep(replace(spec, detectors=sorted(spec.detectors)))
-
-
-def _run_sweep(spec: SweepSpec) -> list[ResultRow]:
-    """Every point of ``spec`` in value order, detectors in ``spec``'s order.
-
     The pilot pool and, when a stage needs it, its Gram pseudo-inverse are
     built once and shared by every point.
     """
@@ -443,42 +439,31 @@ def emit_csv(rows: list[ResultRow], path: str | Path) -> None:
 
 @dataclass
 class LemmaReport:
-    """Worst relative errors of the three verification suites."""
+    """Worst relative errors of the three verification suites, against ``MP_TOL`` and ``EQUIV_TOL``."""
 
     mp_worst: float
     noisy_equiv_worst: float
     noiseless_equiv_worst: float
-    mp_tol: float
-    equiv_tol: float
     instances: int
+
+    def _suites(self) -> list[tuple[str, int, float, float]]:
+        """(label, instances, worst error, bound) of each suite."""
+        n = self.instances
+        return [
+            ("moore-penrose identities", 2 * n, self.mp_worst, MP_TOL),
+            ("weight equivalence, noisy detected sets", n, self.noisy_equiv_worst, EQUIV_TOL),
+            ("weight equivalence, noiseless oracle", n, self.noiseless_equiv_worst, EQUIV_TOL),
+        ]
 
     @property
     def ok(self) -> bool:
-        return (
-            self.mp_worst <= self.mp_tol
-            and self.noisy_equiv_worst <= self.equiv_tol
-            and self.noiseless_equiv_worst <= self.equiv_tol
-        )
+        return all(err <= tol for _, _, err, tol in self._suites())
 
     def lines(self) -> list[str]:
-        def one(label: str, count: int, err: float, tol: float) -> str:
-            verdict = "pass" if err <= tol else "FAIL"
-            return f"{label} ({count} instances): worst {err:.3e} tol {tol:.0e} {verdict}"
-
         return [
-            one("moore-penrose identities", 2 * self.instances, self.mp_worst, self.mp_tol),
-            one(
-                "weight equivalence, noisy detected sets",
-                self.instances,
-                self.noisy_equiv_worst,
-                self.equiv_tol,
-            ),
-            one(
-                "weight equivalence, noiseless oracle",
-                self.instances,
-                self.noiseless_equiv_worst,
-                self.equiv_tol,
-            ),
+            f"{label} ({count} instances): worst {err:.3e} tol {tol:.0e} "
+            + ("pass" if err <= tol else "FAIL")
+            for label, count, err, tol in self._suites()
         ]
 
 
@@ -545,11 +530,11 @@ def _weight_equiv_suite(count: int, seed: int, noisy: bool) -> float:
     return worst
 
 
-def lemma_check(iterations: int = 100, equiv_tol: float = 1e-8, seed: int = 1) -> LemmaReport:
+def lemma_check(iterations: int = 100, seed: int = 1) -> LemmaReport:
     """Run the pseudo-inverse and weight-equivalence suites.
 
-    The Moore-Penrose identities are held to ``MP_TOL``; the two weight
-    equivalence suites to ``equiv_tol``.
+    The bounds are fixed: the Moore-Penrose identities are held to
+    ``MP_TOL`` and the two weight-equivalence suites to ``EQUIV_TOL``.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -559,7 +544,5 @@ def lemma_check(iterations: int = 100, equiv_tol: float = 1e-8, seed: int = 1) -
         mp_worst=_mp_suite(2 * iterations, seed),
         noisy_equiv_worst=_weight_equiv_suite(iterations, seed, noisy=True),
         noiseless_equiv_worst=_weight_equiv_suite(iterations, seed + 1, noisy=False),
-        mp_tol=MP_TOL,
-        equiv_tol=equiv_tol,
         instances=iterations,
     )

@@ -4,6 +4,7 @@ import struct
 
 import pytest
 
+from pdrslink import harness
 from pdrslink.cli import main
 from pdrslink.frameio import _HEADER, MAGIC
 from pdrslink.harness import (
@@ -95,6 +96,13 @@ def test_sweep_rejects_a_repeated_entry(cfg_file, capsys, values, detectors, mes
     assert main(["sweep", "--config", cfg_file, "--values", values, "--detectors", detectors]) == 2
     captured = capsys.readouterr()
     assert f"error: {message}" in captured.err and captured.out == ""
+
+
+def test_sweep_names_a_value_that_is_not_a_number(cfg_file, capsys):
+    assert main(["sweep", "--config", cfg_file, "--values", "4,abc", "--detectors", "oracle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --values: 'abc' is not a number\n"
+    assert captured.out == ""
 
 
 def test_sweep_rejects_an_infinite_alpha(cfg_file, capsys):
@@ -191,8 +199,9 @@ def test_lemma_check_verb(capsys):
     assert out.count("pass") == 3
 
 
-def test_lemma_check_fails_with_absurd_tolerance(capsys):
-    rc = main(["lemma-check", "--iterations", "5", "--tol", "1e-30"])
+def test_lemma_check_fails_with_absurd_tolerance(capsys, monkeypatch):
+    monkeypatch.setattr(harness, "EQUIV_TOL", 1e-30)
+    rc = main(["lemma-check", "--iterations", "5"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
 

@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pdrslink import detectors
+from pdrslink._kernels import col_norms_sq
 from pdrslink.detectors import (
     detect_bomp,
     detect_fpr,
@@ -263,6 +265,31 @@ def test_bomp_picks_lowest_indices_once_the_span_is_full():
     assert res.mults == complexity_model(cfg, "bomp").detect_mults
 
 
+def test_bomp_never_admits_a_nan_power_after_the_first_pick(monkeypatch):
+    cfg, pool, cb, act, frame = build(seed=3, zeta=6)
+    firsts = []
+
+    def poisoned(C):
+        power = col_norms_sq(C)
+        if firsts:  # the second pick: poison a user the first pick did not admit
+            power[(firsts[0] + 1) % power.size] = np.nan
+        firsts.append(int(np.argmax(power)))
+        return power
+
+    monkeypatch.setattr(detectors, "col_norms_sq", poisoned)
+    with pytest.raises(ValueError, match="non-finite detection score"):
+        detect_bomp(frame, pool, cfg.zeta)
+    assert len(firsts) == 2
+
+
+def test_bomp_rejects_powers_that_overflow():
+    cfg, pool, cb, act, frame = build(seed=3)
+    huge = replace(frame, Y=frame.Y * 1e160)
+    assert np.all(np.isfinite(huge.Y))
+    with pytest.raises(ValueError, match="non-finite detection score"):
+        detect_bomp(huge, pool, cfg.zeta)
+
+
 def test_bomp_selects_distinct_users():
     cfg, pool, cb, act, frame = build(seed=7, zeta=12)
     res = detect_bomp(frame, pool, 12)
@@ -337,6 +364,14 @@ def test_fpr_names_a_non_finite_gram():
     gram = fpr_gram_pinv(pool).copy()
     gram[3, 5] = np.nan
     with pytest.raises(ValueError, match="gram_pinv holds nan or inf"):
+        detect_fpr(frame, pool, cfg.zeta, gram)
+
+
+@pytest.mark.parametrize("kind", ["none", "list"])
+def test_fpr_rejects_a_gram_that_is_not_an_ndarray(kind):
+    cfg, pool, cb, act, frame = build(seed=11)
+    gram = None if kind == "none" else fpr_gram_pinv(pool).tolist()
+    with pytest.raises(ValueError, match="gram_pinv"):
         detect_fpr(frame, pool, cfg.zeta, gram)
 
 

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -109,6 +110,13 @@ def test_trial_errors_name_the_step_that_raised(monkeypatch, detector, target, s
     where = "synthesis" if step == "synthesis" else f"detector {detector}, {step}"
     with pytest.raises(RuntimeError, match=rf"^trial 3, {where}: synthetic failure$"):
         run_trial(cfg, pool, cb, None, 3, [detector])
+
+
+def test_a_missing_gram_fails_the_trial_and_names_it():
+    cfg = small_cfg()
+    pool, cb = synth_pool(cfg), synth_codebook(cfg)
+    with pytest.raises(RuntimeError, match=r"^trial 2, detector fpr, detect: gram_pinv"):
+        run_trial(cfg, pool, cb, None, 2, ["fpr"])
 
 
 def test_run_point_schedule_invariance(monkeypatch):
@@ -275,7 +283,7 @@ def test_run_sweep_rows_equal_run_point_rows(variable, values):
     swept = harness.run_sweep(spec)
     separate = []
     for v in sorted(values):
-        rows = run_point(spec.config_at(v), sorted(dets))
+        rows = run_point(spec.config_at(v), dets)
         separate.extend(replace(r, sweep_var=variable, sweep_value=float(v)) for r in rows)
     assert _rows_without_wall_clock(swept) == _rows_without_wall_clock(separate)
 
@@ -438,6 +446,14 @@ def test_parse_config_names_unparsable_value(tmp_path, line, key):
     assert info.value.__cause__ is None
 
 
+def test_parse_config_names_the_file_when_the_config_is_rejected(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("N = 100\nM = 0\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: M must be >= 1, got 0$") as info:
+        parse_config(path)
+    assert info.value.__cause__ is None
+
+
 def test_guarded_rate():
     assert _guarded_rate(0, 1000) == 0.0
     assert _guarded_rate(100, 1000) == 0.1
@@ -482,13 +498,17 @@ def test_lemma_check_rejects_bad_iterations():
         lemma_check(iterations=0)
 
 
+def test_lemma_check_bounds_are_the_acceptance_bounds():
+    # acceptance criteria 1-3 hold pinv to 1e-9 and the weight chain to 1e-8
+    assert harness.MP_TOL == 1e-9
+    assert harness.EQUIV_TOL == 1e-8
+
+
 def test_lemma_report_failure_lines():
     report = LemmaReport(
         mp_worst=1.0,
         noisy_equiv_worst=0.0,
         noiseless_equiv_worst=0.0,
-        mp_tol=1e-9,
-        equiv_tol=1e-8,
         instances=10,
     )
     assert not report.ok
