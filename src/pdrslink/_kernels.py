@@ -37,10 +37,19 @@ def residual_row_norms(e, r):
 
 
 def qpsk_decide(z):
-    """Nearest unit-power QPSK point by the signs of each part; zero goes to the positive rail."""
-    re = np.where(z.real >= 0.0, QPSK_RAIL, -QPSK_RAIL)
-    im = np.where(z.imag >= 0.0, QPSK_RAIL, -QPSK_RAIL)
-    return re + 1j * im
+    """Nearest unit-power QPSK point by the signs of each part.
+
+    A part that is >= 0.0 (-0.0 and +inf included) decides to the positive
+    rail, any other (nan included) to the negative one.  Both rails come from
+    one mask over the interleaved (re, im) float64 view: ``mask * 2R - R``
+    is exactly +R or -R.
+    """
+    f = np.ascontiguousarray(z, dtype=np.complex128).view(np.float64)
+    out = np.empty(f.shape[:-1] + (f.shape[-1] // 2,), dtype=np.complex128)
+    rails = out.view(np.float64)
+    np.multiply(f >= 0.0, 2.0 * QPSK_RAIL, out=rails)
+    rails -= QPSK_RAIL
+    return out
 
 
 def implementations():

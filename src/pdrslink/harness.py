@@ -33,7 +33,7 @@ from .detectors import (
     fpr_gram_pinv,
     oracle_support,
 )
-from .linalg import pinv
+from .linalg import pinv, process_blas
 from .metrics import (
     TrialMetrics,
     complexity_model,
@@ -119,10 +119,18 @@ SWEEP_VARS = ("snr_db", "K", "l", "alpha")
 MP_TOL = 1e-9
 #: Bound on the worst relative gap of the two weight-equivalence suites in ``lemma_check``.
 EQUIV_TOL = 1e-8
+#: Most ``lemma_check`` iterations: the Moore-Penrose suite's ``2 * iterations``
+#: streams start at 1000 and the noisy suite's at 2000, so more would share streams.
+MAX_LEMMA_ITERATIONS = 500
 
 
 def worker_count() -> int:
-    """Trial workers: cpu count capped by the PDRS_THREADS environment variable."""
+    """Trial workers: cpu count capped by the PDRS_THREADS environment variable.
+
+    One worker when BLAS may run several threads and the library cannot pin
+    it (``BlasThreads.serial_only``), since the two pools would then fight
+    over the same cores.
+    """
     n = os.cpu_count() or 1
     cap = os.environ.get("PDRS_THREADS", "")
     if cap:
@@ -133,7 +141,7 @@ def worker_count() -> int:
         if limit < 1:
             raise ValueError(f"PDRS_THREADS must be >= 1, got {limit}")
         n = min(n, limit)
-    return n
+    return 1 if process_blas().serial_only else n
 
 
 @dataclass
@@ -297,7 +305,7 @@ def run_trial(
             tp_users = res.detected[tp_mask]
             if frame.Y_D.shape[1] and tp_users.size:
                 step = "demod"
-                decided = demod_qpsk(weights.apply(frame.Y_D)[tp_mask])
+                decided = demod_qpsk(weights.W[tp_mask] @ frame.Y_D)
                 sent_rows = np.searchsorted(truth.active, tp_users)
                 m.sym_errors = symbol_errors(decided, frame.X_D[sent_rows])
                 m.sym_total = decided.size
@@ -346,14 +354,20 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     with the same detectors, relabelled with the sweep variable and value.
     The pilot pool and, when a stage needs it, its Gram pseudo-inverse are
     built once and shared by every point.
+
+    While it runs, the BLAS is pinned to one thread (``process_blas().pinned()``),
+    so the trial pool owns the cores and no row depends on the BLAS thread
+    count.  The pin is process-wide: other threads' BLAS calls run on one
+    thread too until the last running sweep returns and restores the count.
     """
-    pool = synth_pool(spec.base)
-    needs_gram = any(STAGE_TABLE[DETECTOR_TABLE[d].stage].needs_gram for d in spec.detectors)
-    gram_pinv = fpr_gram_pinv(pool) if needs_gram else None
-    rows: list[ResultRow] = []
-    for value in sorted(spec.values):
-        cfg = spec.config_at(value)
-        rows.extend(_run_point(cfg, spec.detectors, spec.variable, float(value), pool, gram_pinv))
+    with process_blas().pinned():
+        pool = synth_pool(spec.base)
+        needs_gram = any(STAGE_TABLE[DETECTOR_TABLE[d].stage].needs_gram for d in spec.detectors)
+        gram_pinv = fpr_gram_pinv(pool) if needs_gram else None
+        rows: list[ResultRow] = []
+        for value in sorted(spec.values):
+            cfg = spec.config_at(value)
+            rows.extend(_run_point(cfg, spec.detectors, spec.variable, float(value), pool, gram_pinv))
     return rows
 
 
@@ -535,9 +549,16 @@ def lemma_check(iterations: int = 100, seed: int = 1) -> LemmaReport:
 
     The bounds are fixed: the Moore-Penrose identities are held to
     ``MP_TOL`` and the two weight-equivalence suites to ``EQUIV_TOL``.
+    ``iterations`` lies in [1, ``MAX_LEMMA_ITERATIONS``], so that no two
+    instances share a stream.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if iterations > MAX_LEMMA_ITERATIONS:
+        raise ValueError(
+            f"iterations must be <= {MAX_LEMMA_ITERATIONS}, got {iterations}: beyond that the "
+            "Moore-Penrose and noisy weight-equivalence suites draw from the same streams"
+        )
     if not 0 <= seed < 2**64 - 1:  # the suites key streams by seed and seed + 1
         raise ValueError(f"seed must satisfy 0 <= seed < 2**64 - 1, got {seed}")
     return LemmaReport(

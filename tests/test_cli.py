@@ -199,6 +199,13 @@ def test_lemma_check_verb(capsys):
     assert out.count("pass") == 3
 
 
+def test_lemma_check_rejects_iterations_whose_suites_would_share_streams(capsys):
+    assert main(["lemma-check", "--iterations", "501"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: iterations must be <= 500, got 501: ")
+    assert "same streams" in err
+
+
 def test_lemma_check_fails_with_absurd_tolerance(capsys, monkeypatch):
     monkeypatch.setattr(harness, "EQUIV_TOL", 1e-30)
     rc = main(["lemma-check", "--iterations", "5"])

@@ -1,15 +1,21 @@
 import csv
 import hashlib
+import json
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from pdrslink import harness
+from pdrslink import harness, linalg
 from pdrslink.harness import (
     CSV_HEADER,
+    DETECTORS,
     LemmaReport,
     ResultRow,
     SweepSpec,
@@ -21,6 +27,7 @@ from pdrslink.harness import (
     run_trial,
     worker_count,
 )
+from pdrslink.linalg import BlasThreads, process_blas
 from pdrslink.scenario import SystemConfig, synth_codebook, synth_frame, synth_pool
 
 
@@ -126,6 +133,170 @@ def test_run_point_schedule_invariance(monkeypatch):
     monkeypatch.setenv("PDRS_THREADS", "3")
     threaded = run_point(cfg, ["pdrs", "oracle"])
     assert [_stable_fields(r) for r in serial] == [_stable_fields(r) for r in threaded]
+
+
+def test_the_trial_path_makes_no_call_that_holds_the_interpreter_lock(monkeypatch):
+    # zeta > L makes the least-squares pilot block tall, so every pinv rule but the SVD runs
+    cfg = small_cfg(zeta=12)
+    pool, cb = synth_pool(cfg), synth_codebook(cfg)
+    gram = harness.fpr_gram_pinv(pool)
+    calls = []
+    for name in ("qr", "solve", "det", "inv"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for t in range(3):
+        run_trial(cfg, pool, cb, gram, t, list(DETECTORS))
+    assert calls.count("qr") == calls.count("solve") == calls.count("det") == 0
+    assert "inv" in calls
+
+
+class FakeBlas:
+    """A BLAS thread count that records every change."""
+
+    def __init__(self, threads):
+        self.count = threads
+        self.sets = []
+
+    def set(self, n):
+        self.sets.append(n)
+        self.count = n
+
+    def get(self):
+        return self.count
+
+
+def test_nested_pins_restore_the_callers_count_only_when_the_last_one_exits():
+    fake = FakeBlas(4)
+    blas = BlasThreads(fake.set, fake.get, "fake_set_num_threads")
+    with blas.pinned():
+        with blas.pinned():
+            assert blas.threads() == 1
+        assert blas.threads() == 1
+    assert blas.threads() == 4
+    assert fake.sets == [1, 4]
+
+
+def test_concurrent_pins_restore_the_callers_count_only_when_the_last_one_exits():
+    fake = FakeBlas(3)
+    blas = BlasThreads(fake.set, fake.get, "fake_set_num_threads")
+    first_in, second_in, first_out = threading.Event(), threading.Event(), threading.Event()
+    seen = {}
+
+    def first():
+        with blas.pinned():
+            first_in.set()
+            second_in.wait(10)
+        seen["after first"] = blas.threads()
+        first_out.set()
+
+    def second():
+        first_in.wait(10)
+        with blas.pinned():
+            second_in.set()
+            first_out.wait(10)
+            seen["second alone"] = blas.threads()
+
+    workers = [threading.Thread(target=first), threading.Thread(target=second)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(20)
+    assert not any(w.is_alive() for w in workers)
+    assert seen == {"after first": 1, "second alone": 1}
+    assert blas.threads() == 3
+    assert fake.sets == [1, 3]
+
+
+def test_many_threads_pinning_at_once_never_lose_a_holder():
+    fake = FakeBlas(4)
+    blas = BlasThreads(fake.set, fake.get, "fake_set_num_threads")
+    unpinned_inside = []
+
+    def hold():
+        for _ in range(200):
+            with blas.pinned():
+                if blas.threads() != 1:
+                    unpinned_inside.append(blas.threads())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=hold) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert unpinned_inside == []
+    assert blas.threads() == 4
+    assert fake.sets[-1] == 4 and fake.sets.count(1) == fake.sets.count(4)
+
+
+@pytest.mark.parametrize(
+    "env, serial",
+    [({}, True), ({"OMP_NUM_THREADS": "4"}, True), ({"OPENBLAS_NUM_THREADS": "1"}, False),
+     ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, True)],
+)
+def test_without_a_known_symbol_an_unpinned_blas_gets_one_trial_worker(monkeypatch, env, serial):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(linalg, "_blas", BlasThreads(env_pinned=linalg._env_pins_blas()))
+    monkeypatch.setenv("PDRS_THREADS", "3")
+    blas = process_blas()
+    assert blas.symbol is None and blas.serial_only is serial
+    assert blas.path == ("unknown: one trial worker" if serial else "pinned by environment")
+    assert worker_count() == (1 if serial else min(3, os.cpu_count() or 1))
+
+
+@pytest.mark.skipif(process_blas().symbol is None, reason="numpy's BLAS exports no known thread setter")
+def test_a_sweep_runs_its_trials_on_one_blas_thread_and_then_restores_the_count(monkeypatch):
+    blas = process_blas()
+    before = blas.threads()
+    seen = []
+
+    def frame_and_count(*args):
+        seen.append(blas.threads())
+        return synth_frame(*args)
+
+    monkeypatch.setattr(harness, "synth_frame", frame_and_count)
+    run_point(small_cfg(trials=4), ["pdrs"])
+    assert seen == [1] * 4
+    assert blas.threads() == before
+
+
+OVERSHOOT_ROWS = """
+import json, sys
+from pdrslink import SystemConfig, run_point
+cfg = SystemConfig(M=128, N=1000, L=96, l=1, K=96, zeta=192, snr_db=4.0, D=240, trials=12, seed=7)
+rows = run_point(cfg, ["pdrs", "pdrs-lszf"])
+print(json.dumps([repr({**vars(r), "wall_clock_ms": None}) for r in rows]))
+"""
+
+
+@pytest.mark.skipif(process_blas().symbol is None, reason="numpy's BLAS exports no known thread setter")
+def test_rows_do_not_depend_on_the_blas_thread_count_of_the_environment():
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars + ("PDRS_THREADS",)}
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    outputs = []
+    for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        done = subprocess.run(
+            [sys.executable, "-c", OVERSHOOT_ROWS], env={**env, **extra},
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        outputs.append(json.loads(done.stdout.splitlines()[-1]))
+    assert len(outputs[0]) == 2
+    assert outputs[0] == outputs[1]
 
 
 def test_run_point_rejects_empty_detectors():

@@ -37,6 +37,23 @@ def test_qpsk_decide_zero_goes_to_positive_rail():
     assert np.array_equal(out, expect)
 
 
+def where_rule(z):
+    """The per-rail ``np.where`` decision rule that ``qpsk_decide`` must reproduce bit for bit."""
+    rail = _kernels.QPSK_RAIL
+    re = np.where(z.real >= 0.0, rail, -rail)
+    im = np.where(z.imag >= 0.0, rail, -rail)
+    return re + 1j * im
+
+
+def test_qpsk_decide_matches_the_where_rule_on_signed_zeros_infinities_and_nan():
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 2.5, -2.5])
+    parts = np.stack(np.meshgrid(special, special, indexing="ij"), axis=-1)
+    z = np.ascontiguousarray(parts).view(np.complex128)[..., 0]  # every (re, im) pair
+    z = np.vstack([z, cgauss(3, special.size, 1.0, RngStream(53, 0))])
+    got, want = _kernels.qpsk_decide(z), where_rule(z)
+    assert got.dtype == np.complex128 and got.shape == z.shape
+    assert got.tobytes() == want.tobytes()
+
 
 def test_implementations_pair_each_kernel_with_none():
     impls = _kernels.implementations()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdrslink.linalg import as_cmatrix, orthonormal_step, pinv
+from pdrslink.linalg import NORMAL_EQ_BOUND, as_cmatrix, orthonormal_step, pinv
 from pdrslink.rng import RngStream, cgauss
 from pdrslink.scenario import PilotPool, SystemConfig, synth_pool
 
@@ -73,7 +73,7 @@ def test_pinv_rank_deficient_identities():
 
 
 def svd_pinv_reference(a, rel_tol=None):
-    """``pinv`` as it was before its LU and QR paths: the SVD for every input.
+    """``pinv`` as it was before its LU and normal-equation paths: the SVD for every input.
 
     A real input stays real (float64), as in ``pinv``.
     """
@@ -173,7 +173,7 @@ def test_pinv_is_the_moore_penrose_inverse(a):
     ref = svd_pinv_reference(a)
     s = np.linalg.svd(a, compute_uv=False)
     kept = s[s > max(a.shape) * 1e-12 * s[0]]
-    # the LU and QR paths differ from the SVD by rounding, which grows with the condition number
+    # the LU and normal-equation paths differ from the SVD by rounding, which grows with the condition number
     tol = 1e-13 * kept[0] / kept[-1] if kept.size else 0.0
     assert rel_err(ap, ref) <= tol
     if kept.size:
@@ -191,6 +191,39 @@ def test_pinv_of_a_full_rank_tall_or_square_input_skips_the_svd(monkeypatch, sha
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     a = cgauss(*shape, 1.0, RngStream(109, shape[0]))
     assert pinv(a).shape == shape[::-1]
+
+
+def with_condition(a, cond):
+    """``a`` with its singular values replaced by a geometric ladder from 1 down to 1 / cond."""
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    return (u * np.logspace(0, -np.log10(cond), s.size)) @ vh
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e3, 1e4])
+@pytest.mark.parametrize("shape", [(128, 96), (12, 5)])
+def test_the_tall_rule_is_as_accurate_as_the_svd(monkeypatch, shape, cond):
+    # the normal equations alone err by about cond^2 eps; one Newton-Schulz step brings it to cond eps
+    a = with_condition(cgauss(*shape, 1.0, RngStream(112, int(cond))), cond)
+    svd = count_calls(monkeypatch, "svd")
+    got = pinv(a)
+    assert svd == []
+    assert rel_err(svd_pinv_reference(a), got) <= 10 * cond * np.finfo(float).eps
+
+
+def test_pinv_of_an_ill_conditioned_tall_input_fails_the_contraction_certificate(monkeypatch):
+    # full rank, but column scaling puts cond(A) near 1e7, where inv(A^H A) loses all accuracy
+    a = cgauss(128, 96, 1.0, RngStream(111, 0)) * np.logspace(0, -7, 96)
+    g = a.conj().T @ a
+    contraction = np.linalg.norm(g) * np.linalg.norm(np.linalg.inv(g)) * 128 * np.finfo(float).eps
+    assert contraction > NORMAL_EQ_BOUND
+    svd = count_calls(monkeypatch, "svd")
+    got = pinv(a)
+    assert svd == ["svd"]
+    ref = svd_pinv_reference(a)
+    assert np.array_equal(got, ref)
+    assert 1e6 < np.linalg.cond(a) < 1e8
+    # the full-rank certificate alone would have kept the fast result
+    assert np.linalg.norm(a) * np.linalg.norm(ref) * 128e-12 < 1.0
 
 
 def test_pinv_of_a_wide_input_goes_straight_to_the_svd(monkeypatch):

@@ -5,7 +5,8 @@ distinct, in-range indices, whatever the dimensions: zeta above the pilot
 length or equal to the pool size, every user active, one-symbol reference
 signals, no data block, noiseless frames and pools with repeated pilots.
 Every counted ledger must equal its closed-form model, and ``run_point``
-rows must not depend on the number of trial workers.  A config file of small
+rows must not depend on the number of trial workers, with the library's
+BLAS pin active or bypassed.  A config file of small
 or junk values is either rejected with a ValueError or synthesises a frame,
 and so is a sweep of repeated, fractional or non-finite values and repeated
 or unknown detectors: rejected, or one row per distinct value and detector.
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdrslink.detectors import detect_bomp, detect_fpr, detect_pdrs_dwe, fpr_gram_pinv, oracle_support
+from pdrslink import linalg
 from pdrslink.harness import DETECTORS, SWEEP_VARS, SweepSpec, parse_config, run_point, run_sweep
 from pdrslink.metrics import complexity_model
 from pdrslink.scenario import (
@@ -88,19 +90,26 @@ def test_every_detector_returns_zeta_distinct_sorted_indices(scenario):
         assert bomp.mults == complexity_model(cfg, "bomp").detect_mults
 
 
-def _rows_without_wall_clock(cfg, threads):
+def _rows_without_wall_clock(cfg, threads, blas):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PDRS_THREADS", threads)
+        mp.setattr(linalg, "_blas", blas)
         rows = run_point(cfg, list(DETECTORS))
     # nan rates compare equal through repr
     return [repr({**vars(r), "wall_clock_ms": None}) for r in rows]
+
+
+#: No setter and an environment said to pin BLAS: the sweep leaves BLAS alone and keeps its workers.
+BYPASSED_PIN = linalg.BlasThreads(env_pinned=True)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
 @given(scenarios(), st.integers(1, 4))
 def test_run_point_rows_do_not_depend_on_the_worker_count(scenario, trials):
     cfg = replace(scenario[0], trials=trials)
-    assert _rows_without_wall_clock(cfg, "1") == _rows_without_wall_clock(cfg, "2")
+    for blas in (linalg.process_blas(), BYPASSED_PIN):
+        rows = [_rows_without_wall_clock(cfg, threads, blas) for threads in ("1", "2", "3")]
+        assert rows[0] == rows[1] == rows[2]
 
 
 #: Values that no key, or only some keys, take as valid.
