@@ -50,16 +50,17 @@ def dwe_weights(
 
     Each row depends only on that user's pilot and on ``pinv(Y)``, so the
     weights for a user are identical no matter which other users were
-    detected alongside it.  The row-by-row products preserve that
-    independence bitwise.  ``y_pinv`` accepts the pseudo-inverse already
-    computed during detection.
+    detected alongside it.  All rows come from one stacked product of
+    1 x L pilot rows with ``pinv(Y)``: numpy runs each stacked row as its own
+    vector-matrix product, so row i equals ``pool.P[n] @ y_pinv`` bit for
+    bit, in one call that releases the interpreter lock.  A plain
+    ``P[detected] @ y_pinv`` would block the rows and break that promise.
+    ``y_pinv`` accepts the pseudo-inverse already computed during detection.
     """
     detected = np.asarray(detected, dtype=np.int64)
     if y_pinv is None:
         y_pinv = pinv(frame.Y)
-    W = np.empty((detected.size, frame.M), dtype=np.complex128)
-    for i, n in enumerate(detected):
-        W[i] = pool.P[n] @ y_pinv
+    W = np.matmul(pool.P[detected][:, None, :], y_pinv)[:, 0, :]
     return WeightMatrix(W, detected)
 
 

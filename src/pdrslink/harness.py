@@ -303,17 +303,16 @@ def run_trial(
             m = detection_metrics(res, truth)
             tp_mask = np.isin(res.detected, truth.active, assume_unique=True)
             tp_users = res.detected[tp_mask]
+            tp_W = weights.W[tp_mask]
             if frame.Y_D.shape[1] and tp_users.size:
                 step = "demod"
-                decided = demod_qpsk(weights.W[tp_mask] @ frame.Y_D)
+                decided = demod_qpsk(tp_W @ frame.Y_D)
                 sent_rows = np.searchsorted(truth.active, tp_users)
                 m.sym_errors = symbol_errors(decided, frame.X_D[sent_rows])
                 m.sym_total = decided.size
             if tp_users.size:
                 step = "sinr"
-                m.post_sinr_db = post_sinr(
-                    weights.W[tp_mask], tp_users, frame.H, truth.active, frame.sigma2
-                )
+                m.post_sinr_db = post_sinr(tp_W, tp_users, frame.H, truth.active, frame.sigma2)
         except Exception as exc:
             raise RuntimeError(f"trial {trial_index}, detector {name}, {step}: {exc}") from exc
         m.mult_count = res.mults

@@ -10,9 +10,11 @@ rule from the input's shape, in this order:
 
 1. a square input: an LU inverse;
 2. a tall input: the normal equations ``X0 = inv(A^H A) A^H`` and one
-   Newton-Schulz step ``X = 2 X0 - X0 (A X0)``, kept only when the
+   Newton-Schulz step ``X = 2 X0 - (X0 A) X0``, kept only when the
    contraction certificate ``||G||_F ||G^-1||_F rows eps <= NORMAL_EQ_BOUND``
-   holds for ``G = A^H A``;
+   holds for ``G = A^H A``.  The step's two products form the small
+   cols x cols matrix ``X0 A``, so they cost ``2 rows cols^2`` multiplies,
+   not the ``2 rows^2 cols`` of forming the rows x rows ``A X0``;
 3. the SVD: for a wide input, and for any input whose fast result fails its
    certificate.
 
@@ -51,9 +53,11 @@ DEFAULT_PINV_RTOL_SCALE = 1e-12
 
 #: Bound on ``||G||_F ||G^-1||_F rows eps`` for the tall rule, G = A^H A.  It
 #: bounds ``||I - X0 A||``, so the Newton-Schulz step contracts the error of
-#: the normal equations quadratically.  Over 411 random tall inputs (up to
-#: 40 columns, condition numbers 1 to 1e5) that met it, the corrected result
-#: was within 10 cond(A) eps of the SVD, and within 1.3 cond(A) eps once
+#: the normal equations quadratically.  Over 411 random complex tall inputs
+#: that met it (1 to 40 columns, up to 3 cols + 1 rows, singular values a
+#: geometric ladder from 1 down to 1/cond, cond log-uniform in 1 to 1e5,
+#: ``np.random.default_rng(0)``), the corrected result ``2 X0 - (X0 A) X0``
+#: was within 8.2 cond(A) eps of the SVD, and within 1.5 cond(A) eps once
 #: cond(A) > 10; without the step the error grows as cond(A)^2 eps.
 NORMAL_EQ_BOUND = 1e-4
 
@@ -94,9 +98,9 @@ def pinv(a, rel_tol: float | None = None) -> np.ndarray:
 
     1. a square input is inverted by LU, ``X = inv(A)``;
     2. a tall input takes the normal equations and one Newton-Schulz step,
-       ``G = A^H A``, ``X0 = inv(G) A^H``, ``X = 2 X0 - X0 (A X0)``, when the
+       ``G = A^H A``, ``X0 = inv(G) A^H``, ``X = 2 X0 - (X0 A) X0``, when the
        contraction certificate ``||G||_F ||G^-1||_F rows eps <= NORMAL_EQ_BOUND``
-       holds;
+       holds (the product ``X0 A`` is cols x cols, the small side);
     3. the SVD, which applies the cutoff: for a wide input, an input whose
        ``inv`` finds it singular, and one that fails a certificate.
 
@@ -146,7 +150,7 @@ def _normal_eq_pinv(m: np.ndarray) -> np.ndarray | None:
     if not np.linalg.norm(g) * np.linalg.norm(g_inv) * m.shape[0] * eps <= NORMAL_EQ_BOUND:
         return None
     x0 = g_inv @ mh
-    return 2.0 * x0 - x0 @ (m @ x0)
+    return 2.0 * x0 - (x0 @ m) @ x0
 
 
 def _svd_pinv(m: np.ndarray, rel_tol: float) -> np.ndarray:
@@ -157,10 +161,10 @@ def _svd_pinv(m: np.ndarray, rel_tol: float) -> np.ndarray:
         raise np.linalg.LinAlgError(
             f"SVD did not converge for {m.shape[0]}x{m.shape[1]} matrix"
         ) from exc
-    keep = s > rel_tol * s.max()
-    if not np.any(keep):
+    r = np.count_nonzero(s > rel_tol * s.max())  # s is sorted: the kept values are a prefix
+    if r == 0:
         return np.zeros((m.shape[1], m.shape[0]), dtype=m.dtype)
-    return (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
+    return (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
 
 
 def orthonormal_step(basis: np.ndarray, v: np.ndarray) -> np.ndarray | None:

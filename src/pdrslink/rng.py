@@ -45,6 +45,9 @@ def cgauss(rows: int, cols: int, variance: float, rng: RngStream) -> np.ndarray:
     if not variance > 0:
         raise ValueError(f"variance must be positive, got {variance}")
     g = rng.gen
-    base = (g.standard_normal((rows, cols)) + 1j * g.standard_normal((rows, cols)))
-    base *= np.sqrt(0.5)
-    return base * np.sqrt(variance)
+    out = np.empty((rows, cols), dtype=np.complex128)
+    out.real = g.standard_normal((rows, cols))
+    out.imag = g.standard_normal((rows, cols))
+    out *= np.sqrt(0.5)
+    out *= np.sqrt(variance)
+    return out

@@ -288,11 +288,10 @@ def assemble_frame(
     Y = H @ pool.P[act]
     Y_D = H @ X_D
     if sigma2 > 0.0:
-        s = np.sqrt(sigma2)
-        Y_R = Y_R + s * cgauss(cfg.M, cfg.l, 1.0, rng)
-        Y = Y + s * cgauss(cfg.M, cfg.L, 1.0, rng)
+        Y_R += cgauss(cfg.M, cfg.l, sigma2, rng)
+        Y += cgauss(cfg.M, cfg.L, sigma2, rng)
         if cfg.D > 0:
-            Y_D = Y_D + s * cgauss(cfg.M, cfg.D, 1.0, rng)
+            Y_D += cgauss(cfg.M, cfg.D, sigma2, rng)
     return ReceivedFrame(Y_R=Y_R, Y=Y, Y_D=Y_D, ground_truth=activity, sigma2=sigma2, H=H, X_D=X_D)
 
 

@@ -200,7 +200,7 @@ def with_condition(a, cond):
 
 
 @pytest.mark.parametrize("cond", [1e2, 1e3, 1e4])
-@pytest.mark.parametrize("shape", [(128, 96), (12, 5)])
+@pytest.mark.parametrize("shape", [(128, 96), (192, 96), (12, 5)])
 def test_the_tall_rule_is_as_accurate_as_the_svd(monkeypatch, shape, cond):
     # the normal equations alone err by about cond^2 eps; one Newton-Schulz step brings it to cond eps
     a = with_condition(cgauss(*shape, 1.0, RngStream(112, int(cond))), cond)

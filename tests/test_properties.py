@@ -4,9 +4,10 @@ Every detector that takes a support size must return exactly zeta sorted,
 distinct, in-range indices, whatever the dimensions: zeta above the pilot
 length or equal to the pool size, every user active, one-symbol reference
 signals, no data block, noiseless frames and pools with repeated pilots.
-Every counted ledger must equal its closed-form model, and ``run_point``
-rows must not depend on the number of trial workers, with the library's
-BLAS pin active or bypassed.  A config file of small
+Every counted ledger must equal its closed-form model, every direct weight
+row must equal its own pilot's product with ``pinv(Y)`` bit for bit, and
+``run_point`` rows must not depend on the number of trial workers, with the
+library's BLAS pin active or bypassed.  A config file of small
 or junk values is either rejected with a ValueError or synthesises a frame,
 and so is a sweep of repeated, fractional or non-finite values and repeated
 or unknown detectors: rejected, or one row per distinct value and detector.
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdrslink.combining import dwe_weights
 from pdrslink.detectors import detect_bomp, detect_fpr, detect_pdrs_dwe, fpr_gram_pinv, oracle_support
 from pdrslink import linalg
 from pdrslink.harness import DETECTORS, SWEEP_VARS, SweepSpec, parse_config, run_point, run_sweep
@@ -88,6 +90,34 @@ def test_every_detector_returns_zeta_distinct_sorted_indices(scenario):
         # distinct random pilots never trip the in-span skip, so BOMP's
         # ledger follows the closed-form model, zeta > L included
         assert bomp.mults == complexity_model(cfg, "bomp").detect_mults
+
+
+@st.composite
+def dwe_cases(draw):
+    """A frame, its pool and a detected set: one row, up to every user, zeta > L included."""
+    L = draw(st.integers(1, 24))
+    N = draw(st.integers(L + 1, 64))
+    cfg = SystemConfig(
+        M=draw(st.integers(1, 48)), N=N, L=L, l=2, K=draw(st.integers(1, L)), zeta=1,
+        snr_db=4.0, D=0, trials=1, seed=draw(st.integers(0, 2**16)),
+    )
+    detected = draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=N, unique=True))
+    pool = synth_pool(cfg)
+    return synth_frame(cfg, pool, synth_codebook(cfg), 0), pool, np.sort(detected)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(dwe_cases())
+def test_a_dwe_row_is_its_pilot_times_pinv_y_whatever_its_companions(case):
+    # a plain P[detected] @ pinv(Y) product blocks the rows and fails this
+    frame, pool, detected = case
+    y_pinv = linalg.pinv(frame.Y)
+    W = dwe_weights(frame, pool, detected, y_pinv=y_pinv).W
+    assert W.shape == (detected.size, frame.M)
+    for i, n in enumerate(detected):
+        assert np.array_equal(W[i].view(np.float64), (pool.P[n] @ y_pinv).view(np.float64))
+    alone = dwe_weights(frame, pool, detected[-1:], y_pinv=y_pinv).W
+    assert np.array_equal(alone.view(np.float64), W[-1:].view(np.float64))
 
 
 def _rows_without_wall_clock(cfg, threads, blas):

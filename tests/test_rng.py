@@ -32,6 +32,18 @@ def test_variance_scaling_is_exact():
     assert np.array_equal(b, a * np.sqrt(2.0))
 
 
+@pytest.mark.parametrize("variance", [1.0, 10 ** -0.4])
+def test_cgauss_is_the_scaled_pair_of_normal_draws_bit_for_bit(variance):
+    # real parts first, then imaginary parts, scaled by sqrt(0.5) and then by sqrt(variance)
+    twin = RngStream(21, 4).gen
+    re = twin.standard_normal((7, 9))
+    im = twin.standard_normal((7, 9))
+    expect = (re + 1j * im) * np.sqrt(0.5) * np.sqrt(variance)
+    got = cgauss(7, 9, variance, RngStream(21, 4))
+    assert got.dtype == np.complex128
+    assert np.array_equal(got.view(np.float64), expect.view(np.float64))
+
+
 def test_moments():
     x = cgauss(400, 400, 3.0, RngStream(11, 0))
     assert abs(np.mean(x.real)) < 0.02

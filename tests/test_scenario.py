@@ -6,6 +6,7 @@ import pytest
 from pdrslink.rng import RngStream
 from pdrslink.scenario import (
     QPSK_POINTS,
+    TRIAL_STREAM_BASE,
     ActivityPattern,
     PdrsCodebook,
     PilotPool,
@@ -182,6 +183,32 @@ def test_noisy_frame_departs_from_product():
     a = act.active
     assert not np.array_equal(frame.Y, frame.H @ pool.P[a])
     assert frame.sigma2 == 1.0
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 4.0])
+def test_frame_noise_is_the_replayed_normal_draws(snr_db):
+    # replay the trial stream: active set, channel, data symbols, then each block's noise
+    cfg = small_cfg(snr_db=snr_db)
+    pool, cb, act, frame = _frame(cfg)
+    rng = RngStream(cfg.seed, TRIAL_STREAM_BASE + 0)
+    assert np.array_equal(sample_activity(cfg, rng).active, act.active)
+
+    def draw(rows, cols, variance):
+        re = rng.gen.standard_normal((rows, cols))
+        im = rng.gen.standard_normal((rows, cols))
+        return (re + 1j * im) * np.sqrt(0.5) * np.sqrt(variance)
+
+    H = draw(cfg.M, cfg.K, 1.0)
+    X_D = QPSK_POINTS[rng.gen.integers(0, 4, size=(cfg.K, cfg.D))]
+    a = act.active
+    expect = {
+        "Y_R": H @ cb.R[a] + draw(cfg.M, cfg.l, cfg.sigma2),
+        "Y": H @ pool.P[a] + draw(cfg.M, cfg.L, cfg.sigma2),
+        "Y_D": H @ X_D + draw(cfg.M, cfg.D, cfg.sigma2),
+    }
+    assert np.array_equal(frame.H.view(np.float64), H.view(np.float64))
+    for block, want in expect.items():
+        assert np.array_equal(getattr(frame, block).view(np.float64), want.view(np.float64)), block
 
 
 def test_frame_energy_scales_with_k():
