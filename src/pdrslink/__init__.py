@@ -31,14 +31,15 @@ from .metrics import (
     detection_metrics,
     post_sinr,
 )
-from .rng import RngStream, cgauss
 from .scenario import (
     ActivityPattern,
     PdrsCodebook,
     PilotPool,
     ReceivedFrame,
+    RngStream,
     SystemConfig,
     assemble_frame,
+    cgauss,
     gen_pdrs_codebook,
     gen_pilot_pool,
     sample_activity,

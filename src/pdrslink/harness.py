@@ -1,5 +1,7 @@
 """Monte-Carlo experiment runner.
 
+``scenario`` decides what a run is (a frozen ``SystemConfig``, checked when
+it is built) and how it draws; this module maps trials and reduces them.
 Trials are embarrassingly parallel: every trial's frame comes from
 ``scenario.synth_frame`` on its own counter-based stream, a thread pool maps
 the trials, and reduction walks the results in trial order, so every
@@ -41,8 +43,8 @@ from .metrics import (
     post_sinr,
     symbol_errors,
 )
-from .rng import RngStream, cgauss
-from .scenario import PdrsCodebook, PilotPool, SystemConfig, synth_codebook, synth_frame, synth_pool
+from .scenario import PdrsCodebook, PilotPool, RngStream, SystemConfig, _whole, cgauss
+from .scenario import synth_codebook, synth_frame, synth_pool
 
 # The stream ids live in scenario; pdrsbench/ imports them from here, so they stay importable.
 from .scenario import CODEBOOK_STREAM, POOL_STREAM, TRIAL_STREAM_BASE  # noqa: F401
@@ -146,11 +148,14 @@ def worker_count() -> int:
 
 @dataclass
 class SweepSpec:
-    """One experiment: a base config, a variable to sweep, and detectors; none may repeat."""
+    """One experiment: a base config, a variable to sweep, and detectors; none may repeat.
+
+    ``values`` is stored once, as ascending floats, and each must give a valid ``config_at``.
+    """
 
     base: SystemConfig
     variable: str
-    values: list
+    values: list[float]
     detectors: list[str] = field(default_factory=lambda: ["pdrs"])
 
     def __post_init__(self):
@@ -162,28 +167,29 @@ class SweepSpec:
             raise ValueError("detector list must be nonempty")
         for d in self.detectors:
             _spec(d)
-        values = [float(v) for v in self.values]
-        for what, items in (("value", values), ("detector", self.detectors)):
+        self.values = sorted(float(v) for v in self.values)
+        for what, items in (("value", self.values), ("detector", self.detectors)):
             again = [x for i, x in enumerate(items) if x in items[:i]]
             if again:
                 raise ValueError(f"sweep {what} {again[0]!r} is repeated")
         for v in self.values:
             self.config_at(v)
 
-    def config_at(self, value) -> SystemConfig:
-        """The base config at ``value``: K sweeps keep alpha; K and l must be whole, alpha finite."""
+    def config_at(self, value: float) -> SystemConfig:
+        """The base config at ``value``: K sweeps keep alpha, alpha must be finite.
+
+        ``SystemConfig`` checks the rest, so a fractional K or l names the field.
+        """
         base = self.base
         if self.variable == "snr_db":
-            return replace(base, snr_db=float(value))
+            return replace(base, snr_db=value)
         if self.variable == "alpha":
-            if not math.isfinite(float(value)):
+            if not math.isfinite(value):
                 raise ValueError(f"sweep variable alpha takes finite values, got {value}")
-            return base.with_zeta_from_alpha(float(value))
-        if not float(value).is_integer():
-            raise ValueError(f"sweep variable {self.variable} takes whole numbers, got {value}")
+            return base.with_zeta_from_alpha(value)
         if self.variable == "K":
-            return replace(base, K=int(value)).with_zeta_from_alpha(base.alpha)
-        return replace(base, l=int(value))
+            return replace(base, K=value).with_zeta_from_alpha(base.alpha)
+        return replace(base, l=value)
 
 
 @dataclass
@@ -214,7 +220,7 @@ class ResultRow:
         parts = []
         for f in fields(self):
             v = getattr(self, f.name)
-            parts.append(f"{v:.6g}" if isinstance(v, float) else str(v))
+            parts.append(repr(v) if isinstance(v, float) else str(v))
         return ",".join(parts)
 
 
@@ -364,9 +370,9 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
         needs_gram = any(STAGE_TABLE[DETECTOR_TABLE[d].stage].needs_gram for d in spec.detectors)
         gram_pinv = fpr_gram_pinv(pool) if needs_gram else None
         rows: list[ResultRow] = []
-        for value in sorted(spec.values):
+        for value in spec.values:
             cfg = spec.config_at(value)
-            rows.extend(_run_point(cfg, spec.detectors, spec.variable, float(value), pool, gram_pinv))
+            rows.extend(_run_point(cfg, spec.detectors, spec.variable, value, pool, gram_pinv))
     return rows
 
 
@@ -419,7 +425,7 @@ def _run_point(
         rows.append(
             ResultRow(
                 sweep_var=sweep_var,
-                sweep_value=float(value),
+                sweep_value=value,
                 snr_db=cfg.snr_db,
                 K=cfg.K,
                 L=cfg.L,
@@ -443,7 +449,7 @@ def _run_point(
 
 
 def emit_csv(rows: list[ResultRow], path: str | Path) -> None:
-    """Write rows under the fixed header; floats carry 6 significant digits."""
+    """Write rows under the fixed header; floats as their ``repr``, so they read back exactly."""
     if not rows:
         raise ValueError("no rows to write")
     lines = [CSV_HEADER] + [r.csv_line() for r in rows]
@@ -551,6 +557,7 @@ def lemma_check(iterations: int = 100, seed: int = 1) -> LemmaReport:
     ``iterations`` lies in [1, ``MAX_LEMMA_ITERATIONS``], so that no two
     instances share a stream.
     """
+    iterations, seed = _whole("iterations", iterations), _whole("seed", seed)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if iterations > MAX_LEMMA_ITERATIONS:

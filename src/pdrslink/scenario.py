@@ -1,28 +1,41 @@
-"""Synthesis of one grant-free uplink frame, and the determinism contract.
+"""What a run is and how it draws: the config, frame synthesis and the determinism contract.
 
 A frame consists of a short detection reference block, the non-orthogonal
 pilot block, and a data segment, all passing through the same flat Rayleigh
 channel: ``Y_R = H_A R_A + noise``, ``Y = H_A P_A + noise``,
 ``Y_D = H_A X_D + noise``.  Per-user receive power is unity (open-loop power
 control is assumed perfect), so the per-antenna SNR convention is
-``sigma2 = 10**(-snr_db/10)``.
+``sigma2 = 10**(-snr_db/10)``.  A run is a ``SystemConfig``: frozen, and
+checked field by field when it is built, so a whole-number field holds a
+Python int and ``snr_db`` a float.
 
-Every simulated draw comes from a counter-based stream keyed by (seed,
-stream): the pilot pool from ``POOL_STREAM``, the reference codebook from
-``CODEBOOK_STREAM`` and trial t's frame from ``TRIAL_STREAM_BASE + t``.
-Only the ``synth_*`` functions map those keys to draws, and
-``assemble_frame`` fixes the draw order inside a trial stream.
+Determinism contract, version 2.  Every simulated draw comes from an
+``RngStream``: a Philox4x64-10 generator keyed by the pair ``(seed, stream)``,
+two whole numbers in ``[0, 2**64)``, so a pair yields the same sequence in
+any thread or process.  ``cgauss`` draws a rows x cols block of standard
+normals for the real parts, then one for the imaginary parts, and scales the
+result by ``sqrt(0.5)`` and then by ``sqrt(variance)``.  Stream
+``POOL_STREAM`` (0) draws the N x L pilot pool, stream ``CODEBOOK_STREAM``
+(1) the reference codebook (N x l normals, or N base-code picks in
+orthogonal-reuse mode), and stream ``TRIAL_STREAM_BASE + t`` (16 + t)
+everything in trial t, in this order: the active set, the M x K channel of
+the active users, the data symbols, then the noise of the reference, pilot
+and data blocks (none at infinite SNR, and no data noise when D = 0).
+Only the ``synth_*`` functions map keys to draws, and ``assemble_frame``
+fixes the order after the active set.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import _kernels, linalg
-from .rng import RngStream, cgauss
 
 __all__ = [
+    "RngStream",
+    "cgauss",
     "PDRS_MODES",
     "QPSK_POINTS",
     "SystemConfig",
@@ -58,6 +71,65 @@ CODEBOOK_STREAM = 1
 TRIAL_STREAM_BASE = 16
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as a Python int.
+
+    An int, a numpy integer or a float with no fraction passes; anything else
+    raises a ValueError that names ``name``.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} takes whole numbers, got {value!r}")
+
+
+@dataclass
+class RngStream:
+    """One single-owner random substream identified by (seed, stream_id).
+
+    ``seed`` and ``stream_id`` are whole numbers in ``[0, 2**64)``, stored as
+    ints.  ``gen`` is the Philox generator keyed by the pair; it is built on
+    construction and cannot be passed in.  Instances must not be shared
+    mid-sequence; create one per trial (or per fixed purpose such as
+    pilot-pool generation) instead.
+    """
+
+    seed: int
+    stream_id: int = 0
+    gen: np.random.Generator = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("seed", "stream_id"):
+            value = _whole(name, getattr(self, name))
+            if not 0 <= value < 2**64:  # the pair is a uint64 Philox key
+                raise ValueError(f"{name} must satisfy 0 <= {name} < 2**64, got {value}")
+            setattr(self, name, value)
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
+        self.gen = np.random.Generator(np.random.Philox(key=key))
+
+
+def cgauss(rows: int, cols: int, variance: float, rng: RngStream) -> np.ndarray:
+    """Sample i.i.d. circularly-symmetric complex Gaussian entries.
+
+    Each entry has mean 0 and E|z|^2 = variance (real and imaginary parts
+    each carry variance/2).  The underlying standard-normal draws do not
+    depend on ``variance``, so two calls on identical streams with different
+    variances differ exactly by the scale factor sqrt(v2/v1).
+    """
+    if rows <= 0 or cols <= 0:
+        raise ValueError(f"dimensions must be positive, got {rows}x{cols}")
+    if not variance > 0:
+        raise ValueError(f"variance must be positive, got {variance}")
+    g = rng.gen
+    out = np.empty((rows, cols), dtype=np.complex128)
+    out.real = g.standard_normal((rows, cols))
+    out.imag = g.standard_normal((rows, cols))
+    out *= np.sqrt(0.5)
+    out *= np.sqrt(variance)
+    return out
+
+
 def noise_power(snr_db: float) -> float:
     """Noise variance for the unit receive-power convention; +inf SNR -> 0."""
     if math.isinf(snr_db) and snr_db > 0:
@@ -65,13 +137,16 @@ def noise_power(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemConfig:
     """Scenario dimensions and simulation controls.
 
     M antennas, N pilots of length L (L < N), detection reference signals of
     length l, K active users, detected-support size zeta, D data symbols per
     frame.  ``alpha = zeta / K`` is the aggressive-detection coefficient.
+    Each field takes its declared type on construction: an ``int`` field
+    takes a whole number (``16.0`` becomes ``16``, ``16.5`` is rejected) and
+    ``snr_db`` a real number, stored as a float.
     """
 
     M: int = 128
@@ -88,6 +163,15 @@ class SystemConfig:
     svd_cost: int = 4
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is int:
+                value = _whole(f.name, value)
+            elif f.type is float:
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ValueError(f"{f.name} takes real numbers, got {value!r}")
+                value = float(value)
+            object.__setattr__(self, f.name, value)
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
         if not 1 <= self.K <= self.N:
@@ -258,9 +342,7 @@ def gen_pdrs_codebook(cfg: SystemConfig, rng: RngStream) -> PdrsCodebook:
 
 
 def sample_activity(cfg: SystemConfig, rng: RngStream) -> ActivityPattern:
-    """Uniformly random K-subset of the N users, sorted ascending."""
-    if cfg.K > cfg.N:
-        raise ValueError(f"K={cfg.K} exceeds pool size N={cfg.N}")
+    """Uniformly random K-subset of the N users, sorted ascending; a built config has K <= N."""
     active = np.sort(rng.gen.choice(cfg.N, size=cfg.K, replace=False))
     return ActivityPattern(active, cfg.N)
 

@@ -19,7 +19,7 @@ from pdrslink.combining import demod_qpsk, dwe_weights, ls_channel_estimate, zf_
 from pdrslink.detectors import detect_bomp, detect_fpr, detect_pdrs_dwe, fpr_gram_pinv
 from pdrslink.harness import _mp_suite, _weight_equiv_suite
 from pdrslink.metrics import complexity_model
-from pdrslink.rng import RngStream
+from pdrslink.scenario import RngStream
 from pdrslink.scenario import (
     TRIAL_STREAM_BASE,
     SystemConfig,

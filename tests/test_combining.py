@@ -9,7 +9,7 @@ from pdrslink.combining import (
     zf_weights,
 )
 from pdrslink.detectors import detect_pdrs_dwe
-from pdrslink.rng import RngStream, cgauss
+from pdrslink.scenario import RngStream, cgauss
 from pdrslink.scenario import QPSK_POINTS, SystemConfig, synth_codebook, synth_frame, synth_pool
 
 

@@ -379,7 +379,9 @@ def test_sweep_spec_validation():
         SweepSpec(base=cfg, variable="K", values=[cfg.N + 1])
 
 
-@pytest.mark.parametrize("variable, value", [("K", 4.6), ("l", 1.5), ("l", 2.9)])
+@pytest.mark.parametrize(
+    "variable, value", [("K", 4.6), ("l", 1.5), ("l", 2.9), ("K", float("nan")), ("l", float("inf"))]
+)
 def test_sweep_spec_rejects_a_fractional_whole_number(variable, value):
     cfg = small_cfg()
     assert getattr(SweepSpec(cfg, variable, [2.0]).config_at(2.0), variable) == 2
@@ -436,6 +438,12 @@ def test_run_sweep_ordering_and_shape():
         (6.0, "pdrs"),
     ]
     assert all(r.sweep_var == "snr_db" for r in rows)
+
+
+def test_run_sweep_orders_values_as_numbers():
+    spec = SweepSpec(small_cfg(trials=2, D=0), "snr_db", ["10", "4"], ["oracle"])
+    assert spec.values == [4.0, 10.0]
+    assert [r.sweep_value for r in harness.run_sweep(spec)] == [4.0, 10.0]
 
 
 def _rows_without_wall_clock(rows):
@@ -552,7 +560,7 @@ def test_csv_round_trip(tmp_path):
         if math.isnan(want):
             assert math.isnan(have)
         else:
-            assert have == float(f"{want:.6g}")
+            assert have == want
 
 
 def test_emit_csv_rejects_empty_and_bad_path(tmp_path):
@@ -667,6 +675,8 @@ def test_lemma_check_passes_at_modest_size():
 def test_lemma_check_rejects_bad_iterations():
     with pytest.raises(ValueError):
         lemma_check(iterations=0)
+    with pytest.raises(ValueError, match="^iterations takes whole numbers, got 1.5$"):
+        lemma_check(iterations=1.5)
 
 
 def test_lemma_check_bounds_are_the_acceptance_bounds():

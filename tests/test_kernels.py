@@ -1,7 +1,7 @@
 import numpy as np
 
 from pdrslink import _kernels
-from pdrslink.rng import RngStream, cgauss
+from pdrslink.scenario import RngStream, cgauss
 
 
 def test_row_and_col_norms_against_loops():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdrslink.linalg import NORMAL_EQ_BOUND, as_cmatrix, orthonormal_step, pinv
-from pdrslink.rng import RngStream, cgauss
+from pdrslink.scenario import RngStream, cgauss
 from pdrslink.scenario import PilotPool, SystemConfig, synth_pool
 
 

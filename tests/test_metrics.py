@@ -15,7 +15,7 @@ from pdrslink.metrics import (
     post_sinr,
     symbol_errors,
 )
-from pdrslink.rng import RngStream, cgauss
+from pdrslink.scenario import RngStream, cgauss
 from pdrslink.scenario import ActivityPattern, SystemConfig
 
 ANCHOR = SystemConfig(M=128, N=1000, L=96, l=4, K=96, zeta=96, snr_db=4.0)

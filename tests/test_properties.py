@@ -7,7 +7,8 @@ signals, no data block, noiseless frames and pools with repeated pilots.
 Every counted ledger must equal its closed-form model, every direct weight
 row must equal its own pilot's product with ``pinv(Y)`` bit for bit, and
 ``run_point`` rows must not depend on the number of trial workers, with the
-library's BLAS pin active or bypassed.  A config file of small
+library's BLAS pin active or bypassed, nor on whether the config's whole
+numbers were given as ints or as floats.  A config file of small
 or junk values is either rejected with a ValueError or synthesises a frame,
 and so is a sweep of repeated, fractional or non-finite values and repeated
 or unknown detectors: rejected, or one row per distinct value and detector.
@@ -140,6 +141,8 @@ def test_run_point_rows_do_not_depend_on_the_worker_count(scenario, trials):
     for blas in (linalg.process_blas(), BYPASSED_PIN):
         rows = [_rows_without_wall_clock(cfg, threads, blas) for threads in ("1", "2", "3")]
         assert rows[0] == rows[1] == rows[2]
+    floats = {f.name: float(getattr(cfg, f.name)) for f in fields(cfg) if f.type is int}
+    assert _rows_without_wall_clock(replace(cfg, **floats), "1", linalg.process_blas()) == rows[0]
 
 
 #: Values that no key, or only some keys, take as valid.

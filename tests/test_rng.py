@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from pdrslink.rng import RngStream, cgauss
+from pdrslink.scenario import RngStream, cgauss
 
 
 def test_same_key_reproduces_bitwise():
@@ -57,6 +59,9 @@ def test_the_generator_is_keyed_not_passed_in():
     with pytest.raises(TypeError):
         RngStream(7, 0, np.random.default_rng(7))
     assert list(RngStream(7, 3).gen.bit_generator.state["state"]["key"]) == [7, 3]
+    whole = RngStream(7.0, np.uint64(3))
+    assert (whole.seed, whole.stream_id) == (7, 3)
+    assert type(whole.seed) is type(whole.stream_id) is int
 
 
 def test_rejects_bad_arguments():
@@ -69,3 +74,17 @@ def test_rejects_bad_arguments():
         cgauss(3, 3, 0.0, rng)
     with pytest.raises(ValueError):
         cgauss(3, 3, -1.0, rng)
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ((1.5, 0), "seed takes whole numbers, got 1.5"),
+        ((1, 0.5), "stream_id takes whole numbers, got 0.5"),
+        ((-1, 0), "seed must satisfy 0 <= seed < 2**64, got -1"),
+        ((0, 2**64), f"stream_id must satisfy 0 <= stream_id < 2**64, got {2**64}"),
+    ],
+)
+def test_a_stream_key_is_two_whole_numbers_below_2_64(key, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RngStream(*key)

@@ -1,9 +1,11 @@
 import math
+import re
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
-from pdrslink.rng import RngStream
+from pdrslink.scenario import RngStream
 from pdrslink.scenario import (
     QPSK_POINTS,
     TRIAL_STREAM_BASE,
@@ -40,6 +42,8 @@ def test_config_properties():
     assert cfg.alpha == 2.0
     assert math.isclose(cfg.sigma2, 0.1)
     assert cfg.with_zeta_from_alpha(1.0).zeta == cfg.K
+    with pytest.raises(FrozenInstanceError):
+        cfg.K = 6
 
 
 def test_config_validation():
@@ -67,6 +71,9 @@ def test_config_validation():
         small_cfg(snr_db=float("-inf"))
     with pytest.raises(ValueError, match="snr_db"):
         small_cfg(snr_db=-4000.0)  # its noise power overflows a float
+    with pytest.raises(ValueError, match="^snr_db takes real numbers, got '4'$"):
+        small_cfg(snr_db="4")
+    assert small_cfg(snr_db=4).snr_db == 4.0 and type(small_cfg(snr_db=4).snr_db) is float
     with pytest.raises(ValueError):
         small_cfg(pdrs_mode="fancy")
     with pytest.raises(ValueError):
@@ -79,6 +86,24 @@ def test_config_rejects_a_seed_outside_the_philox_key(seed):
     small_cfg(seed=2**64 - 1)
     with pytest.raises(ValueError, match=rf"^seed must satisfy 0 <= seed < 2\*\*64, got {seed}$"):
         small_cfg(seed=seed)
+
+
+#: Every SystemConfig field declared int.
+WHOLE_FIELDS = ("M", "N", "L", "l", "K", "zeta", "D", "trials", "seed", "svd_cost")
+
+
+@pytest.mark.parametrize("bad", [1.5, float("nan"), "16"])
+@pytest.mark.parametrize("name", WHOLE_FIELDS)
+def test_a_whole_number_field_rejects_anything_else(name, bad):
+    with pytest.raises(ValueError, match=f"^{name} takes whole numbers, got {re.escape(repr(bad))}$"):
+        small_cfg(**{name: bad})
+
+
+@pytest.mark.parametrize("name", WHOLE_FIELDS)
+def test_a_whole_number_field_stores_an_int(name):
+    for value in (16.0, np.int64(16)):
+        stored = getattr(small_cfg(**{name: value}), name)
+        assert type(stored) is int and stored == 16
 
 
 def test_qpsk_points_have_unit_modulus():
