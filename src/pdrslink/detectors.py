@@ -101,8 +101,9 @@ def detect_bomp(
     the lowest unselected index (the tie rule), not a draw of rounding noise.
     Every pick is one ``argmax`` over the powers with admitted users masked to
     ``-inf``; a non-finite winning power, at any pick, raises ValueError.
-    ``svd_cost`` is accepted for signature compatibility with the other
-    detectors; BOMP no longer computes a pseudo-inverse, so it has no effect.
+    ``svd_cost`` has no effect (BOMP computes no pseudo-inverse); it stays only
+    because ``pdrsbench/tracing.py`` passes it by position, as
+    ``tests/test_bench_contract.py`` checks.
     """
     Y = frame.Y
     M, L = Y.shape

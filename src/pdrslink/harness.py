@@ -2,17 +2,13 @@
 
 ``scenario`` decides what a run is (a frozen ``SystemConfig``, checked when
 it is built) and how it draws; this module maps trials and reduces them.
-Trials are embarrassingly parallel: every trial's frame comes from
-``scenario.synth_frame`` on its own counter-based stream, a thread pool maps
-the trials, and reduction walks the results in trial order, so every
-reported number except wall-clock time is independent of the worker count
-and of scheduling.  The pilot pool (``scenario.synth_pool``) and, when a
-detector needs it, its Gram pseudo-inverse are built once per sweep and
-shared by every point, since no sweep variable changes the seed, N or L.
-The reference-signal codebook (``scenario.synth_codebook``) follows l and is
-built once per sweep point; all trials of a point share it.
-``STAGE_TABLE`` says how each detection method runs, and ``DETECTOR_TABLE``
-pairs one with a combiner to make each detector.
+Every trial's frame comes from ``scenario.synth_frame`` on its own
+counter-based stream, so trials are embarrassingly parallel: ``run_sweep``
+maps them on one thread pool and adds up each point's results in trial
+order, and every reported number except wall-clock time is independent of
+the worker count and of scheduling.  ``STAGE_TABLE`` says how each
+detection method runs, and ``DETECTOR_TABLE`` pairs one with a combiner to
+make each detector.
 """
 
 import math
@@ -20,7 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -146,28 +142,30 @@ def worker_count() -> int:
     return 1 if process_blas().serial_only else n
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSpec:
     """One experiment: a base config, a variable to sweep, and detectors; none may repeat.
 
-    ``values`` is stored once, as ascending floats, and each must give a valid ``config_at``.
+    Frozen, as ``SystemConfig`` is.  ``values`` is stored as a tuple of ascending
+    floats, each giving a valid ``config_at``, and ``detectors`` as a tuple.
     """
 
     base: SystemConfig
     variable: str
-    values: list[float]
-    detectors: list[str] = field(default_factory=lambda: ["pdrs"])
+    values: tuple[float, ...]
+    detectors: tuple[str, ...] = ("pdrs",)
 
     def __post_init__(self):
         if self.variable not in SWEEP_VARS:
             raise ValueError(f"sweep variable must be one of {SWEEP_VARS}, got {self.variable!r}")
+        object.__setattr__(self, "values", tuple(sorted(float(v) for v in self.values)))
+        object.__setattr__(self, "detectors", tuple(self.detectors))
         if not self.values:
             raise ValueError("sweep values must be nonempty")
         if not self.detectors:
             raise ValueError("detector list must be nonempty")
         for d in self.detectors:
             _spec(d)
-        self.values = sorted(float(v) for v in self.values)
         for what, items in (("value", self.values), ("detector", self.detectors)):
             again = [x for i, x in enumerate(items) if x in items[:i]]
             if again:
@@ -246,9 +244,14 @@ def parse_config(path: str | Path) -> SystemConfig:
         first_line[key] = lineno
         kind = kinds[key]
         try:
-            overrides[key] = kind(val)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: {key} = {val!r} is not a valid {kind.__name__}") from None
+            try:
+                overrides[key] = kind(val)
+            except ValueError:
+                if kind is not int:
+                    raise
+                overrides[key] = _whole(key, float(val))  # 16.0 and 1e3 pass; 16.5 names the key
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key} = {val!r}: {exc}") from None
     try:
         return SystemConfig(**overrides)
     except ValueError as exc:
@@ -342,14 +345,45 @@ def _guarded_rate(count: int, samples: int) -> float:
 
 
 def run_point(cfg: SystemConfig, detectors: list[str]) -> list[ResultRow]:
-    """Run cfg.trials Monte-Carlo trials at one point: a one-value ``snr_db`` sweep.
+    """Run cfg.trials trials at one point: a one-value ``snr_db`` sweep, by ``run_sweep``'s rules."""
+    return run_sweep(SweepSpec(cfg, "snr_db", (cfg.snr_db,), detectors))
 
-    Rows come in the caller's detector order.  Every trial runs.  If any
-    fails, the point is abandoned: a diagnostic row with nan metrics is
-    emitted per detector, and one stderr line gives the number of failed
-    trials and the first error in trial order.
-    """
-    return run_sweep(SweepSpec(cfg, "snr_db", [cfg.snr_db], list(detectors)))
+
+class _Tally:
+    """One detector's sums over a sweep point's trials, added in trial order."""
+
+    def __init__(self, counted: int):
+        self.counted = counted  # trial 0's ledger
+        self.miss = self.false_pos = self.sym_errors = self.sym_total = self.sinr_n = 0
+        self.sinr_sum = self.wall_sum = 0.0
+
+    def add(self, m: TrialMetrics) -> None:
+        self.miss += m.miss
+        self.false_pos += m.false_pos
+        self.sym_errors += m.sym_errors
+        self.sym_total += m.sym_total
+        self.sinr_sum += float(np.sum(m.post_sinr_db))
+        self.sinr_n += m.post_sinr_db.size
+        self.wall_sum += m.wall_ms
+
+    def columns(self, cfg: SystemConfig) -> dict:
+        """The row's metric columns."""
+        return {
+            "miss_rate": _guarded_rate(self.miss, cfg.trials * cfg.K),
+            "false_pos_rate": _guarded_rate(self.false_pos, cfg.trials * (cfg.N - cfg.K)),
+            "ser": self.sym_errors / self.sym_total if self.sym_total else math.nan,
+            "mean_post_sinr_db": self.sinr_sum / self.sinr_n if self.sinr_n else math.nan,
+            "counted_mults": self.counted,
+            "wall_clock_ms": self.wall_sum / cfg.trials,
+        }
+
+
+#: The metric columns of a point with a failed trial.
+_FAILED_COLUMNS = {"counted_mults": 0} | dict.fromkeys(
+    ("miss_rate", "false_pos_rate", "ser", "mean_post_sinr_db", "wall_clock_ms"), math.nan
+)
+#: The columns a row copies from its point's config.
+_CONFIG_COLUMNS = ("snr_db", "K", "L", "N", "M", "l", "zeta", "trials", "seed")
 
 
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
@@ -357,94 +391,70 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
 
     Each point's rows equal those of ``run_point`` on ``spec.config_at(value)``
     with the same detectors, relabelled with the sweep variable and value.
-    The pilot pool and, when a stage needs it, its Gram pseudo-inverse are
-    built once and shared by every point.
+    The pilot pool, its Gram pseudo-inverse when a stage needs it, and each
+    point's config and codebook are built once.  One thread pool maps the
+    trials, a task running its trial at every point in value order; each
+    point adds up the results in trial order as they arrive, so no row
+    depends on the worker count.
+
+    Every trial runs.  A point with any failed trial gets rows with nan
+    metrics and ``counted_mults`` 0, and one stderr line, in value order:
+    ``sweep point <var>=<value>: <k> of <n> trials failed; first: <msg>``,
+    where ``<msg>`` is the point's first failure in trial order.
 
     While it runs, the BLAS is pinned to one thread (``process_blas().pinned()``),
     so the trial pool owns the cores and no row depends on the BLAS thread
     count.  The pin is process-wide: other threads' BLAS calls run on one
     thread too until the last running sweep returns and restores the count.
     """
+    detectors = list(spec.detectors)
+    trials = spec.base.trials  # no sweep variable changes it
     with process_blas().pinned():
         pool = synth_pool(spec.base)
-        needs_gram = any(STAGE_TABLE[DETECTOR_TABLE[d].stage].needs_gram for d in spec.detectors)
+        needs_gram = any(STAGE_TABLE[DETECTOR_TABLE[d].stage].needs_gram for d in detectors)
         gram_pinv = fpr_gram_pinv(pool) if needs_gram else None
-        rows: list[ResultRow] = []
-        for value in spec.values:
-            cfg = spec.config_at(value)
-            rows.extend(_run_point(cfg, spec.detectors, spec.variable, value, pool, gram_pinv))
-    return rows
+        points = [(cfg, synth_codebook(cfg)) for cfg in map(spec.config_at, spec.values)]
 
+        def work(i: int) -> list[dict[str, TrialMetrics] | Exception]:
+            out = []
+            for cfg, codebook in points:
+                try:
+                    out.append(run_trial(cfg, pool, codebook, gram_pinv, i, detectors))
+                except Exception as exc:
+                    out.append(exc)
+            return out
 
-def _run_point(
-    cfg: SystemConfig,
-    detectors: list[str],
-    sweep_var: str,
-    value: float,
-    pool: PilotPool,
-    gram_pinv: np.ndarray | None,
-) -> list[ResultRow]:
-    """One sweep point's rows, with the pool and Gram pseudo-inverse already built."""
-    codebook = synth_codebook(cfg)
-
-    def work(i: int) -> dict[str, TrialMetrics] | Exception:
-        try:
-            return run_trial(cfg, pool, codebook, gram_pinv, i, detectors)
-        except Exception as exc:
-            return exc
-
-    # map yields in trial order; a failed trial yields its error, so all run
-    with ThreadPoolExecutor(max_workers=worker_count()) as executor:
-        trials = list(executor.map(work, range(cfg.trials)))
-    errors = [t for t in trials if isinstance(t, Exception)]
-    if errors:
-        failed = f"{len(errors)} of {cfg.trials} trials failed; first: {errors[0]}"
-        print(f"sweep point {sweep_var}={value}: {failed}", file=sys.stderr)
+        tallies: list[dict[str, _Tally]] = [{} for _ in points]
+        failed, first_error = [0] * len(points), [None] * len(points)
+        # map yields in trial order; a failed trial yields its error, so all run
+        with ThreadPoolExecutor(max_workers=worker_count()) as executor:
+            for results in executor.map(work, range(trials)):
+                for p, result in enumerate(results):
+                    if isinstance(result, Exception):
+                        failed[p] += 1
+                        first_error[p] = first_error[p] or result
+                        continue
+                    if not tallies[p]:  # the point's first result: trial 0, unless the point failed
+                        tallies[p] = {name: _Tally(m.mult_count) for name, m in result.items()}
+                    for name, m in result.items():
+                        tallies[p][name].add(m)
 
     rows = []
-    for name in detectors:
-        model = complexity_model(cfg, DETECTOR_TABLE[name].stage)
-        if not errors:
-            per = [trial[name] for trial in trials]
-            miss = sum(t.miss for t in per)
-            fp = sum(t.false_pos for t in per)
-            err = sum(t.sym_errors for t in per)
-            tot = sum(t.sym_total for t in per)
-            sinr_sum = sum(float(np.sum(t.post_sinr_db)) for t in per)
-            sinr_n = sum(t.post_sinr_db.size for t in per)
-            miss_rate = _guarded_rate(miss, cfg.trials * cfg.K)
-            fp_rate = _guarded_rate(fp, cfg.trials * (cfg.N - cfg.K))
-            ser = err / tot if tot else math.nan
-            sinr = sinr_sum / sinr_n if sinr_n else math.nan
-            counted = per[0].mult_count
-            wall = sum(t.wall_ms for t in per) / len(per)
-        else:
-            miss_rate = fp_rate = ser = sinr = math.nan
-            counted = 0
-            wall = math.nan
-        rows.append(
-            ResultRow(
-                sweep_var=sweep_var,
-                sweep_value=value,
-                snr_db=cfg.snr_db,
-                K=cfg.K,
-                L=cfg.L,
-                N=cfg.N,
-                M=cfg.M,
-                l=cfg.l,
-                zeta=cfg.zeta,
-                detector=name,
-                trials=cfg.trials,
-                miss_rate=miss_rate,
-                false_pos_rate=fp_rate,
-                ser=ser,
-                mean_post_sinr_db=sinr,
-                modeled_mults=model.detect_mults,
-                counted_mults=counted,
-                wall_clock_ms=wall,
-                seed=cfg.seed,
+    for value, (cfg, _), point, k, error in zip(spec.values, points, tallies, failed, first_error):
+        if k:
+            msg = f"{k} of {trials} trials failed; first: {error}"
+            print(f"sweep point {spec.variable}={value}: {msg}", file=sys.stderr)
+        for name in detectors:
+            rows.append(
+                ResultRow(
+                    sweep_var=spec.variable,
+                    sweep_value=value,
+                    detector=name,
+                    modeled_mults=complexity_model(cfg, DETECTOR_TABLE[name].stage).detect_mults,
+                    **{c: getattr(cfg, c) for c in _CONFIG_COLUMNS},
+                    **(_FAILED_COLUMNS if k else point[name].columns(cfg)),
+                )
             )
-        )
     return rows
 
 

@@ -4,27 +4,11 @@ Matrices are plain 2-D ``numpy.ndarray`` (row-major) and vectors are 1-D
 float/complex arrays.  All matrix functions are pure, never mutate their
 inputs, and return finite values for finite inputs.
 
-``pinv`` keeps a real input real: a non-complex input is computed in
-float64 and a complex one in complex128.  For either dtype it picks its
-rule from the input's shape, in this order:
-
-1. a square input: an LU inverse;
-2. a tall input: the normal equations ``X0 = inv(A^H A) A^H`` and one
-   Newton-Schulz step ``X = 2 X0 - (X0 A) X0``, kept only when the
-   contraction certificate ``||G||_F ||G^-1||_F rows eps <= NORMAL_EQ_BOUND``
-   holds for ``G = A^H A``.  The step's two products form the small
-   cols x cols matrix ``X0 A``, so they cost ``2 rows cols^2`` multiplies,
-   not the ``2 rows^2 cols`` of forming the rows x rows ``A X0``;
-3. the SVD: for a wide input, and for any input whose fast result fails its
-   certificate.
-
-The fast results must also pass the full-rank certificate
-``||A||_F * ||X||_F * rel_tol < 1``.  It bounds the condition number below
-``1 / rel_tol``, so the SVD would have kept every singular value and both
-give the same pseudo-inverse up to rounding.  No rule calls numpy's QR,
-linear solve or determinant.  In numpy 2.4 QR and determinant hold the
-interpreter lock (two threads ran them slower than one), so the trial
-threads would queue on them.
+``pinv`` picks one of three rules (LU, certified normal equations, SVD) from
+the input's shape; its docstring states them and their certificates.  No
+rule calls numpy's QR, linear solve or determinant.  In numpy 2.4 QR and
+determinant hold the interpreter lock (two threads ran them slower than
+one), so the trial threads would queue on them.
 
 ``BlasThreads`` owns the thread count of the BLAS that numpy loaded:
 ``run_sweep`` pins it to one thread while its trial pool runs.
@@ -100,7 +84,8 @@ def pinv(a, rel_tol: float | None = None) -> np.ndarray:
     2. a tall input takes the normal equations and one Newton-Schulz step,
        ``G = A^H A``, ``X0 = inv(G) A^H``, ``X = 2 X0 - (X0 A) X0``, when the
        contraction certificate ``||G||_F ||G^-1||_F rows eps <= NORMAL_EQ_BOUND``
-       holds (the product ``X0 A`` is cols x cols, the small side);
+       holds.  The step forms the small cols x cols ``X0 A``, so its two
+       products cost ``2 rows cols^2`` multiplies, not ``2 rows^2 cols``;
     3. the SVD, which applies the cutoff: for a wide input, an input whose
        ``inv`` finds it singular, and one that fails a certificate.
 

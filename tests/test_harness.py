@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 import threading
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -440,9 +440,22 @@ def test_run_sweep_ordering_and_shape():
     assert all(r.sweep_var == "snr_db" for r in rows)
 
 
+def test_a_built_sweep_spec_cannot_change():
+    spec = SweepSpec(small_cfg(trials=2, D=0), "snr_db", [0.0, 4.0], ["oracle"])
+    before = harness.run_sweep(spec)
+    with pytest.raises(AttributeError):
+        spec.values.append(4.0)
+    with pytest.raises(FrozenInstanceError):
+        spec.values = [0.0, 4.0, 4.0]
+    with pytest.raises(FrozenInstanceError):
+        spec.detectors = ["oracle", "oracle"]
+    assert (spec.values, spec.detectors) == ((0.0, 4.0), ("oracle",))
+    assert _rows_without_wall_clock(harness.run_sweep(spec)) == _rows_without_wall_clock(before)
+
+
 def test_run_sweep_orders_values_as_numbers():
     spec = SweepSpec(small_cfg(trials=2, D=0), "snr_db", ["10", "4"], ["oracle"])
-    assert spec.values == [4.0, 10.0]
+    assert spec.values == (4.0, 10.0)
     assert [r.sweep_value for r in harness.run_sweep(spec)] == [4.0, 10.0]
 
 
@@ -454,7 +467,10 @@ def _rows_without_wall_clock(rows):
     ]
 
 
-@pytest.mark.parametrize("variable,values", [("snr_db", [6.0, 0.0, 3.0]), ("l", [3, 1])])
+@pytest.mark.parametrize(
+    "variable,values",
+    [("snr_db", [6.0, 0.0, 3.0]), ("l", [3, 1]), ("alpha", [1.0, 2.0]), ("K", [4, 6])],
+)
 def test_run_sweep_rows_equal_run_point_rows(variable, values):
     cfg = small_cfg(trials=4)
     dets = ["pdrs", "fpr", "oracle"]
@@ -467,8 +483,35 @@ def test_run_sweep_rows_equal_run_point_rows(variable, values):
     assert _rows_without_wall_clock(swept) == _rows_without_wall_clock(separate)
 
 
+def test_a_failed_point_leaves_the_other_points_of_its_sweep_alone(monkeypatch, capsys):
+    cfg = small_cfg(trials=4)
+    dets = ["pdrs", "oracle"]
+    spec = SweepSpec(cfg, "snr_db", [0.0, 4.0, 8.0], dets)
+    healthy = {v: run_point(spec.config_at(v), dets) for v in (0.0, 8.0)}
+
+    def flaky(cfg, pool, codebook, t):
+        if cfg.snr_db == 4.0 and t != 2:
+            raise ValueError("synthetic failure")
+        return synth_frame(cfg, pool, codebook, t)
+
+    monkeypatch.setattr(harness, "synth_frame", flaky)
+    monkeypatch.setenv("PDRS_THREADS", "2")
+    capsys.readouterr()
+    rows = harness.run_sweep(spec)
+    assert capsys.readouterr().err.splitlines() == [
+        "sweep point snr_db=4.0: 3 of 4 trials failed; first: trial 0, synthesis: synthetic failure"
+    ]
+    failed = [r for r in rows if r.sweep_value == 4.0]
+    assert [r.detector for r in failed] == dets
+    assert all(math.isnan(r.miss_rate) and r.counted_mults == 0 for r in failed)
+    for v, alone in healthy.items():
+        assert _rows_without_wall_clock([r for r in rows if r.sweep_value == v]) == (
+            _rows_without_wall_clock(alone)
+        )
+
+
 def test_run_sweep_builds_pool_and_gram_once(monkeypatch):
-    calls = {"fpr_gram_pinv": 0, "synth_pool": 0}
+    calls = {"fpr_gram_pinv": 0, "synth_pool": 0, "ThreadPoolExecutor": 0}
 
     def counted(name):
         original = getattr(harness, name)
@@ -481,12 +524,15 @@ def test_run_sweep_builds_pool_and_gram_once(monkeypatch):
 
     counted("fpr_gram_pinv")
     counted("synth_pool")
+    counted("ThreadPoolExecutor")
     spec = SweepSpec(
         base=small_cfg(trials=2), variable="snr_db", values=[0.0, 4.0, 8.0], detectors=["fpr"]
     )
     rows = harness.run_sweep(spec)
     assert len(rows) == 3
-    assert calls == {"fpr_gram_pinv": 1, "synth_pool": 1}
+    assert calls == {"fpr_gram_pinv": 1, "synth_pool": 1, "ThreadPoolExecutor": 1}
+    assert len(run_point(spec.base, ["fpr"])) == 1
+    assert calls == {"fpr_gram_pinv": 2, "synth_pool": 2, "ThreadPoolExecutor": 2}
 
 
 @pytest.mark.parametrize(
@@ -593,6 +639,14 @@ def test_parse_config(tmp_path):
     assert cfg.pdrs_mode == "orthogonal-reuse"
     assert cfg.trials == 7
     assert cfg.D == SystemConfig().D  # unset keys keep defaults
+
+
+def test_parse_config_takes_whole_floats_and_keeps_big_ints_exact(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"M = 16.0\nN = 1e3\nseed = {2**64 - 1}\n")
+    cfg = parse_config(path)
+    assert (cfg.M, cfg.N, cfg.seed) == (16, 1000, 2**64 - 1)
+    assert all(type(v) is int for v in (cfg.M, cfg.N, cfg.seed))
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):
