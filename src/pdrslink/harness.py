@@ -2,11 +2,14 @@
 
 ``scenario`` decides what a run is (a frozen ``SystemConfig``, checked when
 it is built) and how it draws; this module maps trials and reduces them.
-Every trial's frame comes from ``scenario.synth_frame`` on its own
+Every trial's draws come from ``scenario.draw_trial`` on its own
 counter-based stream, so trials are embarrassingly parallel: ``run_sweep``
 maps them on one thread pool and adds up each point's results in trial
 order, and every reported number except wall-clock time is independent of
-the worker count and of scheduling.  ``STAGE_TABLE`` says how each
+the worker count and of scheduling.  A trial does each piece of work once:
+it draws once per draw key and forms each point's frame from that draw, a
+detection stage runs once per frame, and a (combiner, support) pair is
+combined and scored once per frame.  ``STAGE_TABLE`` says how each
 detection method runs, and ``DETECTOR_TABLE`` pairs one with a combiner to
 make each detector.
 """
@@ -39,8 +42,8 @@ from .metrics import (
     post_sinr,
     symbol_errors,
 )
-from .scenario import PdrsCodebook, PilotPool, RngStream, SystemConfig, _whole, cgauss
-from .scenario import synth_codebook, synth_frame, synth_pool
+from .scenario import PdrsCodebook, PilotPool, ReceivedFrame, RngStream, SystemConfig, _whole
+from .scenario import cgauss, draw_trial, synth_codebook, synth_frame, synth_pool
 
 # The stream ids live in scenario; pdrsbench/ imports them from here, so they stay importable.
 from .scenario import CODEBOOK_STREAM, POOL_STREAM, TRIAL_STREAM_BASE  # noqa: F401
@@ -277,19 +280,44 @@ def run_trial(
 
     The frame depends only on (cfg.seed, trial_index), never on the detector
     list, so adding a detector to a sweep does not move any other detector's
-    numbers.  Each distinct detection stage runs once; every detector that
-    shares it is charged its full time in ``wall_ms``.  A failure raises
-    RuntimeError naming the trial and the step that raised:
-    ``trial <t>, synthesis: <msg>``, or ``trial <t>, detector <name>,
-    <step>: <msg>`` with step detect, combine, score, demod or sinr.
+    numbers.  Each distinct detection stage runs once, and each distinct
+    (combiner, detected support) is combined and scored once; every detector
+    that shares one is charged its full time in ``wall_ms`` and keeps its own
+    ``mult_count``.  A failure raises RuntimeError naming the trial and the
+    step that raised: ``trial <t>, synthesis: <msg>``, or ``trial <t>,
+    detector <name>, <step>: <msg>`` with step detect, combine, score, demod
+    or sinr.
     """
     specs = {name: _spec(name) for name in detectors}
+    frame = _synthesis(trial_index, synth_frame, cfg, pool, codebook, trial_index)
+    return _score_frame(cfg, pool, codebook, gram_pinv, trial_index, specs, frame)
+
+
+def _synthesis(trial_index: int, make: Callable, *args):
+    """``make(*args)``, a failure raised as ``trial <t>, synthesis: <msg>``."""
     try:
-        frame = synth_frame(cfg, pool, codebook, trial_index)
+        return make(*args)
     except Exception as exc:
         raise RuntimeError(f"trial {trial_index}, synthesis: {exc}") from exc
+
+
+def _score_frame(
+    cfg: SystemConfig,
+    pool: PilotPool,
+    codebook: PdrsCodebook,
+    gram_pinv: np.ndarray | None,
+    trial_index: int,
+    specs: dict[str, DetectorSpec],
+    frame: ReceivedFrame,
+) -> dict[str, TrialMetrics]:
+    """``run_trial`` after synthesis: every detector of ``specs`` scored on ``frame``.
+
+    Everything after detection is a function of the frame, the combiner and
+    the detected support, so detectors that share both share one result.
+    """
     truth = frame.ground_truth
     stages: dict[str, tuple[DetectionResult, float]] = {}
+    combined: dict[tuple[str, bytes], tuple[TrialMetrics, float]] = {}
     out: dict[str, TrialMetrics] = {}
     for name, spec in specs.items():
         step = "detect"
@@ -301,32 +329,66 @@ def run_trial(
                 stages[spec.stage] = res, (time.perf_counter() - t0) * 1e3
             res, stage_ms = stages[spec.stage]
 
-            t0 = time.perf_counter()
-            step = "combine"
-            if spec.combiner == "dwe":
-                weights = dwe_weights(frame, pool, res.detected, y_pinv=res.y_pinv)
-            else:
-                h_est = ls_channel_estimate(frame, pool, res.detected)
-                weights = zf_weights(h_est, res.detected)
-            step = "score"
-            m = detection_metrics(res, truth)
-            tp_mask = np.isin(res.detected, truth.active, assume_unique=True)
-            tp_users = res.detected[tp_mask]
-            tp_W = weights.W[tp_mask]
-            if frame.Y_D.shape[1] and tp_users.size:
-                step = "demod"
-                decided = demod_qpsk(tp_W @ frame.Y_D)
-                sent_rows = np.searchsorted(truth.active, tp_users)
-                m.sym_errors = symbol_errors(decided, frame.X_D[sent_rows])
-                m.sym_total = decided.size
-            if tp_users.size:
-                step = "sinr"
-                m.post_sinr_db = post_sinr(tp_W, tp_users, frame.H, truth.active, frame.sigma2)
+            key = spec.combiner, res.detected.astype(np.int64, copy=False).tobytes()
+            if key not in combined:
+                t0 = time.perf_counter()
+                step = "combine"
+                if spec.combiner == "dwe":
+                    weights = dwe_weights(frame, pool, res.detected, y_pinv=res.y_pinv)
+                else:
+                    h_est = ls_channel_estimate(frame, pool, res.detected)
+                    weights = zf_weights(h_est, res.detected)
+                step = "score"
+                m = detection_metrics(res, truth)
+                tp_mask = np.isin(res.detected, truth.active, assume_unique=True)
+                tp_users = res.detected[tp_mask]
+                tp_W = weights.W[tp_mask]
+                if frame.Y_D.shape[1] and tp_users.size:
+                    step = "demod"
+                    decided = demod_qpsk(tp_W @ frame.Y_D)
+                    sent_rows = np.searchsorted(truth.active, tp_users)
+                    m.sym_errors = symbol_errors(decided, frame.X_D[sent_rows])
+                    m.sym_total = decided.size
+                if tp_users.size:
+                    step = "sinr"
+                    m.post_sinr_db = post_sinr(tp_W, tp_users, frame.H, truth.active, frame.sigma2)
+                combined[key] = m, (time.perf_counter() - t0) * 1e3
+            m, combine_ms = combined[key]
         except Exception as exc:
             raise RuntimeError(f"trial {trial_index}, detector {name}, {step}: {exc}") from exc
-        m.mult_count = res.mults
-        m.wall_ms = stage_ms + (time.perf_counter() - t0) * 1e3
-        out[name] = m
+        out[name] = replace(m, mult_count=res.mults, wall_ms=stage_ms + combine_ms)
+    return out
+
+
+def _trial_on_one_draw(
+    cfgs: list[SystemConfig],
+    pool: PilotPool,
+    codebook: PdrsCodebook,
+    gram_pinv: np.ndarray | None,
+    trial_index: int,
+    specs: dict[str, DetectorSpec],
+) -> list[dict[str, TrialMetrics] | Exception]:
+    """One trial at points that share a draw key: one result or error per config.
+
+    The trial draws once; each point's frame is formed from the draw and
+    lives for one ``_score_frame`` call, the last in the draw's own arrays.
+    A failed draw is the error of every point.
+    """
+    try:
+        draw = _synthesis(trial_index, draw_trial, cfgs[0], pool, codebook, trial_index)
+    except RuntimeError as exc:
+        return [exc] * len(cfgs)
+    out: list[dict[str, TrialMetrics] | Exception] = []
+    for k, cfg in enumerate(cfgs):
+        try:  # the frame is only an argument, so it is freed before the next is formed
+            out.append(
+                _score_frame(
+                    cfg, pool, codebook, gram_pinv, trial_index, specs,
+                    _synthesis(trial_index, draw.frame, cfg.sigma2, k == len(cfgs) - 1),
+                )
+            )
+        except Exception as exc:
+            out.append(exc)
     return out
 
 
@@ -392,15 +454,20 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     Each point's rows equal those of ``run_point`` on ``spec.config_at(value)``
     with the same detectors, relabelled with the sweep variable and value.
     The pilot pool, its Gram pseudo-inverse when a stage needs it, and each
-    point's config and codebook are built once.  One thread pool maps the
-    trials, a task running its trial at every point in value order; each
-    point adds up the results in trial order as they arrive, so no row
-    depends on the worker count.
+    point's config are built once.  Points share a draw key when their
+    configs differ only in ``snr_db`` and ``zeta``; they share one codebook,
+    and a trial draws once for them all and forms each point's frame from
+    that draw (so ``snr_db`` and ``alpha`` sweeps draw once per trial, ``K``
+    and ``l`` sweeps at every point).  One thread pool maps the trials, a
+    task running its trial at every point in value order; each point adds
+    up the results in trial order as they arrive, so no row depends on the
+    worker count.
 
     Every trial runs.  A point with any failed trial gets rows with nan
     metrics and ``counted_mults`` 0, and one stderr line, in value order:
     ``sweep point <var>=<value>: <k> of <n> trials failed; first: <msg>``,
-    where ``<msg>`` is the point's first failure in trial order.
+    where ``<msg>`` is the point's first failure in trial order.  A failed
+    draw fails its trial at every point that shares the draw.
 
     While it runs, the BLAS is pinned to one thread (``process_blas().pinned()``),
     so the trial pool owns the cores and no row depends on the BLAS thread
@@ -408,20 +475,26 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     thread too until the last running sweep returns and restores the count.
     """
     detectors = list(spec.detectors)
+    specs = {name: _spec(name) for name in detectors}
     trials = spec.base.trials  # no sweep variable changes it
     with process_blas().pinned():
         pool = synth_pool(spec.base)
         needs_gram = any(STAGE_TABLE[DETECTOR_TABLE[d].stage].needs_gram for d in detectors)
         gram_pinv = fpr_gram_pinv(pool) if needs_gram else None
-        points = [(cfg, synth_codebook(cfg)) for cfg in map(spec.config_at, spec.values)]
+        points = [spec.config_at(v) for v in spec.values]
+        by_key: dict[SystemConfig, list[int]] = {}
+        for p, cfg in enumerate(points):  # the draws read every field but these two
+            by_key.setdefault(replace(cfg, snr_db=0.0, zeta=1), []).append(p)
+        groups = [
+            ([points[p] for p in ps], synth_codebook(points[ps[0]]), ps) for ps in by_key.values()
+        ]
 
         def work(i: int) -> list[dict[str, TrialMetrics] | Exception]:
-            out = []
-            for cfg, codebook in points:
-                try:
-                    out.append(run_trial(cfg, pool, codebook, gram_pinv, i, detectors))
-                except Exception as exc:
-                    out.append(exc)
+            out: list[dict[str, TrialMetrics] | Exception] = [None] * len(points)
+            for cfgs, codebook, ps in groups:
+                results = _trial_on_one_draw(cfgs, pool, codebook, gram_pinv, i, specs)
+                for p, result in zip(ps, results):
+                    out[p] = result
             return out
 
         tallies: list[dict[str, _Tally]] = [{} for _ in points]
@@ -440,7 +513,7 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
                         tallies[p][name].add(m)
 
     rows = []
-    for value, (cfg, _), point, k, error in zip(spec.values, points, tallies, failed, first_error):
+    for value, cfg, point, k, error in zip(spec.values, points, tallies, failed, first_error):
         if k:
             msg = f"{k} of {trials} trials failed; first: {error}"
             print(f"sweep point {spec.variable}={value}: {msg}", file=sys.stderr)

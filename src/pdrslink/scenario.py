@@ -19,9 +19,13 @@ result by ``sqrt(0.5)`` and then by ``sqrt(variance)``.  Stream
 (1) the reference codebook (N x l normals, or N base-code picks in
 orthogonal-reuse mode), and stream ``TRIAL_STREAM_BASE + t`` (16 + t)
 everything in trial t, in this order: the active set, the M x K channel of
-the active users, the data symbols, then the noise of the reference, pilot
-and data blocks (none at infinite SNR, and no data noise when D = 0).
-Only the ``synth_*`` functions map keys to draws, and ``assemble_frame``
+the active users, the data symbols, then the unit-variance noise of the
+reference, pilot and data blocks (no data noise when D = 0).  The noise is
+drawn at every SNR, infinite SNR included, as the last draws of the stream;
+a frame adds ``noise * sqrt(sigma2)`` only when ``sigma2 > 0``.  So the
+frames of one trial at different SNRs share every draw, and a sweep draws
+once per trial and draw key and scales the noise per point.  Only the
+``draw_*`` and ``synth_*`` functions map keys to draws, and ``draw_frame``
 fixes the order after the active set.
 """
 
@@ -43,16 +47,19 @@ __all__ = [
     "PdrsCodebook",
     "ActivityPattern",
     "ReceivedFrame",
+    "FrameDraw",
     "noise_power",
     "gen_pilot_pool",
     "gen_pdrs_codebook",
     "sample_activity",
+    "draw_frame",
     "assemble_frame",
     "POOL_STREAM",
     "CODEBOOK_STREAM",
     "TRIAL_STREAM_BASE",
     "synth_pool",
     "synth_codebook",
+    "draw_trial",
     "synth_frame",
 ]
 
@@ -347,6 +354,88 @@ def sample_activity(cfg: SystemConfig, rng: RngStream) -> ActivityPattern:
     return ActivityPattern(active, cfg.N)
 
 
+@dataclass
+class FrameDraw:
+    """One trial's draws: everything its frame at any noise power is formed from.
+
+    ``Y_R``, ``Y`` and ``Y_D`` are the noiseless blocks and ``noise`` the
+    unit-variance noise of each, in that order (None for the data block when
+    D = 0, and for every block once the draw is spent).  ``frame(sigma2)``
+    forms the frame at one noise power.
+    """
+
+    Y_R: np.ndarray
+    Y: np.ndarray
+    Y_D: np.ndarray
+    noise: tuple[np.ndarray | None, ...]
+    ground_truth: ActivityPattern
+    H: np.ndarray
+    X_D: np.ndarray = field(repr=False)
+    spent: bool = field(default=False, init=False)
+
+    def frame(self, sigma2: float, last: bool = False) -> ReceivedFrame:
+        """The frame at noise power ``sigma2``: each block plus ``noise * sqrt(sigma2)``.
+
+        No noise is added at ``sigma2 = 0``.  ``last`` forms the frame in the
+        draw's own arrays, which copies nothing but spends the draw: it serves
+        no further frame.  Every frame shares ``H``, ``X_D`` and the truth.
+        """
+        if self.spent:
+            raise ValueError("the draw already served its last frame")
+        self.spent = last
+        scale = np.sqrt(sigma2)
+        blocks = []
+        for block, noise in zip((self.Y_R, self.Y, self.Y_D), self.noise):
+            if sigma2 > 0.0 and noise is not None:
+                if last:  # cgauss's order: scale the noise, then add it
+                    noise *= scale
+                    block += noise
+                else:  # the same sum, as addition commutes, in one new array
+                    scaled = noise * scale
+                    scaled += block
+                    block = scaled
+            elif not last:
+                block = block.copy()
+            blocks.append(block)
+        Y_R, Y, Y_D = blocks
+        if last:  # the spent draw frees its noise while the frame is scored
+            self.noise = (None, None, None)
+        return ReceivedFrame(
+            Y_R=Y_R, Y=Y, Y_D=Y_D, ground_truth=self.ground_truth, sigma2=sigma2,
+            H=self.H, X_D=self.X_D,
+        )
+
+
+def draw_frame(
+    cfg: SystemConfig,
+    pool: PilotPool,
+    codebook: PdrsCodebook,
+    activity: ActivityPattern,
+    rng: RngStream,
+) -> FrameDraw:
+    """Draw one frame's channel, data and noise for the active set ``activity``.
+
+    Only the active users' channel is drawn: M x K, i.i.d. CN(0, 1) (flat
+    Rayleigh, shared by all three segments), column k belonging to user
+    ``activity.active[k]``; data symbols are uniform unit-power QPSK.  Draw
+    order on the stream is fixed (channel, data symbols, then unit-variance
+    noise for the reference, pilot, and data blocks) and is part of the
+    determinism contract.
+    """
+    act = activity.active
+    H = cgauss(cfg.M, activity.K, 1.0, rng)
+    X_D = QPSK_POINTS[rng.gen.integers(0, 4, size=(activity.K, cfg.D))]
+    # the products draw nothing, so they may come first: with two trial
+    # threads this order page-faults far less than drawing the noise first
+    Y_R, Y, Y_D = H @ codebook.R[act], H @ pool.P[act], H @ X_D
+    noise = (
+        cgauss(cfg.M, cfg.l, 1.0, rng),
+        cgauss(cfg.M, cfg.L, 1.0, rng),
+        cgauss(cfg.M, cfg.D, 1.0, rng) if cfg.D > 0 else None,
+    )
+    return FrameDraw(Y_R, Y, Y_D, noise, activity, H, X_D)
+
+
 def assemble_frame(
     cfg: SystemConfig,
     pool: PilotPool,
@@ -354,27 +443,8 @@ def assemble_frame(
     activity: ActivityPattern,
     rng: RngStream,
 ) -> ReceivedFrame:
-    """Build one noisy received frame.
-
-    Only the active users' channel is drawn: M x K, i.i.d. CN(0, 1) (flat
-    Rayleigh, shared by all three segments), column k belonging to user
-    ``activity.active[k]``; data symbols are uniform unit-power QPSK.  Draw
-    order on the stream is fixed (channel, data symbols, then noise for the
-    reference, pilot, and data blocks) and is part of the determinism contract.
-    """
-    sigma2 = cfg.sigma2
-    act = activity.active
-    H = cgauss(cfg.M, activity.K, 1.0, rng)
-    X_D = QPSK_POINTS[rng.gen.integers(0, 4, size=(activity.K, cfg.D))]
-    Y_R = H @ codebook.R[act]
-    Y = H @ pool.P[act]
-    Y_D = H @ X_D
-    if sigma2 > 0.0:
-        Y_R += cgauss(cfg.M, cfg.l, sigma2, rng)
-        Y += cgauss(cfg.M, cfg.L, sigma2, rng)
-        if cfg.D > 0:
-            Y_D += cgauss(cfg.M, cfg.D, sigma2, rng)
-    return ReceivedFrame(Y_R=Y_R, Y=Y, Y_D=Y_D, ground_truth=activity, sigma2=sigma2, H=H, X_D=X_D)
+    """One received frame at ``cfg.sigma2``: ``draw_frame``, then its last frame."""
+    return draw_frame(cfg, pool, codebook, activity, rng).frame(cfg.sigma2, last=True)
 
 
 def synth_pool(cfg: SystemConfig) -> PilotPool:
@@ -387,10 +457,19 @@ def synth_codebook(cfg: SystemConfig) -> PdrsCodebook:
     return gen_pdrs_codebook(cfg, RngStream(cfg.seed, CODEBOOK_STREAM))
 
 
+def draw_trial(cfg: SystemConfig, pool: PilotPool, codebook: PdrsCodebook, t: int) -> FrameDraw:
+    """Trial ``t``'s draws: stream ``TRIAL_STREAM_BASE + t`` draws the active set, then the rest.
+
+    They read every field of ``cfg`` but ``snr_db`` and ``zeta``, so one draw
+    serves the trial at every point that differs from ``cfg`` only in those.
+    """
+    rng = RngStream(cfg.seed, TRIAL_STREAM_BASE + t)
+    activity = sample_activity(cfg, rng)
+    return draw_frame(cfg, pool, codebook, activity, rng)
+
+
 def synth_frame(
     cfg: SystemConfig, pool: PilotPool, codebook: PdrsCodebook, t: int
 ) -> ReceivedFrame:
-    """Trial ``t``'s frame: stream ``TRIAL_STREAM_BASE + t`` draws the active set, then the rest."""
-    rng = RngStream(cfg.seed, TRIAL_STREAM_BASE + t)
-    activity = sample_activity(cfg, rng)
-    return assemble_frame(cfg, pool, codebook, activity, rng)
+    """Trial ``t``'s frame at ``cfg.sigma2``: ``draw_trial``, then its last frame."""
+    return draw_trial(cfg, pool, codebook, t).frame(cfg.sigma2, last=True)

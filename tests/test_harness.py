@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from pdrslink.harness import (
     worker_count,
 )
 from pdrslink.linalg import BlasThreads, process_blas
-from pdrslink.scenario import SystemConfig, synth_codebook, synth_frame, synth_pool
+from pdrslink.scenario import SystemConfig, draw_trial, synth_codebook, synth_frame, synth_pool
 
 
 def small_cfg(**kw):
@@ -263,11 +264,11 @@ def test_a_sweep_runs_its_trials_on_one_blas_thread_and_then_restores_the_count(
     before = blas.threads()
     seen = []
 
-    def frame_and_count(*args):
+    def draw_and_count(*args):
         seen.append(blas.threads())
-        return synth_frame(*args)
+        return draw_trial(*args)
 
-    monkeypatch.setattr(harness, "synth_frame", frame_and_count)
+    monkeypatch.setattr(harness, "draw_trial", draw_and_count)
     run_point(small_cfg(trials=4), ["pdrs"])
     assert seen == [1] * 4
     assert blas.threads() == before
@@ -328,9 +329,9 @@ def test_run_point_counts_every_failed_trial(monkeypatch, capsys, failing, count
     def flaky(cfg, pool, codebook, t):
         if t in failing:
             raise ValueError("synthetic failure")
-        return synth_frame(cfg, pool, codebook, t)
+        return draw_trial(cfg, pool, codebook, t)
 
-    monkeypatch.setattr(harness, "synth_frame", flaky)
+    monkeypatch.setattr(harness, "draw_trial", flaky)
     monkeypatch.setenv("PDRS_THREADS", "2")
     rows = run_point(cfg, ["pdrs", "oracle"])
     assert [r.detector for r in rows] == ["pdrs", "oracle"]
@@ -488,18 +489,27 @@ def test_a_failed_point_leaves_the_other_points_of_its_sweep_alone(monkeypatch, 
     dets = ["pdrs", "oracle"]
     spec = SweepSpec(cfg, "snr_db", [0.0, 4.0, 8.0], dets)
     healthy = {v: run_point(spec.config_at(v), dets) for v in (0.0, 8.0)}
+    # the draw serves every point, so the failure sits in a per-point step: detection of
+    # the 4 dB frame of every trial but trial 2, told apart by its active set
+    pool, cb = synth_pool(cfg), synth_codebook(cfg)
+    actives = [synth_frame(cfg, pool, cb, t).ground_truth.active for t in range(4)]
+    assert all(not np.array_equal(actives[t], actives[2]) for t in (0, 1, 3))
+    detect = harness.detect_pdrs_dwe
 
-    def flaky(cfg, pool, codebook, t):
-        if cfg.snr_db == 4.0 and t != 2:
+    def flaky(frame, *args):
+        if frame.sigma2 == spec.config_at(4.0).sigma2 and not np.array_equal(
+            frame.ground_truth.active, actives[2]
+        ):
             raise ValueError("synthetic failure")
-        return synth_frame(cfg, pool, codebook, t)
+        return detect(frame, *args)
 
-    monkeypatch.setattr(harness, "synth_frame", flaky)
+    monkeypatch.setattr(harness, "detect_pdrs_dwe", flaky)
     monkeypatch.setenv("PDRS_THREADS", "2")
     capsys.readouterr()
     rows = harness.run_sweep(spec)
     assert capsys.readouterr().err.splitlines() == [
-        "sweep point snr_db=4.0: 3 of 4 trials failed; first: trial 0, synthesis: synthetic failure"
+        "sweep point snr_db=4.0: 3 of 4 trials failed; first: trial 0, detector pdrs, detect: "
+        "synthetic failure"
     ]
     failed = [r for r in rows if r.sweep_value == 4.0]
     assert [r.detector for r in failed] == dets
@@ -510,8 +520,46 @@ def test_a_failed_point_leaves_the_other_points_of_its_sweep_alone(monkeypatch, 
         )
 
 
+@pytest.mark.parametrize(
+    "variable, values, failing",
+    [("snr_db", [0.0, 4.0, float("inf")], (0.0, 4.0, float("inf"))), ("l", [1, 2], (1.0,))],
+)
+def test_a_failed_draw_fails_its_trial_at_every_point_that_shares_it(
+    monkeypatch, capsys, variable, values, failing
+):
+    dets = ["pdrs", "oracle"]
+    spec = SweepSpec(small_cfg(trials=4, l=1), variable, values, dets)
+    healthy = {
+        v: [replace(r, sweep_var=variable, sweep_value=v) for r in run_point(spec.config_at(v), dets)]
+        for v in spec.values
+        if v not in failing
+    }
+
+    def flaky(cfg, pool, codebook, t):
+        if t == 1 and cfg.l == 1:
+            raise ValueError("synthetic failure")
+        return draw_trial(cfg, pool, codebook, t)
+
+    monkeypatch.setattr(harness, "draw_trial", flaky)
+    monkeypatch.setenv("PDRS_THREADS", "2")
+    capsys.readouterr()
+    rows = harness.run_sweep(spec)
+    assert capsys.readouterr().err.splitlines() == [
+        f"sweep point {variable}={v}: 1 of 4 trials failed; first: trial 1, synthesis: "
+        "synthetic failure"
+        for v in failing
+    ]
+    failed = [r for r in rows if r.sweep_value in failing]
+    assert len(failed) == len(failing) * len(dets)
+    assert all(math.isnan(r.miss_rate) and r.counted_mults == 0 for r in failed)
+    for v, alone in healthy.items():
+        assert _rows_without_wall_clock([r for r in rows if r.sweep_value == v]) == (
+            _rows_without_wall_clock(alone)
+        )
+
+
 def test_run_sweep_builds_pool_and_gram_once(monkeypatch):
-    calls = {"fpr_gram_pinv": 0, "synth_pool": 0, "ThreadPoolExecutor": 0}
+    calls = {"fpr_gram_pinv": 0, "synth_pool": 0, "ThreadPoolExecutor": 0, "synth_codebook": 0}
 
     def counted(name):
         original = getattr(harness, name)
@@ -525,14 +573,17 @@ def test_run_sweep_builds_pool_and_gram_once(monkeypatch):
     counted("fpr_gram_pinv")
     counted("synth_pool")
     counted("ThreadPoolExecutor")
+    counted("synth_codebook")
     spec = SweepSpec(
-        base=small_cfg(trials=2), variable="snr_db", values=[0.0, 4.0, 8.0], detectors=["fpr"]
+        base=small_cfg(trials=2), variable="snr_db", values=[0.0, 4.0, 8.0, 12.0], detectors=["fpr"]
     )
     rows = harness.run_sweep(spec)
-    assert len(rows) == 3
-    assert calls == {"fpr_gram_pinv": 1, "synth_pool": 1, "ThreadPoolExecutor": 1}
+    assert len(rows) == 4
+    assert calls == {"fpr_gram_pinv": 1, "synth_pool": 1, "ThreadPoolExecutor": 1, "synth_codebook": 1}
     assert len(run_point(spec.base, ["fpr"])) == 1
-    assert calls == {"fpr_gram_pinv": 2, "synth_pool": 2, "ThreadPoolExecutor": 2}
+    assert calls == {"fpr_gram_pinv": 2, "synth_pool": 2, "ThreadPoolExecutor": 2, "synth_codebook": 2}
+    assert len(harness.run_sweep(SweepSpec(spec.base, "l", [1, 2], ["fpr"]))) == 2
+    assert calls == {"fpr_gram_pinv": 3, "synth_pool": 3, "ThreadPoolExecutor": 3, "synth_codebook": 4}
 
 
 @pytest.mark.parametrize(
@@ -554,6 +605,46 @@ def test_a_shared_stage_runs_once_per_frame(monkeypatch, stage, detectors):
     shared = run_point(cfg, detectors)
     assert len(calls) == cfg.trials
     assert _rows_without_wall_clock(shared) == _rows_without_wall_clock(alone)
+
+
+def _coinciding_cfg(**kw):
+    """A config where fpr finds the true support in every trial, so it shares oracle's."""
+    return small_cfg(M=32, K=3, zeta=3, snr_db=20.0, **kw)
+
+
+@pytest.mark.parametrize("coincide", [True, False], ids=["same-support", "fpr-errs"])
+def test_detectors_share_their_combining_only_on_a_shared_support(monkeypatch, coincide):
+    cfg = _coinciding_cfg() if coincide else small_cfg()
+    dets = ["fpr", "oracle"]
+    alone = [row for name in dets for row in run_point(cfg, [name])]
+    assert (alone[0].miss_rate == 0.0 and alone[0].false_pos_rate == 0.0) is coincide
+    calls = []
+    zf = harness.zf_weights
+
+    def counted(*args):
+        calls.append(1)  # list.append is atomic across the trial threads
+        return zf(*args)
+
+    monkeypatch.setattr(harness, "zf_weights", counted)
+    shared = run_point(cfg, dets)
+    if coincide:
+        assert len(calls) == cfg.trials
+    else:
+        assert cfg.trials < len(calls) <= 2 * cfg.trials
+    assert _rows_without_wall_clock(shared) == _rows_without_wall_clock(alone)
+
+
+def test_shared_combining_is_charged_in_full_to_every_detector(monkeypatch):
+    zf = harness.zf_weights
+
+    def slow(*args):
+        time.sleep(0.005)
+        return zf(*args)
+
+    monkeypatch.setattr(harness, "zf_weights", slow)
+    rows = run_point(_coinciding_cfg(trials=3), ["fpr", "oracle"])
+    assert [r.detector for r in rows] == ["fpr", "oracle"]
+    assert all(r.wall_clock_ms >= 5.0 for r in rows)
 
 
 def test_snr_monotonicity_with_slack():

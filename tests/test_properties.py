@@ -12,13 +12,16 @@ numbers were given as ints or as floats.  A config file of small
 or junk values is either rejected with a ValueError or synthesises a frame,
 and so is a sweep of repeated, fractional or non-finite values and repeated
 or unknown detectors: rejected, or one row per distinct value and detector.
+One trial's draw gives, at every noise power, the frame ``synth_frame`` gives
+at that SNR bit for bit, and a sweep over any variable gives the rows of
+its points run one by one.
 """
 
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pdrslink.combining import dwe_weights
@@ -30,6 +33,7 @@ from pdrslink.scenario import (
     PDRS_MODES,
     PilotPool,
     SystemConfig,
+    draw_trial,
     synth_codebook,
     synth_frame,
     synth_pool,
@@ -218,3 +222,68 @@ def test_a_sweep_spec_is_rejected_or_runs_every_point(args):
     assert len(set(spec.detectors)) == len(spec.detectors)
     assert all(isinstance(spec.config_at(v), SystemConfig) for v in spec.values)
     assert len(run_sweep(spec)) == len(spec.values) * len(spec.detectors)
+
+
+SNRS = [-10.0, 0.0, 4.0, 30.0, float("inf")]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(scenarios(), st.lists(st.sampled_from(SNRS), min_size=1, max_size=4, unique=True), st.integers(0, 3))
+def test_a_draw_gives_the_synthesised_frame_at_every_snr(scenario, snrs, t):
+    cfg = scenario[0]
+    pool, cb = synth_pool(cfg), synth_codebook(cfg)
+    draw = draw_trial(cfg, pool, cb, t)
+    for k, snr_db in enumerate(snrs):
+        at = replace(cfg, snr_db=snr_db)
+        got = draw.frame(at.sigma2, last=k == len(snrs) - 1)
+        want = synth_frame(at, pool, cb, t)
+        assert got.sigma2 == want.sigma2
+        for name in ("Y_R", "Y", "Y_D", "H", "X_D"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (snr_db, name)
+        assert np.array_equal(got.ground_truth.active, want.ground_truth.active)
+
+
+def _stable(rows):
+    """Every field but wall_clock_ms, as reprs so nan equals nan and floats match bit for bit."""
+    return [tuple(repr(getattr(r, f.name)) for f in fields(r) if f.name != "wall_clock_ms") for r in rows]
+
+
+#: Candidate values of each sweep variable on a tiny base config.
+SWEPT = {
+    "snr_db": st.sampled_from(SNRS),
+    "alpha": st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+    "K": st.integers(1, 6),
+    "l": st.integers(1, 3),
+}
+
+
+@pytest.mark.parametrize("D", [0, 2])
+@pytest.mark.parametrize("variable", SWEEP_VARS)
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_a_sweep_gives_the_rows_of_its_points_run_one_by_one(variable, D, data):
+    L = data.draw(st.integers(1, 4))
+    N = data.draw(st.integers(max(L + 1, 6), 10))
+    K = data.draw(st.integers(1, N))
+    base = SystemConfig(
+        M=data.draw(st.integers(1, 5)), N=N, L=L, l=data.draw(st.integers(1, 3)), K=K,
+        zeta=data.draw(st.integers(1, N)), snr_db=data.draw(st.sampled_from(SNRS)), D=D,
+        trials=data.draw(st.integers(1, 3)), seed=data.draw(st.integers(0, 2**16)),
+    )
+    values = data.draw(st.lists(SWEPT[variable], min_size=1, max_size=3, unique=True))
+    if variable == "snr_db":
+        values.append(float("inf"))  # every sweep ends at infinite SNR
+        values = list(dict.fromkeys(values))
+    detectors = data.draw(st.lists(st.sampled_from(DETECTORS), min_size=1, max_size=4, unique=True))
+    try:
+        spec = SweepSpec(base, variable, values, detectors)
+    except ValueError:  # a zeta or K outside [1, N]
+        assume(False)
+    swept = run_sweep(spec)
+    alone = [
+        replace(r, sweep_var=variable, sweep_value=v)
+        for v in spec.values
+        for r in run_point(spec.config_at(v), detectors)
+    ]
+    assert _stable(swept) == _stable(alone)

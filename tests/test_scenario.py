@@ -14,6 +14,7 @@ from pdrslink.scenario import (
     PilotPool,
     ReceivedFrame,
     SystemConfig,
+    draw_trial,
     gen_pdrs_codebook,
     gen_pilot_pool,
     noise_power,
@@ -234,6 +235,23 @@ def test_frame_noise_is_the_replayed_normal_draws(snr_db):
     assert np.array_equal(frame.H.view(np.float64), H.view(np.float64))
     for block, want in expect.items():
         assert np.array_equal(getattr(frame, block).view(np.float64), want.view(np.float64)), block
+
+
+def test_a_draw_forms_its_last_frame_in_place_and_then_refuses_another():
+    cfg = small_cfg(snr_db=0.0)
+    pool, cb = synth_pool(cfg), synth_codebook(cfg)
+    draw = draw_trial(cfg, pool, cb, 0)
+    noiseless, first = draw.frame(0.0), draw.frame(1.0)
+    assert first.Y is not draw.Y and first.H is draw.H
+    last = draw.frame(1.0, last=True)
+    assert last.Y is draw.Y and last.Y_R is draw.Y_R and last.Y_D is draw.Y_D
+    assert np.array_equal(first.Y, last.Y)
+    # the last frame's noise lands in the draw's arrays, not in an earlier frame's
+    a = noiseless.ground_truth.active
+    assert np.array_equal(noiseless.Y, noiseless.H @ pool.P[a])
+    assert np.array_equal(noiseless.Y_D, noiseless.H @ noiseless.X_D)
+    with pytest.raises(ValueError, match="already served its last frame"):
+        draw.frame(1.0)
 
 
 def test_frame_energy_scales_with_k():
