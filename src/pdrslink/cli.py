@@ -80,13 +80,9 @@ def _cmd_complexity(args) -> int:
     norm = cfg.K**3
 
     pool, codebook = synth_pool(cfg), synth_codebook(cfg)
-    frame = synth_frame(cfg, pool, codebook, 0)
-
-    # one row per detection stage; its name keys its complexity model
-    counted: dict[str, int] = {}
-    for name, spec in harness.STAGE_TABLE.items():
-        gram_pinv = fpr_gram_pinv(pool) if spec.needs_gram else None
-        counted[name] = spec.detect(frame, pool, codebook, cfg.zeta, cfg.svd_cost, gram_pinv).mults
+    # one row per stage, run as the detector of its name; the name keys its complexity model
+    trial = harness.run_trial(cfg, pool, codebook, fpr_gram_pinv(pool), 0, list(harness.STAGE_TABLE))
+    counted = {name: m.mult_count for name, m in trial.items()}
     models = {name: complexity_model(cfg, name) for name in counted}
 
     print(

@@ -7,11 +7,12 @@ counter-based stream, so trials are embarrassingly parallel: ``run_sweep``
 maps them on one thread pool and adds up each point's results in trial
 order, and every reported number except wall-clock time is independent of
 the worker count and of scheduling.  A trial does each piece of work once:
-it draws once per draw key and forms each point's frame from that draw, a
-detection stage runs once per frame, and a (combiner, support) pair is
-combined and scored once per frame.  ``STAGE_TABLE`` says how each
-detection method runs, and ``DETECTOR_TABLE`` pairs one with a combiner to
-make each detector.
+it draws once per ``scenario.draw_key`` and forms each point's frame from
+that draw, a detection stage runs once per frame, and a (combiner,
+support) pair is combined and scored once per frame, all in
+``_trial_on_one_draw``, which ``run_trial`` calls too.  ``STAGE_TABLE``
+says how each detection method runs, and ``DETECTOR_TABLE`` pairs one
+with a combiner to make each detector.
 """
 
 import math
@@ -43,7 +44,7 @@ from .metrics import (
     symbol_errors,
 )
 from .scenario import PdrsCodebook, PilotPool, ReceivedFrame, RngStream, SystemConfig, _whole
-from .scenario import cgauss, draw_trial, synth_codebook, synth_frame, synth_pool
+from .scenario import cgauss, draw_key, draw_trial, synth_codebook, synth_pool
 
 # The stream ids live in scenario; pdrsbench/ imports them from here, so they stay importable.
 from .scenario import CODEBOOK_STREAM, POOL_STREAM, TRIAL_STREAM_BASE  # noqa: F401
@@ -276,7 +277,7 @@ def run_trial(
     trial_index: int,
     detectors: list[str],
 ) -> dict[str, TrialMetrics]:
-    """Assemble one frame and score every requested detector on it.
+    """Score every requested detector on trial ``trial_index``'s frame, by ``_trial_on_one_draw``.
 
     The frame depends only on (cfg.seed, trial_index), never on the detector
     list, so adding a detector to a sweep does not move any other detector's
@@ -289,8 +290,10 @@ def run_trial(
     or sinr.
     """
     specs = {name: _spec(name) for name in detectors}
-    frame = _synthesis(trial_index, synth_frame, cfg, pool, codebook, trial_index)
-    return _score_frame(cfg, pool, codebook, gram_pinv, trial_index, specs, frame)
+    (result,) = _trial_on_one_draw([cfg], pool, codebook, gram_pinv, trial_index, specs)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _synthesis(trial_index: int, make: Callable, *args):
@@ -310,7 +313,7 @@ def _score_frame(
     specs: dict[str, DetectorSpec],
     frame: ReceivedFrame,
 ) -> dict[str, TrialMetrics]:
-    """``run_trial`` after synthesis: every detector of ``specs`` scored on ``frame``.
+    """Every detector of ``specs`` scored on ``frame``, one point of ``_trial_on_one_draw``.
 
     Everything after detection is a function of the frame, the combiner and
     the detected support, so detectors that share both share one result.
@@ -371,8 +374,8 @@ def _trial_on_one_draw(
     """One trial at points that share a draw key: one result or error per config.
 
     The trial draws once; each point's frame is formed from the draw and
-    lives for one ``_score_frame`` call, the last in the draw's own arrays.
-    A failed draw is the error of every point.
+    lives only while it is scored, and the draw is let go before the last
+    frame is scored.  A failed draw is the error of every point.
     """
     try:
         draw = _synthesis(trial_index, draw_trial, cfgs[0], pool, codebook, trial_index)
@@ -380,13 +383,12 @@ def _trial_on_one_draw(
         return [exc] * len(cfgs)
     out: list[dict[str, TrialMetrics] | Exception] = []
     for k, cfg in enumerate(cfgs):
-        try:  # the frame is only an argument, so it is freed before the next is formed
-            out.append(
-                _score_frame(
-                    cfg, pool, codebook, gram_pinv, trial_index, specs,
-                    _synthesis(trial_index, draw.frame, cfg.sigma2, k == len(cfgs) - 1),
-                )
-            )
+        try:
+            frame = _synthesis(trial_index, draw.frame, cfg.sigma2)
+            if k == len(cfgs) - 1:
+                del draw  # its blocks and noise are not held while the last frame is scored
+            out.append(_score_frame(cfg, pool, codebook, gram_pinv, trial_index, specs, frame))
+            del frame  # freed before the next frame is formed
         except Exception as exc:
             out.append(exc)
     return out
@@ -454,8 +456,8 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     Each point's rows equal those of ``run_point`` on ``spec.config_at(value)``
     with the same detectors, relabelled with the sweep variable and value.
     The pilot pool, its Gram pseudo-inverse when a stage needs it, and each
-    point's config are built once.  Points share a draw key when their
-    configs differ only in ``snr_db`` and ``zeta``; they share one codebook,
+    point's config are built once.  Points with one ``scenario.draw_key``
+    (configs that differ only in ``snr_db`` and ``zeta``) share one codebook,
     and a trial draws once for them all and forms each point's frame from
     that draw (so ``snr_db`` and ``alpha`` sweeps draw once per trial, ``K``
     and ``l`` sweeps at every point).  One thread pool maps the trials, a
@@ -483,8 +485,8 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
         gram_pinv = fpr_gram_pinv(pool) if needs_gram else None
         points = [spec.config_at(v) for v in spec.values]
         by_key: dict[SystemConfig, list[int]] = {}
-        for p, cfg in enumerate(points):  # the draws read every field but these two
-            by_key.setdefault(replace(cfg, snr_db=0.0, zeta=1), []).append(p)
+        for p, cfg in enumerate(points):
+            by_key.setdefault(draw_key(cfg), []).append(p)
         groups = [
             ([points[p] for p in ps], synth_codebook(points[ps[0]]), ps) for ps in by_key.values()
         ]

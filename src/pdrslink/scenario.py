@@ -24,9 +24,9 @@ reference, pilot and data blocks (no data noise when D = 0).  The noise is
 drawn at every SNR, infinite SNR included, as the last draws of the stream;
 a frame adds ``noise * sqrt(sigma2)`` only when ``sigma2 > 0``.  So the
 frames of one trial at different SNRs share every draw, and a sweep draws
-once per trial and draw key and scales the noise per point.  Only the
-``draw_*`` and ``synth_*`` functions map keys to draws, and ``draw_frame``
-fixes the order after the active set.
+once per trial and ``draw_key`` and forms each point's frame in new arrays.
+Only ``draw_frame``, ``draw_trial`` and ``synth_*`` map keys to draws, and
+``draw_frame`` fixes the order after the active set.
 """
 
 import math
@@ -59,6 +59,7 @@ __all__ = [
     "TRIAL_STREAM_BASE",
     "synth_pool",
     "synth_codebook",
+    "draw_key",
     "draw_trial",
     "synth_frame",
 ]
@@ -214,13 +215,17 @@ class SystemConfig:
         zeta = alpha * self.K
         if not math.isfinite(zeta):  # no int to round it to
             raise ValueError(f"zeta = alpha * K must be finite, got alpha={alpha}, K={self.K}")
-        return replace(self, zeta=int(round(zeta)))
+        whole = int(round(zeta))
+        if not 1 <= whole <= self.N:  # the config's own check would name neither alpha nor K
+            raise ValueError(f"zeta = round(alpha * K) = round({alpha} * {self.K}) = {whole} "
+                             f"must lie in [1, N={self.N}]")
+        return replace(self, zeta=whole)
 
 
 def _validate_unit_rows(mat: np.ndarray, target: float, what: str) -> None:
     norms = _kernels.row_norms_sq(mat)
     worst = float(np.max(np.abs(norms - target)))
-    if not worst <= _ROW_NORM_TOL:  # a nan entry fails too
+    if not worst <= _ROW_NORM_TOL * target:  # relative, as rounding grows with it; nan fails
         raise ValueError(f"{what} rows must have squared norm {target} (worst error {worst:.3g})")
 
 
@@ -360,8 +365,7 @@ class FrameDraw:
 
     ``Y_R``, ``Y`` and ``Y_D`` are the noiseless blocks and ``noise`` the
     unit-variance noise of each, in that order (None for the data block when
-    D = 0, and for every block once the draw is spent).  ``frame(sigma2)``
-    forms the frame at one noise power.
+    D = 0).  ``frame(sigma2)`` forms the frame at one noise power.
     """
 
     Y_R: np.ndarray
@@ -371,35 +375,24 @@ class FrameDraw:
     ground_truth: ActivityPattern
     H: np.ndarray
     X_D: np.ndarray = field(repr=False)
-    spent: bool = field(default=False, init=False)
 
-    def frame(self, sigma2: float, last: bool = False) -> ReceivedFrame:
+    def frame(self, sigma2: float) -> ReceivedFrame:
         """The frame at noise power ``sigma2``: each block plus ``noise * sqrt(sigma2)``.
 
-        No noise is added at ``sigma2 = 0``.  ``last`` forms the frame in the
-        draw's own arrays, which copies nothing but spends the draw: it serves
-        no further frame.  Every frame shares ``H``, ``X_D`` and the truth.
+        No noise is added at ``sigma2 = 0``.  The blocks are new arrays, so a
+        draw never changes and serves any number of frames; every frame
+        shares ``H``, ``X_D`` and the truth.
         """
-        if self.spent:
-            raise ValueError("the draw already served its last frame")
-        self.spent = last
         scale = np.sqrt(sigma2)
         blocks = []
         for block, noise in zip((self.Y_R, self.Y, self.Y_D), self.noise):
             if sigma2 > 0.0 and noise is not None:
-                if last:  # cgauss's order: scale the noise, then add it
-                    noise *= scale
-                    block += noise
-                else:  # the same sum, as addition commutes, in one new array
-                    scaled = noise * scale
-                    scaled += block
-                    block = scaled
-            elif not last:
-                block = block.copy()
-            blocks.append(block)
+                formed = noise * scale  # cgauss's order: scale the noise, then add it
+                formed += block
+            else:
+                formed = block.copy()
+            blocks.append(formed)
         Y_R, Y, Y_D = blocks
-        if last:  # the spent draw frees its noise while the frame is scored
-            self.noise = (None, None, None)
         return ReceivedFrame(
             Y_R=Y_R, Y=Y, Y_D=Y_D, ground_truth=self.ground_truth, sigma2=sigma2,
             H=self.H, X_D=self.X_D,
@@ -443,8 +436,8 @@ def assemble_frame(
     activity: ActivityPattern,
     rng: RngStream,
 ) -> ReceivedFrame:
-    """One received frame at ``cfg.sigma2``: ``draw_frame``, then its last frame."""
-    return draw_frame(cfg, pool, codebook, activity, rng).frame(cfg.sigma2, last=True)
+    """One received frame at ``cfg.sigma2``: ``draw_frame``, then its frame."""
+    return draw_frame(cfg, pool, codebook, activity, rng).frame(cfg.sigma2)
 
 
 def synth_pool(cfg: SystemConfig) -> PilotPool:
@@ -457,11 +450,19 @@ def synth_codebook(cfg: SystemConfig) -> PdrsCodebook:
     return gen_pdrs_codebook(cfg, RngStream(cfg.seed, CODEBOOK_STREAM))
 
 
+def draw_key(cfg: SystemConfig) -> SystemConfig:
+    """``cfg`` with ``snr_db`` and ``zeta`` fixed: configs with one key share every draw.
+
+    The draws read every field but those two: ``snr_db`` only scales the
+    noise, and ``zeta`` acts only after detection.
+    """
+    return replace(cfg, snr_db=0.0, zeta=1)
+
+
 def draw_trial(cfg: SystemConfig, pool: PilotPool, codebook: PdrsCodebook, t: int) -> FrameDraw:
     """Trial ``t``'s draws: stream ``TRIAL_STREAM_BASE + t`` draws the active set, then the rest.
 
-    They read every field of ``cfg`` but ``snr_db`` and ``zeta``, so one draw
-    serves the trial at every point that differs from ``cfg`` only in those.
+    One draw serves the trial at every config with the same ``draw_key``.
     """
     rng = RngStream(cfg.seed, TRIAL_STREAM_BASE + t)
     activity = sample_activity(cfg, rng)
@@ -471,5 +472,5 @@ def draw_trial(cfg: SystemConfig, pool: PilotPool, codebook: PdrsCodebook, t: in
 def synth_frame(
     cfg: SystemConfig, pool: PilotPool, codebook: PdrsCodebook, t: int
 ) -> ReceivedFrame:
-    """Trial ``t``'s frame at ``cfg.sigma2``: ``draw_trial``, then its last frame."""
-    return draw_trial(cfg, pool, codebook, t).frame(cfg.sigma2, last=True)
+    """Trial ``t``'s frame at ``cfg.sigma2``: ``draw_trial``, then its frame."""
+    return draw_trial(cfg, pool, codebook, t).frame(cfg.sigma2)

@@ -1,6 +1,7 @@
 import csv
 import math
 import struct
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from pdrslink.harness import (
     CSV_HEADER,
     DETECTOR_TABLE,
     DETECTORS,
+    STAGE_TABLE,
     parse_config,
     run_point,
 )
@@ -149,6 +151,15 @@ def test_detect_rejects_a_zeta_outside_the_pool(cfg_file, tmp_path, capsys, dete
     assert captured.err == f"error: zeta must satisfy 1 <= zeta <= N = 24, got {zeta}\n"
 
 
+def test_a_sweep_value_whose_zeta_is_out_of_range_exits_2(capsys):
+    assert main(["sweep", "--var", "alpha", "--values", "1,0.004", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: zeta = round(alpha * K) = round(0.004 * 96) = 0 must lie in [1, N=1000]\n"
+    )
+
+
 @pytest.mark.parametrize("verb", ["sweep", "gen-frame"])
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_a_seed_outside_the_philox_key_exits_2(tmp_path, capsys, verb, seed):
@@ -190,6 +201,15 @@ def test_complexity_table(cfg_file, tmp_path, capsys):
     rows = out.read_text().splitlines()
     assert rows[0].startswith("detector,modeled_mults,counted_mults")
     assert len(rows) == 5
+
+
+def test_complexity_counts_what_a_one_trial_point_counts(cfg_file, tmp_path, capsys):
+    out = tmp_path / "ledger.csv"
+    assert main(["complexity", "--config", cfg_file, "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        counted = {row["detector"]: int(row["counted_mults"]) for row in csv.DictReader(fh)}
+    rows = run_point(replace(parse_config(cfg_file), trials=1), list(STAGE_TABLE))
+    assert counted == {row.detector: row.counted_mults for row in rows}
 
 
 def test_lemma_check_verb(capsys):

@@ -16,9 +16,11 @@ import pytest
 from pdrslink import harness, linalg
 from pdrslink.harness import (
     CSV_HEADER,
+    DETECTOR_TABLE,
     DETECTORS,
     LemmaReport,
     ResultRow,
+    STAGE_TABLE,
     SweepSpec,
     _guarded_rate,
     emit_csv,
@@ -97,7 +99,7 @@ def test_trial_errors_carry_the_trial_index(monkeypatch):
 @pytest.mark.parametrize(
     "detector, target, step",
     [
-        ("pdrs", "synth_frame", "synthesis"),
+        ("pdrs", "draw_trial", "synthesis"),
         ("pdrs", "dwe_weights", "combine"),
         ("pdrs-lszf", "ls_channel_estimate", "combine"),
         ("pdrs-lszf", "zf_weights", "combine"),
@@ -408,6 +410,30 @@ def test_run_point_rejects_a_repeated_detector():
 def test_sweep_spec_rejects_a_non_finite_alpha(value):
     with pytest.raises(ValueError, match=f"^sweep variable alpha takes finite values, got {value}$"):
         SweepSpec(small_cfg(), "alpha", [1.0, value])
+
+
+@pytest.mark.parametrize(
+    "variable, base, values, message",
+    [
+        ("alpha", SystemConfig(trials=1), [1, 0.004], "round(0.004 * 96) = 0 must lie in [1, N=1000]"),
+        (
+            "K",
+            SystemConfig(M=8, N=40, L=6, l=2, K=4, zeta=8),
+            [4, 30],
+            "round(2.0 * 30) = 60 must lie in [1, N=40]",
+        ),
+    ],
+    ids=["alpha", "K"],
+)
+def test_a_derived_zeta_out_of_range_names_alpha_k_and_the_value(variable, base, values, message):
+    with pytest.raises(ValueError, match="^" + re.escape(f"zeta = round(alpha * K) = {message}") + "$"):
+        SweepSpec(base, variable, values)
+
+
+def test_every_stage_is_the_detector_of_its_own_name():
+    # the complexity verb runs each stage as the detector of its name
+    for name in STAGE_TABLE:
+        assert DETECTOR_TABLE[name].stage == name
 
 
 def test_sweep_config_application():

@@ -233,9 +233,9 @@ def test_a_draw_gives_the_synthesised_frame_at_every_snr(scenario, snrs, t):
     cfg = scenario[0]
     pool, cb = synth_pool(cfg), synth_codebook(cfg)
     draw = draw_trial(cfg, pool, cb, t)
-    for k, snr_db in enumerate(snrs):
+    for snr_db in snrs:
         at = replace(cfg, snr_db=snr_db)
-        got = draw.frame(at.sigma2, last=k == len(snrs) - 1)
+        got = draw.frame(at.sigma2)
         want = synth_frame(at, pool, cb, t)
         assert got.sigma2 == want.sigma2
         for name in ("Y_R", "Y", "Y_D", "H", "X_D"):

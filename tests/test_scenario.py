@@ -1,10 +1,11 @@
 import math
 import re
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
+from pdrslink import _kernels
 from pdrslink.scenario import RngStream
 from pdrslink.scenario import (
     QPSK_POINTS,
@@ -14,6 +15,8 @@ from pdrslink.scenario import (
     PilotPool,
     ReceivedFrame,
     SystemConfig,
+    cgauss,
+    draw_key,
     draw_trial,
     gen_pdrs_codebook,
     gen_pilot_pool,
@@ -127,6 +130,19 @@ def test_pilot_pool_rejects_bad_norms():
         PilotPool(2.0 * np.ones((4, 3), dtype=np.complex128))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_long_rows_pass_the_row_norm_check_and_a_bad_long_row_fails(seed):
+    # rounding in a squared norm grows with the row length, so the bound is relative
+    cb = synth_codebook(SystemConfig(M=4, N=20, L=4, l=16000, K=2, zeta=2, seed=seed))
+    assert cb.R.shape == (20, 16000)
+    P = cgauss(3, 20000, 1.0, RngStream(seed, 0))
+    P *= (np.sqrt(20000) / np.sqrt(_kernels.row_norms_sq(P)))[:, None]
+    assert PilotPool(P).length == 20000
+    P[1] *= 1.0 + 1e-8
+    with pytest.raises(ValueError, match="pilot pool rows must have squared norm 20000.0"):
+        PilotPool(P)
+
+
 def test_gaussian_codebook_row_norms():
     cfg = small_cfg()
     cb = gen_pdrs_codebook(cfg, RngStream(cfg.seed, 1))
@@ -237,21 +253,43 @@ def test_frame_noise_is_the_replayed_normal_draws(snr_db):
         assert np.array_equal(getattr(frame, block).view(np.float64), want.view(np.float64)), block
 
 
-def test_a_draw_forms_its_last_frame_in_place_and_then_refuses_another():
+def test_a_draw_serves_any_number_of_frames_in_new_arrays_and_never_changes():
     cfg = small_cfg(snr_db=0.0)
     pool, cb = synth_pool(cfg), synth_codebook(cfg)
     draw = draw_trial(cfg, pool, cb, 0)
-    noiseless, first = draw.frame(0.0), draw.frame(1.0)
-    assert first.Y is not draw.Y and first.H is draw.H
-    last = draw.frame(1.0, last=True)
-    assert last.Y is draw.Y and last.Y_R is draw.Y_R and last.Y_D is draw.Y_D
-    assert np.array_equal(first.Y, last.Y)
-    # the last frame's noise lands in the draw's arrays, not in an earlier frame's
+    owned = [draw.Y_R, draw.Y, draw.Y_D, draw.H, draw.X_D, *draw.noise]
+    before = [a.copy() for a in owned]
+    sigma2s = [0.0, 1.0, 0.25, 1.0, 0.0]  # 0.0 is infinite SNR
+    frames = [draw.frame(s) for s in sigma2s]
+    after = [draw.Y_R, draw.Y, draw.Y_D, draw.H, draw.X_D, *draw.noise]
+    assert all(x is y and np.array_equal(x, b) for x, y, b in zip(after, owned, before))
+    blocks = ("Y_R", "Y", "Y_D")
+    for f in frames:
+        for name in blocks:
+            assert not any(np.shares_memory(getattr(f, name), a) for a in owned), name
+    for i, j in ((1, 3), (0, 4)):  # two frames at one sigma2: equal, sharing no block
+        for name in blocks:
+            a, b = getattr(frames[i], name), getattr(frames[j], name)
+            assert np.array_equal(a, b) and not np.shares_memory(a, b), (sigma2s[i], name)
+    # the noiseless frame stays noiseless after later frames add noise
+    noiseless = frames[0]
     a = noiseless.ground_truth.active
     assert np.array_equal(noiseless.Y, noiseless.H @ pool.P[a])
     assert np.array_equal(noiseless.Y_D, noiseless.H @ noiseless.X_D)
-    with pytest.raises(ValueError, match="already served its last frame"):
-        draw.frame(1.0)
+    assert not np.array_equal(frames[1].Y, noiseless.Y)
+
+
+def test_the_draw_key_ignores_exactly_snr_db_and_zeta():
+    cfg = small_cfg()
+    key = draw_key(cfg)
+    for same in (replace(cfg, snr_db=-5.0), replace(cfg, snr_db=float("inf")), replace(cfg, zeta=9)):
+        assert draw_key(same) == key
+    other = dict(
+        M=7, N=21, L=9, l=4, K=6, D=13, pdrs_mode="orthogonal-reuse", trials=3, seed=4, svd_cost=5
+    )
+    assert set(other) == {f.name for f in fields(SystemConfig)} - {"snr_db", "zeta"}
+    for name, value in other.items():
+        assert draw_key(replace(cfg, **{name: value})) != key, name
 
 
 def test_frame_energy_scales_with_k():
