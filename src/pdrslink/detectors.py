@@ -154,9 +154,10 @@ def fpr_gram_pinv(pool: PilotPool) -> np.ndarray:
     """Pseudo-inverse of the squared-modulus pilot Gram matrix.
 
     One-time precomputation per pilot pool; the per-frame ledger charges only
-    its application.  ``G = |P P^H|^2`` is real, so ``pinv`` keeps it in
-    float64: a certified LU inverse, or the SVD when the Gram has lost rank
-    (a pool with repeated pilots).
+    its application.  ``G = |P P^H|^2`` is real and exactly symmetric, so
+    ``pinv`` keeps it in float64 and inverts it by certified recursive Schur
+    complements; LU when that certificate fails, and the SVD when the Gram
+    has lost rank (a pool with repeated pilots).
     """
     G = np.abs(pool.P @ pool.P.conj().T) ** 2
     return pinv(G)

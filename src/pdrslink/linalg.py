@@ -4,11 +4,12 @@ Matrices are plain 2-D ``numpy.ndarray`` (row-major) and vectors are 1-D
 float/complex arrays.  All matrix functions are pure, never mutate their
 inputs, and return finite values for finite inputs.
 
-``pinv`` picks one of three rules (LU, certified normal equations, SVD) from
-the input's shape; its docstring states them and their certificates.  No
-rule calls numpy's QR, linear solve or determinant.  In numpy 2.4 QR and
-determinant hold the interpreter lock (two threads ran them slower than
-one), so the trial threads would queue on them.
+``pinv`` picks one of four rules (certified recursive Schur complements, LU,
+certified normal equations, SVD) from the input's shape and symmetry; its
+docstring states them and their certificates.  No rule calls numpy's QR,
+linear solve or determinant.  In numpy 2.4 QR and determinant hold the
+interpreter lock (two threads ran them slower than one), so the trial
+threads would queue on them.
 
 ``BlasThreads`` owns the thread count of the BLAS that numpy loaded:
 ``run_sweep`` pins it to one thread while its trial pool runs.
@@ -25,6 +26,8 @@ import numpy as np
 __all__ = [
     "DEFAULT_PINV_RTOL_SCALE",
     "NORMAL_EQ_BOUND",
+    "SCHUR_BOUND",
+    "SCHUR_LEAF",
     "BlasThreads",
     "as_cmatrix",
     "pinv",
@@ -44,6 +47,22 @@ DEFAULT_PINV_RTOL_SCALE = 1e-12
 #: was within 8.2 cond(A) eps of the SVD, and within 1.5 cond(A) eps once
 #: cond(A) > 10; without the step the error grows as cond(A)^2 eps.
 NORMAL_EQ_BOUND = 1e-4
+
+#: Bound on ``||A||_F ||X||_F`` for the Hermitian rule's inverse X.  Above it
+#: the recursion's error grows faster than cond(A) eps.  Over 68 random exactly
+#: Hermitian positive-definite inputs ``Q diag(lam) Q^H`` (Q random orthogonal
+#: or unitary, lam a geometric ladder from 1 down to 1/cond in random order;
+#: n in {65, 130, 300, 1000}, real and complex, cond log-uniform in 1 to 1e5,
+#: plus 8 at cond 1e6 and 1e8; ``np.random.default_rng(0)``), the error
+#: against the SVD was at most 15 cond(A) eps (LU: 15) on the 29 inputs with
+#: the product at or below 1e4, at most 43 (LU: 0.39) on the 12 between 1e4
+#: and 1e5, and up to 3.6e5 (LU: 0.28) above.  At n = 1000 and cond 1e6 or
+#: 1e8, a leaf failed ``cholesky``.
+SCHUR_BOUND = 1e4
+
+#: Largest block the Hermitian rule inverts directly, by ``inv`` once
+#: ``cholesky`` has found it positive definite.
+SCHUR_LEAF = 64
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -78,18 +97,34 @@ def pinv(a, rel_tol: float | None = None) -> np.ndarray:
     is loose enough to absorb rounding in double precision while still zeroing
     deliberately rank-deficient inputs.
 
-    ``pinv`` tries three rules in turn:
+    ``pinv`` tries four rules in turn:
 
-    1. a square input is inverted by LU, ``X = inv(A)``;
-    2. a tall input takes the normal equations and one Newton-Schulz step,
+    1. a square input exactly equal to its conjugate transpose is inverted
+       by recursive Schur complements: with ``A = [[A11, B], [B^H, D]]``
+       split in halves, ``A11`` and ``S = D - B^H A11^-1 B`` are inverted
+       the same way and the four blocks put back together.  Blocks of at
+       most ``SCHUR_LEAF`` rows are inverted by ``inv`` once ``cholesky``
+       has found them positive definite, so the rule costs about
+       ``4/3 n^3`` flops, against ``8/3 n^3`` for LU, nearly all in large
+       products.  Its result is kept when ``||A||_F ||X||_F <= SCHUR_BOUND``;
+       an indefinite input, or one over the bound, goes on to rule 2.  An
+       input that is Hermitian only up to rounding takes rule 2 as well:
+       slower, but still correct.  With numpy's bundled OpenBLAS, the FPR
+       Gram ``|P P^H|^2`` and a product ``A^H A`` came out exactly Hermitian
+       on every input checked;
+    2. any other square input is inverted by LU, ``X = inv(A)``;
+    3. a tall input takes the normal equations and one Newton-Schulz step,
        ``G = A^H A``, ``X0 = inv(G) A^H``, ``X = 2 X0 - (X0 A) X0``, when the
        contraction certificate ``||G||_F ||G^-1||_F rows eps <= NORMAL_EQ_BOUND``
        holds.  The step forms the small cols x cols ``X0 A``, so its two
-       products cost ``2 rows cols^2`` multiplies, not ``2 rows^2 cols``;
-    3. the SVD, which applies the cutoff: for a wide input, an input whose
+       products cost ``2 rows cols^2`` multiplies, not ``2 rows^2 cols``.
+       ``G`` keeps LU, not rule 1: cond(G) is cond(A)^2, and rule 1 without
+       its certificate missed the tall rule's 10 cond(A) eps on test inputs
+       from cond(A) = 1e3;
+    4. the SVD, which applies the cutoff: for a wide input, an input whose
        ``inv`` finds it singular, and one that fails a certificate.
 
-    The result of rule 1 or 2 is returned only when
+    The result of rules 1-3 is returned only when
     ``||A||_F * ||X||_F * rel_tol < 1``: since ``||A||_F * ||X||_F`` is at
     least the 2-norm condition number, every singular value then lies above
     the cutoff.  The choice changes the result in its last bits only.
@@ -113,9 +148,9 @@ def pinv(a, rel_tol: float | None = None) -> np.ndarray:
     m = _as_matrix(a, np.complex128 if np.iscomplexobj(a) else np.float64)
     rel_tol = _rank_cutoff(m.shape, rel_tol)
     rows, cols = m.shape
-    x = None
+    x = _schur_pinv(m) if rows == cols else None
     try:
-        if rows == cols:
+        if rows == cols and x is None:
             x = np.linalg.inv(m)
         elif rows > cols:
             x = _normal_eq_pinv(m)
@@ -124,6 +159,39 @@ def pinv(a, rel_tol: float | None = None) -> np.ndarray:
     if x is not None and np.linalg.norm(m) * np.linalg.norm(x) * rel_tol < 1.0:
         return x
     return _svd_pinv(m, rel_tol)
+
+
+def _schur_pinv(m: np.ndarray) -> np.ndarray | None:
+    """Inverse of an exactly Hermitian positive-definite ``m`` by Schur complements; None when uncertified."""
+    if not np.array_equal(m, m.conj().T):
+        return None
+    try:
+        x = _schur_inv(m)
+    except np.linalg.LinAlgError:
+        return None  # a leaf is not positive definite
+    if not np.linalg.norm(m) * np.linalg.norm(x) <= SCHUR_BOUND:
+        return None
+    return x
+
+
+def _schur_inv(m: np.ndarray) -> np.ndarray:
+    """``inv(m)`` by halves: ``S = D - B^H A^-1 B`` and both halves inverted the same way.
+
+    With ``W = A^-1 B``, the inverse is ``[[A^-1 + W S^-1 W^H, -W S^-1],
+    [-S^-1 W^H, S^-1]]``.  A leaf raises LinAlgError unless ``cholesky``
+    finds it positive definite.
+    """
+    n = m.shape[0]
+    if n <= SCHUR_LEAF:
+        np.linalg.cholesky(m)
+        return np.linalg.inv(m)
+    h = n // 2
+    a_inv = _schur_inv(m[:h, :h])
+    b = m[:h, h:]
+    w = a_inv @ b
+    s_inv = _schur_inv(m[h:, h:] - b.conj().T @ w)
+    x12 = -w @ s_inv
+    return np.block([[a_inv - x12 @ w.conj().T, x12], [x12.conj().T, s_inv]])
 
 
 def _normal_eq_pinv(m: np.ndarray) -> np.ndarray | None:

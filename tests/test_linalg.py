@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdrslink.linalg import NORMAL_EQ_BOUND, as_cmatrix, orthonormal_step, pinv
+from pdrslink.detectors import fpr_gram_pinv
+from pdrslink.linalg import NORMAL_EQ_BOUND, SCHUR_BOUND, SCHUR_LEAF, as_cmatrix, orthonormal_step, pinv
 from pdrslink.scenario import RngStream, cgauss
 from pdrslink.scenario import PilotPool, SystemConfig, synth_pool
 
@@ -155,17 +156,34 @@ def test_pinv_falls_back_to_the_svd_when_rank_is_lost(monkeypatch, a):
     assert np.array_equal(got, svd_pinv_reference(a))
 
 
+def hermitian(a):
+    """``(a + a^H) / 2``, which is exactly Hermitian in floating point."""
+    return (a + a.conj().T) / 2
+
+
+def gram_of(n, k, rng, real=False):
+    """The exactly Hermitian n x n ``b b^H`` of an n x k Gaussian ``b``: rank min(n, k), zero when k is 0."""
+    b = gauss(n, k, rng, real) if k else np.zeros((n, 1), dtype=np.float64 if real else np.complex128)
+    return hermitian(b @ b.conj().T)
+
+
 @st.composite
 def pinv_inputs(draw):
     m, n = draw(st.integers(1, 16)), draw(st.integers(1, 16))
     r = draw(st.integers(0, min(m, n)))
     rng = RngStream(108, draw(st.integers(0, 2**16)))
     real = draw(st.booleans())
+    if draw(st.booleans()):
+        # Hermitian positive semi-definite, of rank k < m or full.  Full rank takes k >= 2m: with k = m,
+        # cond(b b^H) = cond(b)^2 reaches 1e9, where even the SVD misses the 1e-10 identities below
+        k = draw(st.one_of(st.integers(0, m - 1), st.integers(2 * m, 3 * m)))
+        return gram_of(m, k, rng, real)
     return gauss(m, n, rng, real) if r == min(m, n) else low_rank(m, n, r, rng, real)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(pinv_inputs())
+@example(gram_of(3 * SCHUR_LEAF // 2, 3 * SCHUR_LEAF, RngStream(108, 2**17), real=False))
 def test_pinv_is_the_moore_penrose_inverse(a):
     ap = pinv(a)
     assert ap.shape == a.shape[::-1]
@@ -173,7 +191,7 @@ def test_pinv_is_the_moore_penrose_inverse(a):
     ref = svd_pinv_reference(a)
     s = np.linalg.svd(a, compute_uv=False)
     kept = s[s > max(a.shape) * 1e-12 * s[0]]
-    # the LU and normal-equation paths differ from the SVD by rounding, which grows with the condition number
+    # the Schur, LU and normal-equation paths differ from the SVD by rounding, which grows with the condition number
     tol = 1e-13 * kept[0] / kept[-1] if kept.size else 0.0
     assert rel_err(ap, ref) <= tol
     if kept.size:
@@ -224,6 +242,95 @@ def test_pinv_of_an_ill_conditioned_tall_input_fails_the_contraction_certificate
     assert 1e6 < np.linalg.cond(a) < 1e8
     # the full-rank certificate alone would have kept the fast result
     assert np.linalg.norm(a) * np.linalg.norm(ref) * 128e-12 < 1.0
+
+
+def call_sizes(monkeypatch, name):
+    """Wrap ``np.linalg.<name>`` so each call records the row count of its input; returns the list."""
+    sizes = []
+    original = getattr(np.linalg, name)
+
+    def counted(a, *args, **kwargs):
+        sizes.append(np.shape(a)[0])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return sizes
+
+
+def hermitian_with_eigenvalues(lam, rng, real=False):
+    """An exactly Hermitian input ``Q diag(lam) Q^H`` with a random unitary (or orthogonal) ``Q``."""
+    q = with_condition(gauss(lam.size, lam.size, rng, real), 1.0)  # every singular value set to 1
+    return hermitian((q * lam) @ q.conj().T)
+
+
+def hermitian_pd(n, cond, rng, real=False):
+    """An exactly Hermitian n x n input whose eigenvalues are a geometric ladder from 1 down to 1 / cond."""
+    return hermitian_with_eigenvalues(np.logspace(0, -np.log10(cond), n), rng, real)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [1, SCHUR_LEAF - 1, SCHUR_LEAF, SCHUR_LEAF + 1, 200])
+def test_the_hermitian_rule_is_as_accurate_as_the_svd(monkeypatch, n, real):
+    cond = 1e2
+    a = hermitian_pd(n, cond, RngStream(113, n), real)
+    assert np.array_equal(a, a.conj().T)
+    assert np.linalg.norm(a) * np.linalg.norm(np.linalg.inv(a)) <= SCHUR_BOUND
+    ref = svd_pinv_reference(a)
+    cholesky, inv, svd = (call_sizes(monkeypatch, name) for name in ("cholesky", "inv", "svd"))
+    got = pinv(a)
+    # every leaf is checked positive definite, the full input never reaches LU, and no SVD runs
+    assert svd == []
+    assert cholesky and max(cholesky) <= SCHUR_LEAF
+    assert sorted(inv) == sorted(cholesky)
+    assert got.dtype == a.dtype
+    assert rel_err(got, ref) <= 1e-13 * np.linalg.cond(a)
+
+
+def test_the_anchor_fpr_gram_takes_the_hermitian_rule(monkeypatch):
+    pool = synth_pool(SystemConfig())  # the anchor pool: N = 1000 pilots of length L = 96
+    G = np.abs(pool.P @ pool.P.conj().T) ** 2
+    assert G.shape == (1000, 1000) and np.array_equal(G, G.T)
+    cholesky, inv, svd = (call_sizes(monkeypatch, name) for name in ("cholesky", "inv", "svd"))
+    gram = fpr_gram_pinv(pool)
+    assert svd == []
+    assert cholesky and max(inv) <= SCHUR_LEAF
+    assert gram.dtype == np.float64
+    monkeypatch.undo()
+    product = np.linalg.norm(G) * np.linalg.norm(gram)
+    assert 1e3 < product <= SCHUR_BOUND
+    assert rel_err(gram, svd_pinv_reference(G)) <= 1e-13 * np.linalg.cond(G)
+
+
+def test_a_non_hermitian_square_input_takes_lu(monkeypatch):
+    pool = synth_pool(SystemConfig())
+    p_det = pool.P[np.arange(0, 960, 10)]  # a 96 x 96 pilot block, as the LS+ZF chain inverts at the anchor
+    cholesky, inv, svd = (call_sizes(monkeypatch, name) for name in ("cholesky", "inv", "svd"))
+    got = pinv(p_det)
+    assert (cholesky, inv, svd) == ([], [96], [])
+    monkeypatch.undo()
+    assert np.array_equal(got, np.linalg.inv(p_det))
+
+
+@pytest.mark.parametrize(
+    "a, expect",
+    [
+        (hermitian_pd(100, 1e6, RngStream(114, 0)), "lu"),
+        (hermitian_with_eigenvalues(np.logspace(0, -2, 130) * (-1.0) ** np.arange(130), RngStream(114, 1)), "lu"),
+        (np.pad(hermitian_pd(80, 1e1, RngStream(114, 2), real=True), (0, 20)), "svd"),  # 20 zero rows and columns
+    ],
+    ids=["over-the-bound", "indefinite", "singular-psd"],
+)
+def test_the_hermitian_rule_hands_an_uncertified_input_on(monkeypatch, a, expect):
+    assert np.array_equal(a, a.conj().T)
+    svd = count_calls(monkeypatch, "svd")
+    got = pinv(a)
+    monkeypatch.undo()
+    if expect == "lu":
+        assert svd == []
+        assert np.array_equal(got, np.linalg.inv(a))
+    else:
+        assert svd == ["svd"]
+        assert np.array_equal(got, svd_pinv_reference(a))
 
 
 def test_pinv_of_a_wide_input_goes_straight_to_the_svd(monkeypatch):
