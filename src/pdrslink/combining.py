@@ -64,10 +64,29 @@ def dwe_weights(
     return WeightMatrix(W, detected)
 
 
-def ls_channel_estimate(frame: ReceivedFrame, pool: PilotPool, detected: np.ndarray) -> np.ndarray:
-    """Least-squares channel estimate ``Y @ pinv(P_detected)`` (M x zeta)."""
+def ls_channel_estimate(
+    frame: ReceivedFrame,
+    pool: PilotPool,
+    detected: np.ndarray,
+    p_pinv: np.ndarray | None = None,
+) -> np.ndarray:
+    """Least-squares channel estimate ``Y @ pinv(P_detected)`` (M x zeta).
+
+    ``p_pinv`` accepts ``pinv(pool.P[detected])`` already computed, as
+    ``dwe_weights`` accepts ``y_pinv``: the pilot block depends only on the
+    pool and the support, so one trial's frames at several points can share
+    it.  One of any other shape than L x zeta raises a ValueError that names
+    both shapes.
+    """
     detected = np.asarray(detected, dtype=np.int64)
-    return frame.Y @ pinv(pool.P[detected])
+    if p_pinv is None:
+        p_pinv = pinv(pool.P[detected])
+    elif p_pinv.shape != (pool.length, detected.size):
+        raise ValueError(
+            f"p_pinv has shape {p_pinv.shape}, but pinv(P[detected]) has shape "
+            f"{(pool.length, detected.size)}"
+        )
+    return frame.Y @ p_pinv
 
 
 def zf_weights(h_est: np.ndarray, users: np.ndarray) -> WeightMatrix:

@@ -101,6 +101,7 @@ def detect_bomp(
     the lowest unselected index (the tie rule), not a draw of rounding noise.
     Every pick is one ``argmax`` over the powers with admitted users masked to
     ``-inf``; a non-finite winning power, at any pick, raises ValueError.
+    The correlations and the picked pilots read the pool's cached ``P_h``.
     ``svd_cost`` has no effect (BOMP computes no pseudo-inverse); it stays only
     because ``pdrsbench/tracing.py`` passes it by position, as
     ``tests/test_bench_contract.py`` checks.
@@ -111,7 +112,7 @@ def detect_bomp(
     if not 1 <= zeta <= N:
         raise ValueError(f"zeta must be in [1, {N}], got {zeta}")
     mults = 0
-    P_h = pool.P.conj().T
+    P_h = pool.P_h
 
     Q = np.empty((L, min(zeta, L)), dtype=np.complex128)
     rank = 0
@@ -154,12 +155,16 @@ def fpr_gram_pinv(pool: PilotPool) -> np.ndarray:
     """Pseudo-inverse of the squared-modulus pilot Gram matrix.
 
     One-time precomputation per pilot pool; the per-frame ledger charges only
-    its application.  ``G = |P P^H|^2`` is real and exactly symmetric, so
-    ``pinv`` keeps it in float64 and inverts it by certified recursive Schur
-    complements; LU when that certificate fails, and the SVD when the Gram
-    has lost rank (a pool with repeated pilots).
+    its application.  ``G = |P P^H|^2`` is formed from the pool's cached
+    ``P_h`` and squared in place (numpy squares as ``x * x`` either way, so
+    the bits are those of ``** 2``, with one N x N temporary fewer).  It is
+    real and exactly symmetric, so ``pinv`` keeps it in float64 and inverts
+    it by certified recursive Schur complements; LU when that certificate
+    fails, and the SVD when the Gram has lost rank (a pool with repeated
+    pilots).
     """
-    G = np.abs(pool.P @ pool.P.conj().T) ** 2
+    G = np.abs(pool.P @ pool.P_h)
+    G *= G
     return pinv(G)
 
 
@@ -174,9 +179,11 @@ def detect_fpr(
     Matched filtering gives per-user powers contaminated by pilot
     cross-correlations; multiplying by the precomputed Gram pseudo-inverse
     unmixes them, and the zeta largest recovered powers form the support.
-    The unmixing solve is real-valued and tallied separately; ``gram_pinv``
-    is ``fpr_gram_pinv(pool)``, an N x N float64 ndarray, and anything else
-    (``None`` included) raises a ValueError that names it.
+    The matched filter reads the pool's cached ``P_h``, so no frame copies
+    the conjugate pool.  The unmixing solve is real-valued and tallied
+    separately; ``gram_pinv`` is ``fpr_gram_pinv(pool)``, an N x N float64
+    ndarray, and anything else (``None`` included) raises a ValueError that
+    names it.
     """
     Y = frame.Y
     M, L = Y.shape
@@ -192,7 +199,7 @@ def detect_fpr(
             f"gram_pinv must be the float64 Gram pseudo-inverse, got {gram_pinv.dtype}"
         )
 
-    H_mf = Y @ pool.P.conj().T
+    H_mf = Y @ pool.P_h
     p_mf = col_norms_sq(H_mf)
     p_rec = gram_pinv @ p_mf
     if not np.all(np.isfinite(p_rec)):

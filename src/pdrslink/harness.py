@@ -8,11 +8,12 @@ maps them on one thread pool and adds up each point's results in trial
 order, and every reported number except wall-clock time is independent of
 the worker count and of scheduling.  A trial does each piece of work once:
 it draws once per ``scenario.draw_key`` and forms each point's frame from
-that draw, a detection stage runs once per frame, and a (combiner,
-support) pair is combined and scored once per frame, all in
-``_trial_on_one_draw``, which ``run_trial`` calls too.  ``STAGE_TABLE``
-says how each detection method runs, and ``DETECTOR_TABLE`` pairs one
-with a combiner to make each detector.
+that draw, a detection stage runs once per frame, a (combiner, support)
+pair is combined and scored once per frame, and a detected support's pilot
+pseudo-inverse is formed once per draw, all in ``_trial_on_one_draw``,
+which ``run_trial`` calls too.  ``STAGE_TABLE`` says how each detection
+method runs, and ``DETECTOR_TABLE`` pairs one with a combiner to make each
+detector.
 """
 
 import math
@@ -304,6 +305,28 @@ def _synthesis(trial_index: int, make: Callable, *args):
         raise RuntimeError(f"trial {trial_index}, synthesis: {exc}") from exc
 
 
+#: One draw's pilot pseudo-inverses: ``pinv(P[support])`` and the ms it took, keyed by support.
+_PilotPinvs = dict[bytes, tuple[np.ndarray, float]]
+
+
+def _pilot_pinv(
+    pilot_pinvs: _PilotPinvs, pool: PilotPool, detected: np.ndarray, key: bytes, keep: bool
+) -> tuple[np.ndarray, float]:
+    """``pinv(pool.P[detected])`` and the ms it took, formed once per draw and support.
+
+    ``keep`` leaves the entry in ``pilot_pinvs`` for a later point; without
+    it (a draw's last point) the entry leaves the memo, so it is freed as
+    soon as its caller lets go of it.
+    """
+    entry = pilot_pinvs.get(key) if keep else pilot_pinvs.pop(key, None)
+    if entry is None:
+        t0 = time.perf_counter()
+        entry = pinv(pool.P[detected]), (time.perf_counter() - t0) * 1e3
+        if keep:
+            pilot_pinvs[key] = entry
+    return entry
+
+
 def _score_frame(
     cfg: SystemConfig,
     pool: PilotPool,
@@ -312,11 +335,16 @@ def _score_frame(
     trial_index: int,
     specs: dict[str, DetectorSpec],
     frame: ReceivedFrame,
+    pilot_pinvs: _PilotPinvs,
+    keep: bool,
 ) -> dict[str, TrialMetrics]:
     """Every detector of ``specs`` scored on ``frame``, one point of ``_trial_on_one_draw``.
 
     Everything after detection is a function of the frame, the combiner and
     the detected support, so detectors that share both share one result.
+    The least-squares estimate takes its pilot pseudo-inverse from
+    ``_pilot_pinv(pilot_pinvs, ..., keep)``, and its time is charged in full
+    at every point that uses it.
     """
     truth = frame.ground_truth
     stages: dict[str, tuple[DetectionResult, float]] = {}
@@ -334,12 +362,16 @@ def _score_frame(
 
             key = spec.combiner, res.detected.astype(np.int64, copy=False).tobytes()
             if key not in combined:
-                t0 = time.perf_counter()
                 step = "combine"
+                pinv_ms = 0.0
                 if spec.combiner == "dwe":
+                    t0 = time.perf_counter()
                     weights = dwe_weights(frame, pool, res.detected, y_pinv=res.y_pinv)
                 else:
-                    h_est = ls_channel_estimate(frame, pool, res.detected)
+                    p_pinv, pinv_ms = _pilot_pinv(pilot_pinvs, pool, res.detected, key[1], keep)
+                    t0 = time.perf_counter()
+                    h_est = ls_channel_estimate(frame, pool, res.detected, p_pinv)
+                    del p_pinv  # at a draw's last point, freed before zero-forcing runs
                     weights = zf_weights(h_est, res.detected)
                 step = "score"
                 m = detection_metrics(res, truth)
@@ -355,7 +387,7 @@ def _score_frame(
                 if tp_users.size:
                     step = "sinr"
                     m.post_sinr_db = post_sinr(tp_W, tp_users, frame.H, truth.active, frame.sigma2)
-                combined[key] = m, (time.perf_counter() - t0) * 1e3
+                combined[key] = m, (time.perf_counter() - t0) * 1e3 + pinv_ms
             m, combine_ms = combined[key]
         except Exception as exc:
             raise RuntimeError(f"trial {trial_index}, detector {name}, {step}: {exc}") from exc
@@ -375,19 +407,29 @@ def _trial_on_one_draw(
 
     The trial draws once; each point's frame is formed from the draw and
     lives only while it is scored, and the draw is let go before the last
-    frame is scored.  A failed draw is the error of every point.
+    frame is scored.  Each detected support's pilot pseudo-inverse is
+    formed once and shared by the points that detect it; at the last point
+    it leaves the memo before zero-forcing runs, so it is not held through
+    ZF, demodulation and SINR.  A failed draw is the error of every point.
     """
     try:
         draw = _synthesis(trial_index, draw_trial, cfgs[0], pool, codebook, trial_index)
     except RuntimeError as exc:
         return [exc] * len(cfgs)
     out: list[dict[str, TrialMetrics] | Exception] = []
+    pilot_pinvs: _PilotPinvs = {}
     for k, cfg in enumerate(cfgs):
+        last = k == len(cfgs) - 1
         try:
             frame = _synthesis(trial_index, draw.frame, cfg.sigma2)
-            if k == len(cfgs) - 1:
+            if last:
                 del draw  # its blocks and noise are not held while the last frame is scored
-            out.append(_score_frame(cfg, pool, codebook, gram_pinv, trial_index, specs, frame))
+            out.append(
+                _score_frame(
+                    cfg, pool, codebook, gram_pinv, trial_index, specs, frame, pilot_pinvs,
+                    keep=not last,
+                )
+            )
             del frame  # freed before the next frame is formed
         except Exception as exc:
             out.append(exc)
@@ -460,7 +502,9 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     (configs that differ only in ``snr_db`` and ``zeta``) share one codebook,
     and a trial draws once for them all and forms each point's frame from
     that draw (so ``snr_db`` and ``alpha`` sweeps draw once per trial, ``K``
-    and ``l`` sweeps at every point).  One thread pool maps the trials, a
+    and ``l`` sweeps at every point).  Likewise a trial inverts each detected
+    pilot block once per draw, and every point that uses the inverse is
+    charged its full time.  One thread pool maps the trials, a
     task running its trial at every point in value order; each point adds
     up the results in trial order as they arrive, so no row depends on the
     worker count.

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from pdrslink.combining import (
     zf_weights,
 )
 from pdrslink.detectors import detect_pdrs_dwe
+from pdrslink.linalg import pinv
 from pdrslink.scenario import RngStream, cgauss
 from pdrslink.scenario import QPSK_POINTS, SystemConfig, synth_codebook, synth_frame, synth_pool
 
@@ -67,6 +70,23 @@ def test_ls_estimate_rejects_empty_support():
     cfg, pool, cb, act, frame = build(seed=7)
     with pytest.raises(ValueError):
         ls_channel_estimate(frame, pool, np.array([], dtype=np.int64))
+
+
+def test_ls_estimate_takes_a_pilot_pinv_computed_before():
+    cfg, pool, cb, act, frame = build(seed=7)
+    p_pinv = pinv(pool.P[act.active])
+    assert np.array_equal(
+        ls_channel_estimate(frame, pool, act.active, p_pinv),
+        ls_channel_estimate(frame, pool, act.active),
+    )
+
+
+def test_ls_estimate_rejects_a_pilot_pinv_of_the_wrong_shape():
+    cfg, pool, cb, act, frame = build(seed=7)
+    wrong = pinv(pool.P[act.active[:-1]])
+    expected = (cfg.L, act.K)
+    with pytest.raises(ValueError, match=re.escape(f"{wrong.shape}") + ".*" + re.escape(f"{expected}")):
+        ls_channel_estimate(frame, pool, act.active, wrong)
 
 
 def test_zf_weights_orthonormal_channel_is_hermitian_transpose():

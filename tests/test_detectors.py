@@ -323,6 +323,12 @@ def test_fpr_gram_pinv_is_real_and_consistent():
     assert np.allclose(G @ gram @ G, G, rtol=1e-8, atol=1e-8)
 
 
+def test_fpr_gram_pinv_squared_in_place_equals_the_power_bit_for_bit():
+    cfg, pool, cb, act, frame = build(seed=11, N=40)
+    expected = pinv(np.abs(pool.P @ pool.P.conj().T) ** 2)
+    assert np.array_equal(fpr_gram_pinv(pool), expected)
+
+
 def test_fpr_gram_pinv_stays_off_the_eigh_and_svd_paths(monkeypatch):
     cfg, pool, cb, act, frame = build(seed=10)
 

@@ -8,12 +8,14 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
 from pdrslink import harness, linalg
+from pdrslink.detectors import detect_fpr, fpr_gram_pinv
 from pdrslink.harness import (
     CSV_HEADER,
     DETECTOR_TABLE,
@@ -671,6 +673,107 @@ def test_shared_combining_is_charged_in_full_to_every_detector(monkeypatch):
     rows = run_point(_coinciding_cfg(trials=3), ["fpr", "oracle"])
     assert [r.detector for r in rows] == ["fpr", "oracle"]
     assert all(r.wall_clock_ms >= 5.0 for r in rows)
+
+
+def _repeating_supports_cfg(**kw):
+    """9 users, 8 active: 12 trials must repeat an active set, and fpr errs in some trials."""
+    return small_cfg(N=9, L=8, K=8, zeta=8, snr_db=0.0, trials=12, **kw)
+
+
+def _pilot_pinv_calls(monkeypatch, sleep_s=0.0):
+    """Wrap the harness's pilot pseudo-inverse; returns the list of pilot blocks it was given."""
+    blocks = []
+    original = harness.pinv
+
+    def counted(a):
+        blocks.append(a)  # list.append is atomic across the trial threads
+        time.sleep(sleep_s)
+        return original(a)
+
+    monkeypatch.setattr(harness, "pinv", counted)
+    return blocks
+
+
+def test_a_trial_inverts_each_detected_pilot_block_once_per_draw(monkeypatch):
+    cfg = _repeating_supports_cfg()
+    values = [-4.0, 0.0, 4.0, 8.0]
+    pool, codebook = synth_pool(cfg), synth_codebook(cfg)
+    gram = fpr_gram_pinv(pool)
+    pairs = set()
+    for t in range(cfg.trials):
+        draw = draw_trial(cfg, pool, codebook, t)
+        pairs.add((t, draw.ground_truth.active.tobytes()))
+        for v in values:
+            frame = draw.frame(replace(cfg, snr_db=v).sigma2)
+            pairs.add((t, detect_fpr(frame, pool, cfg.zeta, gram).detected.tobytes()))
+    # a trial with two supports and two trials with one, so a memo key without either fails
+    assert len(pairs) > cfg.trials > len({support for _, support in pairs})
+    blocks = _pilot_pinv_calls(monkeypatch)
+    rows = harness.run_sweep(SweepSpec(cfg, "snr_db", values, ["fpr", "oracle"]))
+    assert len(blocks) == len(pairs)
+    alone = [row for v in values for row in run_point(replace(cfg, snr_db=v), ["fpr", "oracle"])]
+    assert _rows_without_wall_clock(rows) == _rows_without_wall_clock(alone)
+
+
+def test_a_sweep_that_draws_at_every_point_inverts_once_per_combine(monkeypatch):
+    blocks = _pilot_pinv_calls(monkeypatch)
+    combines = []
+    zf = harness.zf_weights
+
+    def counted(*args):
+        combines.append(1)
+        return zf(*args)
+
+    monkeypatch.setattr(harness, "zf_weights", counted)
+    harness.run_sweep(SweepSpec(_repeating_supports_cfg(), "l", [1, 2], ["fpr", "oracle"]))
+    assert len(blocks) == len(combines) > 0
+
+
+def test_a_shared_pilot_pinv_is_charged_in_full_at_every_point(monkeypatch):
+    _pilot_pinv_calls(monkeypatch, sleep_s=0.005)
+    values = [0.0, 2.0, 4.0, 6.0]
+    rows = harness.run_sweep(SweepSpec(small_cfg(trials=3), "snr_db", values, ["fpr", "oracle"]))
+    oracle = [r for r in rows if r.detector == "oracle"]
+    assert [r.sweep_value for r in oracle] == values
+    assert all(r.wall_clock_ms >= 5.0 for r in oracle)
+
+
+def _pilot_pinv_lifetimes(monkeypatch):
+    """Weak references to every pilot pseudo-inverse, and whether each was alive at each ZF entry."""
+    refs, alive_at_zf = [], []
+    original, zf = harness.pinv, harness.zf_weights
+
+    def tracked(a):
+        out = original(a)
+        refs.append(weakref.ref(out))
+        return out
+
+    def checked(*args):
+        alive_at_zf.append([ref() is not None for ref in refs])
+        return zf(*args)
+
+    monkeypatch.setattr(harness, "pinv", tracked)
+    monkeypatch.setattr(harness, "zf_weights", checked)
+    return refs, alive_at_zf
+
+
+def test_a_one_point_trial_frees_its_pilot_pinv_before_zero_forcing(monkeypatch):
+    cfg = small_cfg()
+    refs, alive_at_zf = _pilot_pinv_lifetimes(monkeypatch)
+    run_trial(cfg, synth_pool(cfg), synth_codebook(cfg), None, 0, ["oracle"])
+    assert len(refs) == 1
+    assert alive_at_zf == [[False]]
+
+
+def test_a_draws_last_point_frees_its_pilot_pinv_before_zero_forcing(monkeypatch):
+    cfg = small_cfg()
+    refs, alive_at_zf = _pilot_pinv_lifetimes(monkeypatch)
+    cfgs = [replace(cfg, snr_db=v) for v in (0.0, 4.0, 8.0)]
+    specs = {"oracle": DETECTOR_TABLE["oracle"]}
+    pool, codebook = synth_pool(cfg), synth_codebook(cfg)
+    harness._trial_on_one_draw(cfgs, pool, codebook, None, 0, specs)
+    assert len(refs) == 1
+    assert alive_at_zf == [[True], [True], [False]]
 
 
 def test_snr_monotonicity_with_slack():

@@ -63,7 +63,7 @@ def scenarios(draw):
 
 
 def _frame(cfg, copies):
-    P = synth_pool(cfg).P
+    P = synth_pool(cfg).P.copy()
     for n in copies:
         P[n] = P[n - 1]
     pool, codebook = PilotPool(P), synth_codebook(cfg)

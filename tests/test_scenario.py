@@ -370,6 +370,50 @@ def test_pool_and_codebook_reject_nan():
         PdrsCodebook(R)
 
 
+@pytest.mark.parametrize("kind", ["pool", "codebook"])
+def test_pool_and_codebook_own_a_read_only_copy_and_are_frozen(kind):
+    cfg = small_cfg()
+    build, name = (PilotPool, "P") if kind == "pool" else (PdrsCodebook, "R")
+    mine = getattr(synth_pool(cfg) if kind == "pool" else synth_codebook(cfg), name).copy()
+    before = mine.copy()
+    built = build(mine)
+    held = getattr(built, name)
+    assert np.array_equal(held, before) and not np.shares_memory(held, mine)
+    assert held.flags.owndata and not held.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        held[0, 0] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        setattr(built, name, before)
+    mine[0, 0] = 0.0  # the caller's array stays writeable, and the object does not see it
+    assert np.array_equal(getattr(built, name), before)
+
+
+@pytest.mark.parametrize("kind", ["pool", "codebook"])
+def test_pool_and_codebook_keep_a_handed_over_array_and_copy_a_read_only_view(kind):
+    cfg = small_cfg()
+    build, name = (PilotPool, "P") if kind == "pool" else (PdrsCodebook, "R")
+    mine = getattr(synth_pool(cfg) if kind == "pool" else synth_codebook(cfg), name).copy()
+    view = mine.view()
+    view.flags.writeable = False  # read-only, but its base is not
+    assert not np.shares_memory(getattr(build(view), name), mine)
+    mine.flags.writeable = False  # handed over: nothing can write to it any more
+    assert getattr(build(mine), name) is mine
+
+
+def test_pool_conjugate_transpose_is_formed_once_with_the_layout_of_conj_t():
+    pool = synth_pool(small_cfg())
+    P_h = pool.P_h
+    fresh = pool.P.conj().T
+    assert P_h.dtype == fresh.dtype and P_h.shape == fresh.shape
+    assert P_h.strides == fresh.strides
+    bits = [np.ascontiguousarray(a).view(np.uint64) for a in (P_h, fresh)]
+    assert np.array_equal(*bits)
+    assert not P_h.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        P_h[0, 0] = 0.0
+    assert pool.P_h is P_h
+
+
 def test_codebook_mode_validation():
     with pytest.raises(ValueError):
         PdrsCodebook(np.ones((3, 1), dtype=np.complex128), mode="bogus")
