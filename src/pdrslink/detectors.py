@@ -1,10 +1,13 @@
 """Activity detectors operating on one received frame.
 
-All detectors return a sorted detected support of exactly ``zeta`` users
-plus the per-user ranking scores and the exact multiplication tally of the
-run.  Tie-breaking is deterministic: equal scores resolve to the lower user
-index.  A non-finite score (a frame or an FPR Gram pseudo-inverse holding
-nan or inf) is never ranked: the detector raises a ValueError instead.
+Every detector returns a sorted detected support plus the per-user ranking
+scores and the exact multiplication tally of the run.  The three that rank
+users (PDRS, BOMP, FPR) detect exactly ``zeta`` users; the genie
+``oracle_support`` returns the ``K`` true users whatever ``zeta`` is, at a
+cost of 0.  Tie-breaking is deterministic: equal scores resolve to the
+lower user index.  A non-finite score (a frame or an FPR Gram
+pseudo-inverse holding nan or inf) is never ranked: the detector raises a
+ValueError instead.
 """
 
 from dataclasses import dataclass, field

@@ -10,10 +10,10 @@ the worker count and of scheduling.  A trial does each piece of work once:
 it draws once per ``scenario.draw_key`` and forms each point's frame from
 that draw, a detection stage runs once per frame, a (combiner, support)
 pair is combined and scored once per frame, and a detected support's pilot
-pseudo-inverse is formed once per draw, all in ``_trial_on_one_draw``,
-which ``run_trial`` calls too.  ``STAGE_TABLE`` says how each detection
-method runs, and ``DETECTOR_TABLE`` pairs one with a combiner to make each
-detector.
+pseudo-inverse is formed once per trial, all in ``_trial_at_points``, which
+``run_sweep`` maps over the trials and ``run_trial`` calls at one point.
+``STAGE_TABLE`` says how each detection method runs, and ``DETECTOR_TABLE``
+pairs one with a combiner to make each detector.
 """
 
 import math
@@ -22,6 +22,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -278,7 +279,7 @@ def run_trial(
     trial_index: int,
     detectors: list[str],
 ) -> dict[str, TrialMetrics]:
-    """Score every requested detector on trial ``trial_index``'s frame, by ``_trial_on_one_draw``.
+    """Score every requested detector on trial ``trial_index``, by ``_trial_at_points`` at one point.
 
     The frame depends only on (cfg.seed, trial_index), never on the detector
     list, so adding a detector to a sweep does not move any other detector's
@@ -291,40 +292,10 @@ def run_trial(
     or sinr.
     """
     specs = {name: _spec(name) for name in detectors}
-    (result,) = _trial_on_one_draw([cfg], pool, codebook, gram_pinv, trial_index, specs)
+    (result,) = _trial_at_points(pool, gram_pinv, specs, [(codebook, [(0, cfg)])], trial_index)
     if isinstance(result, Exception):
         raise result
     return result
-
-
-def _synthesis(trial_index: int, make: Callable, *args):
-    """``make(*args)``, a failure raised as ``trial <t>, synthesis: <msg>``."""
-    try:
-        return make(*args)
-    except Exception as exc:
-        raise RuntimeError(f"trial {trial_index}, synthesis: {exc}") from exc
-
-
-#: One draw's pilot pseudo-inverses: ``pinv(P[support])`` and the ms it took, keyed by support.
-_PilotPinvs = dict[bytes, tuple[np.ndarray, float]]
-
-
-def _pilot_pinv(
-    pilot_pinvs: _PilotPinvs, pool: PilotPool, detected: np.ndarray, key: bytes, keep: bool
-) -> tuple[np.ndarray, float]:
-    """``pinv(pool.P[detected])`` and the ms it took, formed once per draw and support.
-
-    ``keep`` leaves the entry in ``pilot_pinvs`` for a later point; without
-    it (a draw's last point) the entry leaves the memo, so it is freed as
-    soon as its caller lets go of it.
-    """
-    entry = pilot_pinvs.get(key) if keep else pilot_pinvs.pop(key, None)
-    if entry is None:
-        t0 = time.perf_counter()
-        entry = pinv(pool.P[detected]), (time.perf_counter() - t0) * 1e3
-        if keep:
-            pilot_pinvs[key] = entry
-    return entry
 
 
 def _score_frame(
@@ -335,16 +306,20 @@ def _score_frame(
     trial_index: int,
     specs: dict[str, DetectorSpec],
     frame: ReceivedFrame,
-    pilot_pinvs: _PilotPinvs,
-    keep: bool,
+    pilot_pinvs: dict[bytes, tuple[np.ndarray, float]],
+    last: bool,
 ) -> dict[str, TrialMetrics]:
-    """Every detector of ``specs`` scored on ``frame``, one point of ``_trial_on_one_draw``.
+    """Every detector of ``specs`` scored on ``frame``, one point of ``_trial_at_points``.
 
     Everything after detection is a function of the frame, the combiner and
     the detected support, so detectors that share both share one result.
-    The least-squares estimate takes its pilot pseudo-inverse from
-    ``_pilot_pinv(pilot_pinvs, ..., keep)``, and its time is charged in full
-    at every point that uses it.
+    The least-squares estimate takes ``pinv(pool.P[support])`` from the
+    trial's ``pilot_pinvs``, keyed by the support's bytes, forming it there
+    on first use with the ms it took; that time is charged in full at every
+    point that uses it.  At the trial's ``last`` point the entry leaves the
+    memo, so the inverse is freed before zero-forcing runs: held through
+    ZF, it raised the page faults and cut the trial rate of
+    ``overshoot-pdrs``.
     """
     truth = frame.ground_truth
     stages: dict[str, tuple[DetectionResult, float]] = {}
@@ -368,10 +343,14 @@ def _score_frame(
                     t0 = time.perf_counter()
                     weights = dwe_weights(frame, pool, res.detected, y_pinv=res.y_pinv)
                 else:
-                    p_pinv, pinv_ms = _pilot_pinv(pilot_pinvs, pool, res.detected, key[1], keep)
+                    if key[1] not in pilot_pinvs:
+                        t0 = time.perf_counter()
+                        p_pinv = pinv(pool.P[res.detected])
+                        pilot_pinvs[key[1]] = p_pinv, (time.perf_counter() - t0) * 1e3
+                    p_pinv, pinv_ms = pilot_pinvs.pop(key[1]) if last else pilot_pinvs[key[1]]
                     t0 = time.perf_counter()
                     h_est = ls_channel_estimate(frame, pool, res.detected, p_pinv)
-                    del p_pinv  # at a draw's last point, freed before zero-forcing runs
+                    del p_pinv  # at the trial's last point, freed before zero-forcing runs
                     weights = zf_weights(h_est, res.detected)
                 step = "score"
                 m = detection_metrics(res, truth)
@@ -395,44 +374,50 @@ def _score_frame(
     return out
 
 
-def _trial_on_one_draw(
-    cfgs: list[SystemConfig],
+def _trial_at_points(
     pool: PilotPool,
-    codebook: PdrsCodebook,
     gram_pinv: np.ndarray | None,
-    trial_index: int,
     specs: dict[str, DetectorSpec],
+    groups: list[tuple[PdrsCodebook, list[tuple[int, SystemConfig]]]],
+    trial_index: int,
 ) -> list[dict[str, TrialMetrics] | Exception]:
-    """One trial at points that share a draw key: one result or error per config.
+    """Trial ``trial_index`` at every point: one result or error per point, in point order.
 
-    The trial draws once; each point's frame is formed from the draw and
-    lives only while it is scored, and the draw is let go before the last
-    frame is scored.  Each detected support's pilot pseudo-inverse is
-    formed once and shared by the points that detect it; at the last point
-    it leaves the memo before zero-forcing runs, so it is not held through
-    ZF, demodulation and SINR.  A failed draw is the error of every point.
+    ``groups`` holds, per ``scenario.draw_key``, its codebook and the
+    (index, config) of each point that shares the key.  The trial draws once
+    per group; each point's frame is formed from the draw and lives only
+    while it is scored, and the draw is let go before the group's last frame
+    is scored.  The trial's ``pilot_pinvs`` memo forms each detected
+    support's pilot pseudo-inverse once, for every point and group; an
+    entry used at the trial's last point leaves it there, and the rest is
+    freed when the trial returns.  A failed draw is the error of each of
+    its group's points.
     """
-    try:
-        draw = _synthesis(trial_index, draw_trial, cfgs[0], pool, codebook, trial_index)
-    except RuntimeError as exc:
-        return [exc] * len(cfgs)
-    out: list[dict[str, TrialMetrics] | Exception] = []
-    pilot_pinvs: _PilotPinvs = {}
-    for k, cfg in enumerate(cfgs):
-        last = k == len(cfgs) - 1
+    out: list[dict[str, TrialMetrics] | Exception] = [None] * sum(len(ps) for _, ps in groups)
+    pilot_pinvs: dict[bytes, tuple[np.ndarray, float]] = {}
+    last_point = groups[-1][1][-1][0]
+    for codebook, points in groups:
         try:
-            frame = _synthesis(trial_index, draw.frame, cfg.sigma2)
-            if last:
-                del draw  # its blocks and noise are not held while the last frame is scored
-            out.append(
-                _score_frame(
-                    cfg, pool, codebook, gram_pinv, trial_index, specs, frame, pilot_pinvs,
-                    keep=not last,
-                )
-            )
-            del frame  # freed before the next frame is formed
+            draw = draw_trial(points[0][1], pool, codebook, trial_index)
         except Exception as exc:
-            out.append(exc)
+            draw = exc  # raised again as the synthesis error of each point below
+        for k, (p, cfg) in enumerate(points):
+            try:
+                try:
+                    if isinstance(draw, Exception):
+                        raise draw
+                    frame = draw.frame(cfg.sigma2)
+                except Exception as exc:
+                    raise RuntimeError(f"trial {trial_index}, synthesis: {exc}") from exc
+                if k == len(points) - 1:
+                    del draw  # its blocks and noise are not held while the last frame is scored
+                out[p] = _score_frame(
+                    cfg, pool, codebook, gram_pinv, trial_index, specs, frame, pilot_pinvs,
+                    p == last_point,
+                )
+                del frame  # freed before the next frame is formed
+            except RuntimeError as exc:
+                out[p] = exc
     return out
 
 
@@ -502,12 +487,12 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     (configs that differ only in ``snr_db`` and ``zeta``) share one codebook,
     and a trial draws once for them all and forms each point's frame from
     that draw (so ``snr_db`` and ``alpha`` sweeps draw once per trial, ``K``
-    and ``l`` sweeps at every point).  Likewise a trial inverts each detected
-    pilot block once per draw, and every point that uses the inverse is
-    charged its full time.  One thread pool maps the trials, a
-    task running its trial at every point in value order; each point adds
-    up the results in trial order as they arrive, so no row depends on the
-    worker count.
+    and ``l`` sweeps at every point).  A trial inverts each detected pilot
+    block once, whichever points and draws detect it, and every point that
+    uses the inverse is charged its full time.  One thread pool maps
+    ``_trial_at_points`` over the trials, each task running its trial at
+    every point; each point adds up the results in trial order as they
+    arrive, so no row depends on the worker count.
 
     Every trial runs.  A point with any failed trial gets rows with nan
     metrics and ``counted_mults`` 0, and one stderr line, in value order:
@@ -528,26 +513,17 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
         needs_gram = any(STAGE_TABLE[DETECTOR_TABLE[d].stage].needs_gram for d in detectors)
         gram_pinv = fpr_gram_pinv(pool) if needs_gram else None
         points = [spec.config_at(v) for v in spec.values]
-        by_key: dict[SystemConfig, list[int]] = {}
+        by_key: dict[SystemConfig, list[tuple[int, SystemConfig]]] = {}
         for p, cfg in enumerate(points):
-            by_key.setdefault(draw_key(cfg), []).append(p)
-        groups = [
-            ([points[p] for p in ps], synth_codebook(points[ps[0]]), ps) for ps in by_key.values()
-        ]
-
-        def work(i: int) -> list[dict[str, TrialMetrics] | Exception]:
-            out: list[dict[str, TrialMetrics] | Exception] = [None] * len(points)
-            for cfgs, codebook, ps in groups:
-                results = _trial_on_one_draw(cfgs, pool, codebook, gram_pinv, i, specs)
-                for p, result in zip(ps, results):
-                    out[p] = result
-            return out
+            by_key.setdefault(draw_key(cfg), []).append((p, cfg))
+        groups = [(synth_codebook(ps[0][1]), ps) for ps in by_key.values()]
+        trial = partial(_trial_at_points, pool, gram_pinv, specs, groups)
 
         tallies: list[dict[str, _Tally]] = [{} for _ in points]
         failed, first_error = [0] * len(points), [None] * len(points)
         # map yields in trial order; a failed trial yields its error, so all run
         with ThreadPoolExecutor(max_workers=worker_count()) as executor:
-            for results in executor.map(work, range(trials)):
+            for results in executor.map(trial, range(trials)):
                 for p, result in enumerate(results):
                     if isinstance(result, Exception):
                         failed[p] += 1

@@ -33,7 +33,14 @@ from pdrslink.harness import (
     worker_count,
 )
 from pdrslink.linalg import BlasThreads, process_blas
-from pdrslink.scenario import SystemConfig, draw_trial, synth_codebook, synth_frame, synth_pool
+from pdrslink.scenario import (
+    FrameDraw,
+    SystemConfig,
+    draw_trial,
+    synth_codebook,
+    synth_frame,
+    synth_pool,
+)
 
 
 def small_cfg(**kw):
@@ -104,6 +111,7 @@ def test_trial_errors_carry_the_trial_index(monkeypatch):
         ("pdrs", "draw_trial", "synthesis"),
         ("pdrs", "dwe_weights", "combine"),
         ("pdrs-lszf", "ls_channel_estimate", "combine"),
+        ("pdrs-lszf", "pinv", "combine"),
         ("pdrs-lszf", "zf_weights", "combine"),
         ("pdrs", "detection_metrics", "score"),
         ("pdrs", "demod_qpsk", "demod"),
@@ -548,6 +556,32 @@ def test_a_failed_point_leaves_the_other_points_of_its_sweep_alone(monkeypatch, 
         )
 
 
+def test_a_failed_frame_fails_only_its_point(monkeypatch, capsys):
+    dets = ["pdrs", "oracle"]
+    spec = SweepSpec(small_cfg(trials=4), "snr_db", [0.0, 4.0, 8.0], dets)
+    healthy = {v: run_point(spec.config_at(v), dets) for v in (0.0, 8.0)}
+    form, failing = FrameDraw.frame, spec.config_at(4.0).sigma2
+
+    def flaky(self, sigma2):
+        if sigma2 == failing:
+            raise ValueError("synthetic failure")
+        return form(self, sigma2)
+
+    monkeypatch.setattr(FrameDraw, "frame", flaky)
+    capsys.readouterr()
+    rows = harness.run_sweep(spec)
+    assert capsys.readouterr().err.splitlines() == [
+        "sweep point snr_db=4.0: 4 of 4 trials failed; first: trial 0, synthesis: synthetic failure"
+    ]
+    failed = [r for r in rows if r.sweep_value == 4.0]
+    assert [r.detector for r in failed] == dets
+    assert all(math.isnan(r.miss_rate) and r.counted_mults == 0 for r in failed)
+    for v, alone in healthy.items():
+        assert _rows_without_wall_clock([r for r in rows if r.sweep_value == v]) == (
+            _rows_without_wall_clock(alone)
+        )
+
+
 @pytest.mark.parametrize(
     "variable, values, failing",
     [("snr_db", [0.0, 4.0, float("inf")], (0.0, 4.0, float("inf"))), ("l", [1, 2], (1.0,))],
@@ -715,18 +749,42 @@ def test_a_trial_inverts_each_detected_pilot_block_once_per_draw(monkeypatch):
     assert _rows_without_wall_clock(rows) == _rows_without_wall_clock(alone)
 
 
-def test_a_sweep_that_draws_at_every_point_inverts_once_per_combine(monkeypatch):
+@pytest.mark.parametrize(
+    "variable, values, dets",
+    [
+        ("l", [1, 2, 3], ["oracle"]),
+        ("l", [1, 2], ["fpr", "oracle"]),
+        ("K", [6, 7, 8], ["fpr", "oracle"]),
+    ],
+    ids=["l-oracle", "l-fpr-oracle", "K-fpr-oracle"],
+)
+def test_a_sweep_that_draws_at_every_point_inverts_each_support_once_per_trial(
+    monkeypatch, variable, values, dets
+):
+    spec = SweepSpec(_repeating_supports_cfg(), variable, values, dets)
+    pool = synth_pool(spec.base)
+    gram = fpr_gram_pinv(pool)
+    pairs = set()
+    for v in spec.values:
+        cfg = spec.config_at(v)
+        codebook = synth_codebook(cfg)
+        for t in range(cfg.trials):
+            frame = draw_trial(cfg, pool, codebook, t).frame(cfg.sigma2)
+            for d in dets:
+                stage = STAGE_TABLE[DETECTOR_TABLE[d].stage]
+                res = stage.detect(frame, pool, codebook, cfg.zeta, cfg.svd_cost, gram)
+                pairs.add((t, res.detected.tobytes()))
+    if dets == ["oracle"]:  # oracle's support reads only seed, N and K: one per trial
+        assert len(pairs) == spec.base.trials
     blocks = _pilot_pinv_calls(monkeypatch)
-    combines = []
-    zf = harness.zf_weights
-
-    def counted(*args):
-        combines.append(1)
-        return zf(*args)
-
-    monkeypatch.setattr(harness, "zf_weights", counted)
-    harness.run_sweep(SweepSpec(_repeating_supports_cfg(), "l", [1, 2], ["fpr", "oracle"]))
-    assert len(blocks) == len(combines) > 0
+    rows = harness.run_sweep(spec)
+    assert len(blocks) == len(pairs)
+    alone = [
+        replace(r, sweep_var=variable, sweep_value=v)
+        for v in spec.values
+        for r in run_point(spec.config_at(v), dets)
+    ]
+    assert _rows_without_wall_clock(rows) == _rows_without_wall_clock(alone)
 
 
 def test_a_shared_pilot_pinv_is_charged_in_full_at_every_point(monkeypatch):
@@ -766,14 +824,55 @@ def test_a_one_point_trial_frees_its_pilot_pinv_before_zero_forcing(monkeypatch)
 
 
 def test_a_draws_last_point_frees_its_pilot_pinv_before_zero_forcing(monkeypatch):
-    cfg = small_cfg()
+    cfg = small_cfg(trials=1)
     refs, alive_at_zf = _pilot_pinv_lifetimes(monkeypatch)
-    cfgs = [replace(cfg, snr_db=v) for v in (0.0, 4.0, 8.0)]
-    specs = {"oracle": DETECTOR_TABLE["oracle"]}
-    pool, codebook = synth_pool(cfg), synth_codebook(cfg)
-    harness._trial_on_one_draw(cfgs, pool, codebook, None, 0, specs)
+    harness.run_sweep(SweepSpec(cfg, "snr_db", [0.0, 4.0, 8.0], ["oracle"]))
     assert len(refs) == 1
     assert alive_at_zf == [[True], [True], [False]]
+
+
+def test_no_pilot_pinv_outlives_its_trial(monkeypatch):
+    refs, _ = _pilot_pinv_lifetimes(monkeypatch)
+    values = [-12.0, -6.0, 0.0, 20.0]
+    harness.run_sweep(SweepSpec(small_cfg(trials=1), "snr_db", values, ["fpr", "oracle"]))
+    # the last point uses at most two supports, so some entry is never used there
+    assert len(refs) > 2
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
+def test_a_draw_is_let_go_before_its_last_point_is_detected(monkeypatch):
+    refs, alive_at_detect = [], []
+    draw = harness.draw_trial
+    stage = STAGE_TABLE["oracle"]
+
+    def tracked(*args):
+        out = draw(*args)
+        refs.append(weakref.ref(out))
+        return out
+
+    def checked(*args):
+        alive_at_detect.append([ref() is not None for ref in refs])
+        return stage.detect(*args)
+
+    monkeypatch.setattr(harness, "draw_trial", tracked)
+    monkeypatch.setitem(harness.STAGE_TABLE, "oracle", stage._replace(detect=checked))
+    harness.run_sweep(SweepSpec(small_cfg(trials=1), "snr_db", [0.0, 4.0, 8.0], ["oracle"]))
+    assert alive_at_detect == [[True], [True], [False]]
+
+
+def test_a_points_frame_is_let_go_before_the_next_is_formed(monkeypatch):
+    refs, alive_at_form = [], []
+    form = FrameDraw.frame
+
+    def tracked(self, sigma2):
+        alive_at_form.append([ref() is not None for ref in refs])
+        out = form(self, sigma2)
+        refs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(FrameDraw, "frame", tracked)
+    harness.run_sweep(SweepSpec(small_cfg(trials=1), "snr_db", [0.0, 4.0, 8.0], ["oracle"]))
+    assert alive_at_form == [[], [False], [False, False]]
 
 
 def test_snr_monotonicity_with_slack():
