@@ -32,8 +32,7 @@ def abs2(a):
 
 def residual_row_norms(e, r):
     """Per-row squared l2 norms of ``e - r``."""
-    d = e - r
-    return np.einsum("ij,ij->i", d, d.conj()).real
+    return row_norms_sq(e - r)
 
 
 def qpsk_decide(z):

@@ -145,14 +145,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Link-level simulator for grant-free pilot activity detection.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    # the options of every verb that builds its SystemConfig by _load_config
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="key = value config file")
+    config.add_argument("--seed", type=int)
 
-    p = sub.add_parser("sweep", help="run a Monte-Carlo sweep and emit CSV")
-    p.add_argument("--config", help="key = value config file")
+    p = sub.add_parser("sweep", parents=[config], help="run a Monte-Carlo sweep and emit CSV")
     p.add_argument("--var", default="snr_db", choices=harness.SWEEP_VARS)
     p.add_argument("--values", required=True, help="comma-separated sweep values")
     p.add_argument("--detectors", default="pdrs,bomp,fpr,oracle")
     p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output CSV path (stdout when omitted)")
     p.set_defaults(func=_cmd_sweep)
 
@@ -162,9 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", type=int, help="support size (default: true K)")
     p.set_defaults(func=_cmd_detect)
 
-    p = sub.add_parser("complexity", help="print the multiplication ledger")
-    p.add_argument("--config", help="key = value config file")
-    p.add_argument("--seed", type=int)
+    p = sub.add_parser("complexity", parents=[config], help="print the multiplication ledger")
     p.add_argument("--out", help="also write the ledger as CSV")
     p.set_defaults(func=_cmd_complexity)
 
@@ -173,9 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=_cmd_lemma_check)
 
-    p = sub.add_parser("gen-frame", help="write a frame container to disk")
-    p.add_argument("--config", help="key = value config file")
-    p.add_argument("--seed", type=int)
+    p = sub.add_parser("gen-frame", parents=[config], help="write a frame container to disk")
     p.add_argument("--out", required=True, help="output frame path")
     p.set_defaults(func=_cmd_gen_frame)
 

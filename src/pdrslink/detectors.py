@@ -17,7 +17,7 @@ import numpy as np
 from ._kernels import col_norms_sq, residual_row_norms
 from .linalg import orthonormal_step, pinv
 from .metrics import matmul_mults, pinv_mults
-from .scenario import PdrsCodebook, PilotPool, ReceivedFrame
+from .scenario import PdrsCodebook, PilotPool, ReceivedFrame, SystemConfig
 
 __all__ = [
     "DetectionResult",
@@ -53,7 +53,7 @@ def detect_pdrs_dwe(
     pool: PilotPool,
     codebook: PdrsCodebook,
     zeta: int,
-    svd_cost: int = 4,
+    svd_cost: int = SystemConfig.svd_cost,
 ) -> DetectionResult:
     """Reference-signal reconstruction detector.
 
@@ -88,7 +88,7 @@ def detect_bomp(
     frame: ReceivedFrame,
     pool: PilotPool,
     zeta: int,
-    svd_cost: int = 4,
+    svd_cost: int = SystemConfig.svd_cost,
 ) -> DetectionResult:
     """Block orthogonal matching pursuit over pilot blocks.
 

@@ -57,7 +57,7 @@ def save_frame(
     if frame.Y.shape != (M, L) or frame.Y_R.shape != (M, ell):
         raise ValueError("frame blocks are inconsistent with the pool/codebook dimensions")
     if frame.ground_truth.n_pilots != N:
-        raise ValueError("ground truth refers to a different pool size")
+        raise ValueError(f"ground truth counts {frame.ground_truth.n_pilots} pilots, the pool has {N}")
 
     out: list[bytes] = [
         MAGIC,

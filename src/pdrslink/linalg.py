@@ -338,14 +338,9 @@ def _env_pins_blas() -> bool:
     return bool(values) and all(v == "1" for v in values)
 
 
-_blas_lock = threading.Lock()
-_blas: BlasThreads | None = None
+_blas = BlasThreads.find()
 
 
 def process_blas() -> BlasThreads:
-    """The process's ``BlasThreads``, found on first use."""
-    global _blas
-    with _blas_lock:
-        if _blas is None:
-            _blas = BlasThreads.find()
-        return _blas
+    """The process's ``BlasThreads``, found when this module is imported."""
+    return _blas

@@ -37,7 +37,7 @@ def matmul_mults(a: int, b: int, c: int) -> int:
     return a * b * c
 
 
-def pinv_mults(rows: int, cols: int, svd_cost: int = 4) -> int:
+def pinv_mults(rows: int, cols: int, svd_cost: int = SystemConfig.svd_cost) -> int:
     """Cost of a pseudo-inverse; orientation does not matter."""
     m, n = (rows, cols) if rows >= cols else (cols, rows)
     return svd_cost * m * n * n + n * n * n
@@ -71,17 +71,13 @@ def complexity_model(cfg: SystemConfig, detector: str) -> ComplexityModel:
         detect = pinv_mults(M, L, c) + matmul_mults(L, M, ell) + matmul_mults(N, L, ell) + N * ell
         return ComplexityModel(detect, weight_mults=zeta * L * M)
     if detector == "bomp":
-        # per pick t: correlation and powers; while the span is short of C^L,
-        # Gram-Schmidt against t-1 basis vectors (two passes, the norms of
-        # the pilot and of its remainder, scale),
-        # then the deflation Y - (Y Q) Q^H, which is free once rank t = L
-        detect = 0
-        for t in range(1, zeta + 1):
-            detect += matmul_mults(M, L, N) + M * N
-            if t <= L:
-                detect += 4 * L * (t - 1) + 3 * L
-            if t < L:
-                detect += 2 * t * L * M
+        # every pick t: correlation and powers; each pick t <= L: Gram-Schmidt
+        # against t-1 basis vectors (two passes, the norms of the pilot and of
+        # its remainder, scale); each pick t < L: the deflation Y - (Y Q) Q^H,
+        # which is free once rank t = L.  Summed over t in closed form:
+        r, s = min(zeta, L), min(zeta, L - 1)
+        detect = zeta * (matmul_mults(M, L, N) + M * N)
+        detect += 2 * L * r * (r - 1) + 3 * L * r + L * M * s * (s + 1)
         return ComplexityModel(detect)
     if detector == "fpr":
         detect = matmul_mults(M, L, N) + M * N
@@ -156,7 +152,7 @@ def post_sinr(
     if H.shape[1] != active.size:
         raise ValueError(f"H must have one column per active user: H {H.shape}, active {active.shape}")
     if W.shape[0] != users.size:
-        raise ValueError("one weight row per user is required")
+        raise ValueError(f"one weight row per user is required: W {W.shape}, users {users.shape}")
     if users.size == 0:
         return np.zeros(0, dtype=np.float64)
     pos = np.searchsorted(active, users)

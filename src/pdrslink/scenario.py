@@ -234,9 +234,9 @@ def _owned_read_only(a) -> np.ndarray:
     """``a`` as a read-only complex matrix that no caller can write through.
 
     A read-only array that owns its data is taken as it is: its holder has
-    given up writing to it, as ``gen_pilot_pool`` and ``gen_pdrs_codebook``
-    do, which spares the copy: an anchor pool copied beside the array it was
-    drawn into raised the peak RSS of a one-point run by about 1.5 MB.
+    given up writing to it, as ``_unit_rows`` does, which spares the copy:
+    an anchor pool copied beside the array it was drawn into raised the peak
+    RSS of a one-point run by about 1.5 MB.
     Anything else is copied, so a caller's own array stays writeable.
     """
     m = linalg.as_cmatrix(a)
@@ -358,7 +358,7 @@ class ReceivedFrame:
         if self.H is not None and self.H.shape != (m, self.ground_truth.K):
             raise ValueError("H must be M x K when present")
         if self.X_D is not None and self.X_D.shape != (self.ground_truth.K, self.Y_D.shape[1]):
-            raise ValueError("X_D must be K x D when present")
+            raise ValueError(f"X_D must be K x D when present, got {self.X_D.shape}")
         if not (math.isfinite(self.sigma2) and self.sigma2 >= 0):
             raise ValueError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
 
@@ -367,12 +367,17 @@ class ReceivedFrame:
         return self.Y.shape[0]
 
 
+def _unit_rows(rows: int, cols: int, rng: RngStream) -> np.ndarray:
+    """A complex-Gaussian rows x cols draw, every row rescaled to squared norm ``cols``, read-only."""
+    a = cgauss(rows, cols, 1.0, rng)
+    a *= (np.sqrt(cols) / np.sqrt(_kernels.row_norms_sq(a)))[:, None]
+    a.flags.writeable = False
+    return a
+
+
 def gen_pilot_pool(cfg: SystemConfig, rng: RngStream) -> PilotPool:
     """Random complex-Gaussian pilot pool with every row rescaled to ||p||^2 = L."""
-    P = cgauss(cfg.N, cfg.L, 1.0, rng)
-    P *= (np.sqrt(cfg.L) / np.sqrt(_kernels.row_norms_sq(P)))[:, None]
-    P.flags.writeable = False  # handed over: the pool keeps it without a copy
-    return PilotPool(P)
+    return PilotPool(_unit_rows(cfg.N, cfg.L, rng))
 
 
 def gen_pdrs_codebook(cfg: SystemConfig, rng: RngStream) -> PdrsCodebook:
@@ -383,10 +388,7 @@ def gen_pdrs_codebook(cfg: SystemConfig, rng: RngStream) -> PdrsCodebook:
     unit-modulus base codes (scaled DFT rows), repeating codes as needed.
     """
     if cfg.pdrs_mode == "gaussian":
-        R = cgauss(cfg.N, cfg.l, 1.0, rng)
-        R *= (np.sqrt(cfg.l) / np.sqrt(_kernels.row_norms_sq(R)))[:, None]
-        R.flags.writeable = False  # handed over, as in gen_pilot_pool
-        return PdrsCodebook(R, mode="gaussian")
+        return PdrsCodebook(_unit_rows(cfg.N, cfg.l, rng), mode="gaussian")
     # orthogonal-reuse: rows of the l x l DFT matrix have squared norm l and
     # are mutually orthogonal
     j, k = np.meshgrid(np.arange(cfg.l), np.arange(cfg.l), indexing="ij")

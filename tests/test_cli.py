@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import struct
 from dataclasses import replace
@@ -201,6 +202,24 @@ def test_complexity_table(cfg_file, tmp_path, capsys):
     rows = out.read_text().splitlines()
     assert rows[0].startswith("detector,modeled_mults,counted_mults")
     assert len(rows) == 5
+
+
+#: sha256 of ``pdrslink complexity``'s stdout and of its ``--out`` CSV at the
+#: anchor config.  Every line is an integer count or a fixed-precision ratio
+#: of counts, so neither digest depends on the BLAS; nor on the seed, which
+#: moves no count.
+LEDGER_STDOUT_SHA256 = "77184ead61731947fbe7da654bc47b5cd465a346d65336b6f5148f3c92d361be"
+LEDGER_CSV_SHA256 = "dbedeb57a7ce335f174bdc1480e233a3b9e6d769987f6bfc4e3bf020cb4ab8ec"
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "5"]], ids=["default seed", "seed 5"])
+def test_the_anchor_ledger_keeps_its_bytes(tmp_path, capsys, seed):
+    out = tmp_path / "ledger.csv"
+    assert main(["complexity", *seed, "--out", str(out)]) == 0
+    table, wrote = capsys.readouterr().out.rsplit("wrote ", 1)
+    assert wrote == f"{out}\n"
+    assert hashlib.sha256(table.encode()).hexdigest() == LEDGER_STDOUT_SHA256
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LEDGER_CSV_SHA256
 
 
 def test_complexity_counts_what_a_one_trial_point_counts(cfg_file, tmp_path, capsys):

@@ -373,6 +373,15 @@ def test_fpr_names_a_non_finite_gram():
         detect_fpr(frame, pool, cfg.zeta, gram)
 
 
+def test_fpr_names_recovered_powers_that_overflow_a_finite_gram():
+    cfg, pool, cb, act, frame = build(seed=11)
+    gram = np.full((cfg.N, cfg.N), 1e306)
+    # numpy warns of the overflow in the product before the detector names it
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValueError, match="non-finite detection score: the recovered powers overflow"):
+            detect_fpr(frame, pool, cfg.zeta, gram)
+
+
 @pytest.mark.parametrize("kind", ["none", "list"])
 def test_fpr_rejects_a_gram_that_is_not_an_ndarray(kind):
     cfg, pool, cb, act, frame = build(seed=11)

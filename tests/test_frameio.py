@@ -156,6 +156,13 @@ def test_save_rejects_inconsistent_inputs(tmp_path):
         save_frame(tmp_path / "x.pdrs", other_frame, pool, cb)
 
 
+def test_save_names_a_ground_truth_of_another_pool_size(tmp_path):
+    frame, pool, cb = make_frame()
+    bigger, _, _ = make_frame(N=20)
+    with pytest.raises(ValueError, match="ground truth counts 20 pilots, the pool has 16"):
+        save_frame(tmp_path / "x.pdrs", bigger, pool, cb)
+
+
 def test_noiseless_round_trip_sigma(tmp_path):
     frame, pool, cb = make_frame(snr_db=float("inf"))
     path = tmp_path / "frame.pdrs"

@@ -622,12 +622,14 @@ def test_a_failed_draw_fails_its_trial_at_every_point_that_shares_it(
 
 def test_run_sweep_builds_pool_and_gram_once(monkeypatch):
     calls = {"fpr_gram_pinv": 0, "synth_pool": 0, "ThreadPoolExecutor": 0, "synth_codebook": 0}
+    order = []
 
     def counted(name):
         original = getattr(harness, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            order.append((name, threading.get_ident()))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(harness, name, wrapper)
@@ -646,6 +648,10 @@ def test_run_sweep_builds_pool_and_gram_once(monkeypatch):
     assert calls == {"fpr_gram_pinv": 2, "synth_pool": 2, "ThreadPoolExecutor": 2, "synth_codebook": 2}
     assert len(harness.run_sweep(SweepSpec(spec.base, "l", [1, 2], ["fpr"]))) == 2
     assert calls == {"fpr_gram_pinv": 3, "synth_pool": 3, "ThreadPoolExecutor": 3, "synth_codebook": 4}
+    # each sweep forms the Gram on its caller's thread, before it builds its trial pool
+    caller = threading.get_ident()
+    gram_and_pool = [call for call in order if call[0] in ("fpr_gram_pinv", "ThreadPoolExecutor")]
+    assert gram_and_pool == [("fpr_gram_pinv", caller), ("ThreadPoolExecutor", caller)] * 3
 
 
 @pytest.mark.parametrize(

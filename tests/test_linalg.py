@@ -1,10 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pdrslink import linalg
 from pdrslink.detectors import fpr_gram_pinv
-from pdrslink.linalg import NORMAL_EQ_BOUND, SCHUR_BOUND, SCHUR_LEAF, as_cmatrix, orthonormal_step, pinv
+from pdrslink.linalg import BlasThreads, NORMAL_EQ_BOUND, SCHUR_BOUND, SCHUR_LEAF
+from pdrslink.linalg import as_cmatrix, orthonormal_step, pinv
 from pdrslink.scenario import RngStream, cgauss
 from pdrslink.scenario import PilotPool, SystemConfig, synth_pool
 
@@ -343,6 +347,15 @@ def test_pinv_of_a_wide_input_goes_straight_to_the_svd(monkeypatch):
     assert np.linalg.matrix_rank(got) == 96
 
 
+def test_pinv_names_the_shape_of_an_svd_that_did_not_converge(monkeypatch):
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", diverge)
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge for 3x5 matrix"):
+        pinv(np.ones((3, 5)))
+
+
 def test_pinv_zero_matrix():
     z = pinv(np.zeros((3, 5), dtype=np.complex128))
     assert z.shape == (5, 3)
@@ -460,3 +473,39 @@ def test_orthonormal_step_rejects_vectors_in_the_span():
     assert orthonormal_step(Q, np.zeros(7, dtype=np.complex128)) is None
     full = np.linalg.qr(cgauss(7, 7, 1.0, RngStream(81, 1)))[0]
     assert orthonormal_step(full, V[:, 0]) is None
+
+
+def _no_library(path):
+    raise OSError(f"cannot load {path}")
+
+
+@pytest.mark.parametrize(
+    "load, env, path",
+    [(_no_library, {}, "unknown: one trial worker"),
+     (lambda path: SimpleNamespace(), {"OPENBLAS_NUM_THREADS": "1"}, "pinned by environment")],
+    ids=["no LAPACK module", "no known symbol"],
+)
+def test_blas_threads_without_a_setter_falls_back_on_the_environment(monkeypatch, load, env, path):
+    for var in linalg._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(linalg.ctypes, "CDLL", load)
+    blas = BlasThreads.find()
+    assert blas.symbol is None and blas.threads() is None
+    assert blas.path == path
+
+
+def test_blas_threads_names_the_first_known_setter_it_finds(monkeypatch):
+    counts = [5]
+    lib = SimpleNamespace(  # only the 32-bit scipy-openblas pair, the second one tried
+        scipy_openblas_set_num_threads=lambda n: counts.append(n),
+        scipy_openblas_get_num_threads=lambda: counts[-1],
+    )
+    monkeypatch.setattr(linalg.ctypes, "CDLL", lambda path: lib)
+    blas = BlasThreads.find()
+    assert blas.symbol == "scipy_openblas_set_num_threads"
+    assert blas.path == "pinned by scipy_openblas_set_num_threads"
+    with blas.pinned():
+        assert blas.threads() == 1
+    assert counts == [5, 1, 5]

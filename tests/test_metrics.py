@@ -102,6 +102,13 @@ def test_post_sinr_rejects_a_channel_of_the_wrong_width():
         post_sinr(W, np.array([1]), H, np.array([0, 1]), 0.1)
 
 
+def test_post_sinr_names_a_weight_row_too_many():
+    H = cgauss(4, 2, 1.0, RngStream(74, 0))
+    W = cgauss(2, 4, 1.0, RngStream(74, 1))
+    with pytest.raises(ValueError, match=r"one weight row per user.*W \(2, 4\), users \(1,\)"):
+        post_sinr(W, np.array([1]), H, np.array([0, 1]), 0.1)
+
+
 def test_post_sinr_rejects_inactive_user():
     H = cgauss(4, 2, 1.0, RngStream(73, 0))
     W = cgauss(1, 4, 1.0, RngStream(73, 1))

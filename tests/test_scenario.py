@@ -356,6 +356,10 @@ def test_received_frame_validation():
             sigma2=0.1,
             H=np.zeros((cfg.M, cfg.N), dtype=np.complex128),
         )
+    with pytest.raises(ValueError, match=r"X_D must be K x D when present, got \(12, 5\)"):
+        ReceivedFrame(
+            Y_R=frame.Y_R, Y=frame.Y, Y_D=frame.Y_D, ground_truth=act, sigma2=0.1, X_D=frame.X_D.T
+        )
 
 
 def test_pool_and_codebook_reject_nan():
