@@ -204,7 +204,8 @@ def detect_fpr(
 
     H_mf = Y @ pool.P_h
     p_mf = col_norms_sq(H_mf)
-    p_rec = gram_pinv @ p_mf
+    with np.errstate(over="ignore"):  # an overflow is named below, not warned of by numpy
+        p_rec = gram_pinv @ p_mf
     if not np.all(np.isfinite(p_rec)):
         # only a failed frame pays for scanning the inputs to name the culprit
         if not np.all(np.isfinite(Y)):

@@ -75,21 +75,35 @@ class StageSpec(NamedTuple):
     """One detection method: its ``STAGE_TABLE`` entry, keyed by its ``complexity_model`` name.
 
     ``detect(frame, pool, codebook, zeta, svd_cost, gram_pinv)`` runs it;
-    ``needs_gram`` asks for the pool's Gram pseudo-inverse.
+    ``needs_gram`` asks for the pool's Gram pseudo-inverse, and ``reads_p_h``
+    says that it reads the pool's conjugate block ``P_h`` on every frame.
     """
 
     detect: Callable[..., DetectionResult]
     needs_gram: bool
+    reads_p_h: bool
 
 
 # Each lambda adapts one detection method to the common call and looks it up when called.
 STAGE_TABLE: dict[str, StageSpec] = {
     "pdrs": StageSpec(
-        lambda fr, pool, cb, zeta, svd, gram: detect_pdrs_dwe(fr, pool, cb, zeta, svd), False
+        lambda fr, pool, cb, zeta, svd, gram: detect_pdrs_dwe(fr, pool, cb, zeta, svd),
+        needs_gram=False,
+        reads_p_h=False,
     ),
-    "bomp": StageSpec(lambda fr, pool, cb, zeta, svd, gram: detect_bomp(fr, pool, zeta), False),
-    "fpr": StageSpec(lambda fr, pool, cb, zeta, svd, gram: detect_fpr(fr, pool, zeta, gram), True),
-    "oracle": StageSpec(lambda fr, pool, cb, zeta, svd, gram: oracle_support(fr), False),
+    "bomp": StageSpec(
+        lambda fr, pool, cb, zeta, svd, gram: detect_bomp(fr, pool, zeta),
+        needs_gram=False,
+        reads_p_h=True,
+    ),
+    "fpr": StageSpec(
+        lambda fr, pool, cb, zeta, svd, gram: detect_fpr(fr, pool, zeta, gram),
+        needs_gram=True,
+        reads_p_h=True,
+    ),
+    "oracle": StageSpec(
+        lambda fr, pool, cb, zeta, svd, gram: oracle_support(fr), needs_gram=False, reads_p_h=False
+    ),
 }
 
 
@@ -317,9 +331,9 @@ def _score_frame(
     trial's ``pilot_pinvs``, keyed by the support's bytes, forming it there
     on first use with the ms it took; that time is charged in full at every
     point that uses it.  At the trial's ``last`` point the entry leaves the
-    memo, so the inverse is freed before zero-forcing runs: held through
-    ZF, it raised the page faults and cut the trial rate of
-    ``overshoot-pdrs``.
+    memo.  An estimate formed as the product then frees the inverse before
+    zero-forcing runs.  A wide ``LsEstimate`` (zeta > L, M >= L) holds it as
+    a factor, since ZF reads it, until the frame is scored.
     """
     truth = frame.ground_truth
     stages: dict[str, tuple[DetectionResult, float]] = {}
@@ -350,7 +364,7 @@ def _score_frame(
                     p_pinv, pinv_ms = pilot_pinvs.pop(key[1]) if last else pilot_pinvs[key[1]]
                     t0 = time.perf_counter()
                     h_est = ls_channel_estimate(frame, pool, res.detected, p_pinv)
-                    del p_pinv  # at the trial's last point, freed before zero-forcing runs
+                    del p_pinv  # at the trial's last point, only a wide h_est holds it now
                     weights = zf_weights(h_est, res.detected)
                 step = "score"
                 m = detection_metrics(res, truth)
@@ -482,14 +496,16 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
 
     Each point's rows equal those of ``run_point`` on ``spec.config_at(value)``
     with the same detectors, relabelled with the sweep variable and value.
-    The pilot pool, its Gram pseudo-inverse when a stage needs it, and each
-    point's config are built once.  Points with one ``scenario.draw_key``
-    (configs that differ only in ``snr_db`` and ``zeta``) share one codebook,
-    and a trial draws once for them all and forms each point's frame from
-    that draw (so ``snr_db`` and ``alpha`` sweeps draw once per trial, ``K``
-    and ``l`` sweeps at every point).  A trial inverts each detected pilot
-    block once, whichever points and draws detect it, and every point that
-    uses the inverse is charged its full time.  One thread pool maps
+    The pilot pool, its Gram pseudo-inverse when a stage needs it, its
+    conjugate block ``P_h`` when a stage reads it, and each point's config
+    are built once, on the caller's thread before the trial pool starts.
+    Points with one ``scenario.draw_key`` (configs that differ only in
+    ``snr_db`` and ``zeta``) share one codebook, and a trial draws once for
+    them all and forms each point's frame from that draw (so ``snr_db`` and
+    ``alpha`` sweeps draw once per trial, ``K`` and ``l`` sweeps at every
+    point).  A trial inverts each detected pilot block once, whichever
+    points and draws detect it, and every point that uses the inverse is
+    charged its full time.  One thread pool maps
     ``_trial_at_points`` over the trials, each task running its trial at
     every point; each point adds up the results in trial order as they
     arrive, so no row depends on the worker count.
@@ -510,8 +526,10 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     trials = spec.base.trials  # no sweep variable changes it
     with process_blas().pinned():
         pool = synth_pool(spec.base)
-        needs_gram = any(STAGE_TABLE[DETECTOR_TABLE[d].stage].needs_gram for d in detectors)
-        gram_pinv = fpr_gram_pinv(pool) if needs_gram else None
+        stages = [STAGE_TABLE[d.stage] for d in specs.values()]
+        gram_pinv = fpr_gram_pinv(pool) if any(s.needs_gram for s in stages) else None
+        if any(s.reads_p_h for s in stages):
+            pool.P_h  # formed here, not in the first trial that reads it
         points = [spec.config_at(v) for v in spec.values]
         by_key: dict[SystemConfig, list[tuple[int, SystemConfig]]] = {}
         for p, cfg in enumerate(points):

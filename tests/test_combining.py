@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from pdrslink.combining import (
+    LsEstimate,
     WeightMatrix,
+    _factored_zf,
     demod_qpsk,
     dwe_weights,
     ls_channel_estimate,
@@ -150,3 +152,67 @@ def test_end_to_end_noiseless_recovery():
     w = dwe_weights(frame, pool, act.active)
     decided = demod_qpsk(w.apply(frame.Y_D))
     assert np.array_equal(decided, frame.X_D)
+
+
+def _wide_estimate(M=10, L=6, zeta=9, seed=70):
+    """An ``LsEstimate`` of a Gaussian Y (M x L) and the pinv of a Gaussian zeta x L pilot block."""
+    rng = RngStream(seed, 0)
+    return LsEstimate(cgauss(M, L, 1.0, rng), pinv(cgauss(zeta, L, 1.0, rng)))
+
+
+def _assert_falls_back_to_pinv_of_the_product(est):
+    users = np.arange(est.shape[1])
+    assert _factored_zf(est) is None
+    W = zf_weights(est, users).W
+    assert np.array_equal(W.view(np.float64), pinv(est.H).view(np.float64))
+
+
+def test_a_wide_estimate_is_kept_as_its_factors_and_reads_as_their_product():
+    cfg, pool, cb, act, frame = build(seed=10, zeta=20)
+    res = detect_pdrs_dwe(frame, pool, cb, cfg.zeta)
+    est = ls_channel_estimate(frame, pool, res.detected)
+    assert isinstance(est, LsEstimate)
+    assert est.Y is frame.Y and est.p_pinv.shape == (cfg.L, cfg.zeta)
+    product = frame.Y @ pinv(pool.P[res.detected])
+    assert est.shape == product.shape == (cfg.M, cfg.zeta)
+    assert np.array_equal(est.H, product) and np.array_equal(np.asarray(est), product)
+
+
+def test_a_wide_estimate_is_zero_forced_from_its_factors():
+    est = _wide_estimate()
+    W = zf_weights(est, np.arange(9)).W
+    assert np.array_equal(W, _factored_zf(est))  # certified, so no fallback
+    ref = pinv(est.H)  # the wide product takes the SVD
+    assert np.linalg.norm(W - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_zf_falls_back_when_cholesky_finds_the_pilot_gram_singular():
+    est = _wide_estimate()
+    p_pinv = est.p_pinv.copy()
+    p_pinv[-1] = 0.0  # the inverse of a pilot block whose last column is zero
+    _assert_falls_back_to_pinv_of_the_product(LsEstimate(est.Y, p_pinv))
+
+
+def test_zf_falls_back_when_the_cholesky_factor_is_too_ill_conditioned():
+    est = _wide_estimate()
+    # rows graded from 1 down to 1e-12: cholesky succeeds, but ||Lc||_F ||Lc^-1||_F L eps > 1e-4
+    p_pinv = np.logspace(0, -12, 6)[:, None] * np.linalg.svd(est.p_pinv, full_matrices=False)[2]
+    Lc = np.linalg.cholesky(p_pinv @ p_pinv.conj().T)
+    # Y undoes the grading, so B = Y Lc is well conditioned and only the Lc bound can fail
+    _assert_falls_back_to_pinv_of_the_product(LsEstimate(est.Y @ np.linalg.inv(Lc), p_pinv))
+
+
+def test_zf_falls_back_when_y_has_lost_rank():
+    est = _wide_estimate()
+    rng = RngStream(71, 0)
+    Y = cgauss(10, 4, 1.0, rng) @ cgauss(4, 6, 1.0, rng)  # rank 4 < L = 6
+    _assert_falls_back_to_pinv_of_the_product(LsEstimate(Y, est.p_pinv))
+
+
+def test_fewer_antennas_than_pilot_symbols_keep_the_product():
+    cfg, pool, cb, act, frame = build(seed=11, M=10, zeta=20)
+    res = detect_pdrs_dwe(frame, pool, cb, cfg.zeta)
+    h_est = ls_channel_estimate(frame, pool, res.detected)
+    assert type(h_est) is np.ndarray and h_est.shape == (cfg.M, cfg.zeta)
+    W = zf_weights(h_est, res.detected).W
+    assert np.array_equal(W.view(np.float64), pinv(h_est).view(np.float64))

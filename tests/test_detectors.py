@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -376,8 +377,9 @@ def test_fpr_names_a_non_finite_gram():
 def test_fpr_names_recovered_powers_that_overflow_a_finite_gram():
     cfg, pool, cb, act, frame = build(seed=11)
     gram = np.full((cfg.N, cfg.N), 1e306)
-    # numpy warns of the overflow in the product before the detector names it
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    # the named error, not numpy's overflow warning, is what a caller sees
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="non-finite detection score: the recovered powers overflow"):
             detect_fpr(frame, pool, cfg.zeta, gram)
 

@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -14,7 +15,9 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
-from pdrslink import harness, linalg
+from pdrslink import combining, harness, linalg
+from pdrslink import detectors as detection
+from pdrslink.combining import LsEstimate
 from pdrslink.detectors import detect_fpr, fpr_gram_pinv
 from pdrslink.harness import (
     CSV_HEADER,
@@ -35,6 +38,7 @@ from pdrslink.harness import (
 from pdrslink.linalg import BlasThreads, process_blas
 from pdrslink.scenario import (
     FrameDraw,
+    PilotPool,
     SystemConfig,
     draw_trial,
     synth_codebook,
@@ -654,6 +658,46 @@ def test_run_sweep_builds_pool_and_gram_once(monkeypatch):
     assert gram_and_pool == [("fpr_gram_pinv", caller), ("ThreadPoolExecutor", caller)] * 3
 
 
+def _p_h_formations(monkeypatch):
+    """Record the thread of every ``PilotPool.P_h`` formation, in order."""
+    formed = []
+    form = PilotPool.P_h.func
+
+    def recorded(pool):
+        formed.append(("P_h", threading.get_ident()))
+        return form(pool)
+
+    prop = functools.cached_property(recorded)
+    prop.__set_name__(PilotPool, "P_h")
+    monkeypatch.setattr(PilotPool, "P_h", prop)
+    return formed
+
+
+@pytest.mark.parametrize(
+    "detectors, formed_here",
+    [(["bomp"], True), (["oracle", "bomp"], True), (["pdrs", "pdrs-lszf", "oracle-dwe"], False)],
+    ids=["bomp", "oracle-bomp", "pdrs"],
+)
+def test_run_sweep_forms_the_conjugate_pool_before_its_trials_only_when_a_stage_reads_it(
+    monkeypatch, detectors, formed_here
+):
+    formed = _p_h_formations(monkeypatch)
+    executor = harness.ThreadPoolExecutor
+
+    def recorded(*args, **kwargs):
+        formed.append(("ThreadPoolExecutor", threading.get_ident()))
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", recorded)
+    monkeypatch.setenv("PDRS_THREADS", "2")
+    harness.run_sweep(SweepSpec(small_cfg(trials=4), "snr_db", [0.0, 8.0], detectors))
+    caller = threading.get_ident()
+    if formed_here:
+        assert formed == [("P_h", caller), ("ThreadPoolExecutor", caller)]
+    else:
+        assert formed == [("ThreadPoolExecutor", caller)]
+
+
 @pytest.mark.parametrize(
     "stage, detectors",
     [("pdrs", ["pdrs", "pdrs-lszf"]), ("oracle", ["oracle", "oracle-dwe"])],
@@ -835,6 +879,47 @@ def test_a_draws_last_point_frees_its_pilot_pinv_before_zero_forcing(monkeypatch
     harness.run_sweep(SweepSpec(cfg, "snr_db", [0.0, 4.0, 8.0], ["oracle"]))
     assert len(refs) == 1
     assert alive_at_zf == [[True], [True], [False]]
+
+
+def test_a_wide_estimate_holds_its_pilot_pinv_through_zero_forcing_and_frees_it_with_the_trial(
+    monkeypatch,
+):
+    # zeta > L and M >= L: ZF reads the inverse as a factor of the estimate
+    cfg = small_cfg(zeta=10)
+    refs, alive_at_zf = _pilot_pinv_lifetimes(monkeypatch)
+    estimates = []
+    zf = harness.zf_weights
+
+    def recorded(h_est, users):
+        estimates.append(type(h_est))
+        return zf(h_est, users)
+
+    monkeypatch.setattr(harness, "zf_weights", recorded)
+    run_trial(cfg, synth_pool(cfg), synth_codebook(cfg), None, 0, ["pdrs-lszf"])
+    assert estimates == [LsEstimate]
+    assert len(refs) == 1
+    assert alive_at_zf == [[True]]
+    assert refs[0]() is None
+
+
+def test_an_overshoot_shaped_trial_inverts_no_wide_matrix(monkeypatch):
+    cfg = small_cfg(zeta=16)  # zeta > M >= L, as in overshoot-pdrs: the estimate H is M x zeta, wide
+    pool, cb = synth_pool(cfg), synth_codebook(cfg)
+    gram = fpr_gram_pinv(pool)
+    shapes = []
+    for module in (harness, combining, detection):
+        original = module.pinv
+
+        def recorded(a, *args, _original=original):
+            shapes.append(np.shape(a))
+            return _original(a, *args)
+
+        monkeypatch.setattr(module, "pinv", recorded)
+    # every detector that picks zeta users; oracle's K = 5 < L pilot rows are a wide block
+    for t in range(3):
+        run_trial(cfg, pool, cb, gram, t, ["pdrs", "pdrs-lszf", "bomp", "fpr"])
+    assert (cfg.M, cfg.L) in shapes  # the factored ZF's B = Y Lc
+    assert [s for s in shapes if s[0] < s[1]] == []
 
 
 def test_no_pilot_pinv_outlives_its_trial(monkeypatch):

@@ -5,7 +5,9 @@ distinct, in-range indices, whatever the dimensions: zeta above the pilot
 length or equal to the pool size, every user active, one-symbol reference
 signals, no data block, noiseless frames and pools with repeated pilots.
 Every counted ledger must equal its closed-form model, every direct weight
-row must equal its own pilot's product with ``pinv(Y)`` bit for bit, and
+row must equal its own pilot's product with ``pinv(Y)`` bit for bit, the
+zero-forcing of a wide least-squares estimate from its factors must match
+``pinv`` of the product, and
 ``run_point`` rows must not depend on the number of trial workers, with the
 library's BLAS pin active or bypassed, nor on whether the config's whole
 numbers were given as ints or as floats.  A config file of small
@@ -24,7 +26,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pdrslink.combining import dwe_weights
+from pdrslink.combining import LsEstimate, _factored_zf, dwe_weights, ls_channel_estimate, zf_weights
 from pdrslink.detectors import detect_bomp, detect_fpr, detect_pdrs_dwe, fpr_gram_pinv, oracle_support
 from pdrslink import linalg
 from pdrslink.harness import DETECTORS, SWEEP_VARS, SweepSpec, parse_config, run_point, run_sweep
@@ -123,6 +125,40 @@ def test_a_dwe_row_is_its_pilot_times_pinv_y_whatever_its_companions(case):
         assert np.array_equal(W[i].view(np.float64), (pool.P[n] @ y_pinv).view(np.float64))
     alone = dwe_weights(frame, pool, detected[-1:], y_pinv=y_pinv).W
     assert np.array_equal(alone.view(np.float64), W[-1:].view(np.float64))
+
+
+@st.composite
+def wide_ls_cases(draw):
+    """A noisy frame with M >= L and the support ``pdrs`` detects at zeta > L, in either codebook mode."""
+    L = draw(st.integers(1, 12))
+    N = draw(st.integers(L + 1, 40))
+    cfg = SystemConfig(
+        M=draw(st.integers(L, 24)), N=N, L=L, l=draw(st.integers(1, 3)),
+        K=draw(st.integers(1, N)), zeta=draw(st.integers(L + 1, N)),
+        snr_db=draw(st.sampled_from([0.0, 10.0, 30.0])), D=0,
+        pdrs_mode=draw(st.sampled_from(PDRS_MODES)), trials=1, seed=draw(st.integers(0, 2**16)),
+    )
+    frame, pool, codebook = _frame(cfg, [])
+    return frame, pool, detect_pdrs_dwe(frame, pool, codebook, cfg.zeta).detected
+
+
+#: Relative Frobenius bound on the factored zero-forcing weights against ``pinv`` of the product;
+#: the worst of these examples reads 8.8e-14.
+FACTORED_ZF_RTOL = 1e-10
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(wide_ls_cases())
+def test_a_wide_estimate_is_zero_forced_from_its_factors_as_pinv_of_the_product(case):
+    frame, pool, detected = case
+    est = ls_channel_estimate(frame, pool, detected)
+    assert isinstance(est, LsEstimate)
+    assert _factored_zf(est) is not None  # noisy Gaussian frames pass the certificate
+    H = est.H
+    W, ref = zf_weights(est, detected).W, linalg.pinv(H)
+    assert np.linalg.norm(W - ref) <= FACTORED_ZF_RTOL * np.linalg.norm(ref)
+    # W H is the orthogonal projector pinv(H) H onto the rows of H
+    assert np.linalg.norm(W @ H - ref @ H) <= FACTORED_ZF_RTOL * np.linalg.norm(ref @ H)
 
 
 def _rows_without_wall_clock(cfg, threads, blas):
