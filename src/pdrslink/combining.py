@@ -5,8 +5,10 @@ derives each detected user's weight row directly from its pilot and the
 pseudo-inverse of the pilot block, and the conventional two-stage chain that
 first estimates the channel by least squares and then zero-forces it.  When
 the detected support is longer than the pilots (zeta > L) and M >= L, the
-estimate is kept as its two factors and zero-forced from them, not by an SVD
-of the wide M x zeta product (``zf_weights``).
+estimate is kept as ``Y`` and the Cholesky factor of the pilot block's Gram
+(``PilotFactor``) and zero-forced from them (``zf_weights``): neither the
+pilot block's pseudo-inverse nor an SVD of the wide M x zeta product is
+formed.
 """
 
 from dataclasses import dataclass
@@ -19,9 +21,12 @@ from .scenario import PilotPool, ReceivedFrame
 
 __all__ = [
     "LsEstimate",
+    "PilotFactor",
     "WeightMatrix",
     "dwe_weights",
+    "is_wide_estimate",
     "ls_channel_estimate",
+    "pilot_factor",
     "zf_weights",
     "demod_qpsk",
 ]
@@ -69,65 +74,118 @@ def dwe_weights(
 
 
 @dataclass(frozen=True)
-class LsEstimate:
-    """A wide least-squares channel estimate ``Y @ p_pinv``, kept as its two factors.
+class PilotFactor:
+    """A tall pilot block and the Cholesky factor of its Gram, as zero-forcing reads them.
 
-    ``Y`` is the frame's received M x L pilot block, with M >= L, and ``p_pinv`` the L x zeta
-    ``pinv(P[detected])``, zeta > L.  ``H`` forms the M x zeta product on
-    request, each time it is read; ``shape`` and ``__array__`` let the
-    estimate read as that product.  ``zf_weights`` zero-forces it from the
-    factors.
+    ``P`` is the zeta x L block ``pool.P[detected]``, zeta > L.  With
+    ``P^H P = R R^H`` (``cholesky``, R lower triangular), ``R_inv_h`` is
+    ``R^-H`` and ``Q = P R^-H`` has orthonormal columns.  Both are None when
+    the factor is uncertified: ``cholesky`` failed, or
+    ``(||R||_F ||R^-1||_F)^2 zeta eps > NORMAL_EQ_BOUND``.  That square is
+    ``tr(G) tr(G^-1)`` for ``G = P^H P``, at least ``||G||_F ||G^-1||_F``, so
+    the bound is at least as strict as ``pinv``'s tall rule on P.  It must
+    be squared: the Gram resolves P's singular values only down to about
+    ``sqrt(eps)``, so a pilot block of rank below L (a support holding two
+    users of one pilot) can pass ``cholesky`` with ``||R||_F ||R^-1||_F``
+    near ``1 / sqrt(eps)``, and Q's columns lose orthonormality as
+    ``cond(P)^2 eps``.  The factor depends only on the pool and the support,
+    so a trial forms it once and shares it.
+    """
+
+    P: np.ndarray
+    R_inv_h: np.ndarray | None
+    Q: np.ndarray | None
+
+
+def pilot_factor(P: np.ndarray) -> PilotFactor:
+    """The ``PilotFactor`` of the zeta x L pilot block ``P``; never forms ``pinv(P)``."""
+    try:
+        R = np.linalg.cholesky(P.conj().T @ P)
+        R_inv = np.linalg.inv(R)
+    except np.linalg.LinAlgError:
+        return PilotFactor(P, None, None)
+    eps = np.finfo(R.dtype).eps
+    if not (np.linalg.norm(R) * np.linalg.norm(R_inv)) ** 2 * P.shape[0] * eps <= NORMAL_EQ_BOUND:
+        return PilotFactor(P, None, None)
+    R_inv_h = R_inv.conj().T
+    return PilotFactor(P, R_inv_h, P @ R_inv_h)
+
+
+@dataclass(frozen=True)
+class LsEstimate:
+    """A wide least-squares channel estimate ``Y @ pinv(P)``, kept as ``Y`` and the pilot factor.
+
+    ``Y`` is the frame's received M x L pilot block, with M >= L, and
+    ``pilot`` the ``PilotFactor`` of the zeta x L block ``P = pool.P[detected]``,
+    zeta > L.  ``H`` forms the M x zeta product on request, each time it is
+    read; ``shape`` and ``__array__`` let the estimate read as that product.
+    ``zf_weights`` zero-forces it from ``Y`` and the factor.
     """
 
     Y: np.ndarray
-    p_pinv: np.ndarray
+    pilot: PilotFactor
 
     @property
     def H(self) -> np.ndarray:
-        """The estimate ``Y @ p_pinv``, formed anew."""
-        return self.Y @ self.p_pinv
+        """The estimate ``Y @ pinv(P)``, formed anew."""
+        return self.Y @ pinv(self.pilot.P)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.Y.shape[0], self.p_pinv.shape[1]
+        return self.Y.shape[0], self.pilot.P.shape[0]
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.H, dtype=dtype)
+
+
+def is_wide_estimate(M: int, L: int, zeta: int) -> bool:
+    """True when an M x zeta estimate from L pilot symbols is an ``LsEstimate``: zeta > L <= M."""
+    return zeta > L and M >= L
 
 
 def ls_channel_estimate(
     frame: ReceivedFrame,
     pool: PilotPool,
     detected: np.ndarray,
-    p_pinv: np.ndarray | None = None,
+    p_pinv: np.ndarray | PilotFactor | None = None,
 ) -> np.ndarray | LsEstimate:
     """Least-squares channel estimate ``Y @ pinv(P_detected)`` (M x zeta).
 
-    ``p_pinv`` accepts ``pinv(pool.P[detected])`` already computed, as
+    When zeta > L and M >= L the estimate is returned as an ``LsEstimate``
+    that holds ``Y`` and the pilot block's ``PilotFactor``, and
+    ``pinv(P_detected)`` is never formed; otherwise as the product.
+    ``p_pinv`` accepts the support's pilot inverse already computed, as
     ``dwe_weights`` accepts ``y_pinv``: the pilot block depends only on the
     pool and the support, so one trial's frames at several points can share
-    it.  One of any other shape than L x zeta raises a ValueError that names
-    both shapes.  When zeta > L and M >= L the estimate is returned as an
-    ``LsEstimate`` that holds ``Y`` and ``p_pinv``; otherwise as the product.
+    it.  For a wide estimate that is ``pilot_factor(pool.P[detected])``, and
+    otherwise ``pinv(pool.P[detected])``.  Any other kind, or a block of
+    another shape than the support's, raises a ValueError that names both.
     """
     detected = np.asarray(detected, dtype=np.int64)
+    shape = (pool.length, detected.size)
+    wide = is_wide_estimate(frame.Y.shape[0], *shape)
     if p_pinv is None:
-        p_pinv = pinv(pool.P[detected])
-    elif p_pinv.shape != (pool.length, detected.size):
-        raise ValueError(
-            f"p_pinv has shape {p_pinv.shape}, but pinv(P[detected]) has shape "
-            f"{(pool.length, detected.size)}"
-        )
-    if detected.size > pool.length and frame.Y.shape[0] >= pool.length:
-        return LsEstimate(frame.Y, p_pinv)
-    return frame.Y @ p_pinv
+        P = pool.P[detected]
+        p_pinv = pilot_factor(P) if wide else pinv(P)
+    else:
+        factor = isinstance(p_pinv, PilotFactor)
+        given = p_pinv.P.shape if factor else np.shape(p_pinv)
+        due = shape[::-1] if wide else shape
+        if factor != wide or given != due:
+            kinds = ("an array", "a PilotFactor")
+            raise ValueError(
+                f"p_pinv is {kinds[factor]} of shape {given}, but this estimate takes "
+                f"{kinds[wide]} of shape {due}"
+            )
+    return LsEstimate(frame.Y, p_pinv) if wide else frame.Y @ p_pinv
 
 
 def zf_weights(h_est: np.ndarray | LsEstimate, users: np.ndarray) -> WeightMatrix:
     """Zero-forcing combiner ``pinv(h_est)`` for an estimated channel.
 
-    An ``LsEstimate`` is zero-forced from its factors when the certificate
-    of ``_factored_zf`` holds, and by ``pinv(h_est.H)`` when it does not.
+    An ``LsEstimate`` is zero-forced from ``Y`` and its pilot factor when the
+    certificate of ``_factored_zf`` holds, and by ``pinv(h_est.H)`` when it
+    does not.
     """
     if isinstance(h_est, LsEstimate):
         W = _factored_zf(h_est)
@@ -136,40 +194,35 @@ def zf_weights(h_est: np.ndarray | LsEstimate, users: np.ndarray) -> WeightMatri
 
 
 def _factored_zf(est: LsEstimate) -> np.ndarray | None:
-    """``pinv(Y @ p_pinv)`` from the factors, never forming the product; None when uncertified.
+    """``pinv(Y @ pinv(P))`` from ``Y`` and the pilot factor; None when uncertified.
 
-    With ``C = p_pinv p_pinv^H = Lc Lc^H`` (``cholesky``), ``V = Lc^-1 p_pinv``
-    has orthonormal rows and ``B = Y Lc`` is M x L, so ``H = B V`` and
-    ``pinv(H) = V^H pinv(B)``, where ``pinv(B)`` takes the tall rule, not an
-    SVD of the wide H.  The certificate:
+    With ``P^H P = R R^H``, ``Q = P R^-H`` has orthonormal columns and
+    ``B = Y R^-H`` is M x L.  Since ``pinv(P) = R^-H R^-1 P^H``, the estimate
+    is ``H = B Q^H`` exactly, so ``pinv(H) = Q pinv(B)``, where ``pinv(B)``
+    takes the tall rule: neither ``pinv(P)`` nor an SVD of the wide H is
+    formed.  The certificate:
 
-    - ``cholesky`` finds C positive definite, and
-      ``||Lc||_F ||Lc^-1||_F L eps <= NORMAL_EQ_BOUND``, so V's rows are
-      orthonormal to working precision and H's singular values are B's;
+    - the ``PilotFactor`` is certified: ``cholesky`` succeeded and
+      ``(||R||_F ||R^-1||_F)^2 zeta eps <= NORMAL_EQ_BOUND``, so P has full
+      column rank, Q's columns are orthonormal to within that bound over
+      zeta, and H's singular values are B's;
     - ``pinv(B) B`` has trace L (to the nearest whole number): that
       projector's trace is its rank, so ``pinv`` kept all L singular
       values of B;
     - ``||B||_F ||pinv(B)||_F max(M, zeta) 1e-12 < 1``, H's own rank cutoff,
       so an SVD of H would keep exactly L values as well.
     """
-    Y, p_pinv = est.Y, est.p_pinv
-    try:
-        Lc = np.linalg.cholesky(p_pinv @ p_pinv.conj().T)
-        Lc_inv = np.linalg.inv(Lc)
-    except np.linalg.LinAlgError:
+    pilot = est.pilot
+    if pilot.Q is None:
         return None
-    L = Lc.shape[0]
-    eps = np.finfo(Lc.dtype).eps
-    if not np.linalg.norm(Lc) * np.linalg.norm(Lc_inv) * L * eps <= NORMAL_EQ_BOUND:
-        return None
-    B = Y @ Lc
+    B = est.Y @ pilot.R_inv_h
     B_pinv = pinv(B)
-    if not abs(np.einsum("ij,ji->", B_pinv, B) - L) < 0.5:
+    if not abs(np.einsum("ij,ji->", B_pinv, B) - B.shape[1]) < 0.5:
         return None
     rel_tol = max(est.shape) * DEFAULT_PINV_RTOL_SCALE
     if not np.linalg.norm(B) * np.linalg.norm(B_pinv) * rel_tol < 1.0:
         return None
-    return (Lc_inv @ p_pinv).conj().T @ B_pinv
+    return pilot.Q @ B_pinv
 
 
 def demod_qpsk(x_est: np.ndarray) -> np.ndarray:

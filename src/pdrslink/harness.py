@@ -10,8 +10,9 @@ the worker count and of scheduling.  A trial does each piece of work once:
 it draws once per ``scenario.draw_key`` and forms each point's frame from
 that draw, a detection stage runs once per frame, a (combiner, support)
 pair is combined and scored once per frame, and a detected support's pilot
-pseudo-inverse is formed once per trial, all in ``_trial_at_points``, which
-``run_sweep`` maps over the trials and ``run_trial`` calls at one point.
+pseudo-inverse (for a wide estimate, its Cholesky factor) is formed once per
+trial, all in ``_trial_at_points``, which ``run_sweep`` maps over the trials
+and ``run_trial`` calls at one point.
 ``STAGE_TABLE`` says how each detection method runs, and ``DETECTOR_TABLE``
 pairs one with a combiner to make each detector.
 """
@@ -28,7 +29,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .combining import demod_qpsk, dwe_weights, ls_channel_estimate, zf_weights
+from .combining import (
+    PilotFactor,
+    demod_qpsk,
+    dwe_weights,
+    is_wide_estimate,
+    ls_channel_estimate,
+    pilot_factor,
+    zf_weights,
+)
 from .detectors import (
     DetectionResult,
     detect_bomp,
@@ -143,13 +152,18 @@ MAX_LEMMA_ITERATIONS = 500
 
 
 def worker_count() -> int:
-    """Trial workers: cpu count capped by the PDRS_THREADS environment variable.
+    """Trial workers: the CPUs this process may run on, capped by the PDRS_THREADS variable.
 
-    One worker when BLAS may run several threads and the library cannot pin
-    it (``BlasThreads.serial_only``), since the two pools would then fight
-    over the same cores.
+    The CPUs are those of the process's affinity mask (``os.sched_getaffinity``),
+    so ``taskset`` or a cpuset limits the workers, or ``os.cpu_count()``
+    where the platform has no mask.  One worker when BLAS may run several
+    threads and the library cannot pin it (``BlasThreads.serial_only``),
+    since the two pools would then fight over the same cores.
     """
-    n = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        n = len(os.sched_getaffinity(0))
+    else:
+        n = os.cpu_count() or 1
     cap = os.environ.get("PDRS_THREADS", "")
     if cap:
         try:
@@ -320,20 +334,24 @@ def _score_frame(
     trial_index: int,
     specs: dict[str, DetectorSpec],
     frame: ReceivedFrame,
-    pilot_pinvs: dict[bytes, tuple[np.ndarray, float]],
+    pilot_pinvs: dict[bytes, tuple[np.ndarray | PilotFactor, float]],
     last: bool,
 ) -> dict[str, TrialMetrics]:
     """Every detector of ``specs`` scored on ``frame``, one point of ``_trial_at_points``.
 
     Everything after detection is a function of the frame, the combiner and
     the detected support, so detectors that share both share one result.
-    The least-squares estimate takes ``pinv(pool.P[support])`` from the
-    trial's ``pilot_pinvs``, keyed by the support's bytes, forming it there
-    on first use with the ms it took; that time is charged in full at every
-    point that uses it.  At the trial's ``last`` point the entry leaves the
-    memo.  An estimate formed as the product then frees the inverse before
-    zero-forcing runs.  A wide ``LsEstimate`` (zeta > L, M >= L) holds it as
-    a factor, since ZF reads it, until the frame is scored.
+    Only the true positives are demodulated and scored, so the decorrelating
+    combiner forms weight rows for those users alone; zero-forcing needs the
+    whole support.  The least-squares estimate takes the support's pilot
+    inverse from the trial's ``pilot_pinvs``, keyed by the support's bytes,
+    forming it there on first use with the ms it took; that time is charged
+    in full at every point that uses it.  The entry is ``pinv(pool.P[support])``,
+    or, for a wide estimate (zeta > L, M >= L), the block's ``PilotFactor``
+    and no pseudo-inverse.  At the trial's ``last`` point the entry leaves
+    the memo.  An estimate formed as the product then frees the inverse
+    before zero-forcing runs.  A wide ``LsEstimate`` holds the factor, since
+    ZF reads it, until the frame is scored.
     """
     truth = frame.ground_truth
     stages: dict[str, tuple[DetectionResult, float]] = {}
@@ -353,24 +371,24 @@ def _score_frame(
             if key not in combined:
                 step = "combine"
                 pinv_ms = 0.0
+                tp_mask = np.isin(res.detected, truth.active, assume_unique=True)
+                tp_users = res.detected[tp_mask]
                 if spec.combiner == "dwe":
                     t0 = time.perf_counter()
-                    weights = dwe_weights(frame, pool, res.detected, y_pinv=res.y_pinv)
+                    tp_W = dwe_weights(frame, pool, tp_users, y_pinv=res.y_pinv).W
                 else:
                     if key[1] not in pilot_pinvs:
                         t0 = time.perf_counter()
-                        p_pinv = pinv(pool.P[res.detected])
+                        wide = is_wide_estimate(frame.Y.shape[0], pool.length, res.detected.size)
+                        p_pinv = (pilot_factor if wide else pinv)(pool.P[res.detected])
                         pilot_pinvs[key[1]] = p_pinv, (time.perf_counter() - t0) * 1e3
                     p_pinv, pinv_ms = pilot_pinvs.pop(key[1]) if last else pilot_pinvs[key[1]]
                     t0 = time.perf_counter()
                     h_est = ls_channel_estimate(frame, pool, res.detected, p_pinv)
                     del p_pinv  # at the trial's last point, only a wide h_est holds it now
-                    weights = zf_weights(h_est, res.detected)
+                    tp_W = zf_weights(h_est, res.detected).W[tp_mask]
                 step = "score"
                 m = detection_metrics(res, truth)
-                tp_mask = np.isin(res.detected, truth.active, assume_unique=True)
-                tp_users = res.detected[tp_mask]
-                tp_W = weights.W[tp_mask]
                 if frame.Y_D.shape[1] and tp_users.size:
                     step = "demod"
                     decided = demod_qpsk(tp_W @ frame.Y_D)
@@ -402,13 +420,13 @@ def _trial_at_points(
     per group; each point's frame is formed from the draw and lives only
     while it is scored, and the draw is let go before the group's last frame
     is scored.  The trial's ``pilot_pinvs`` memo forms each detected
-    support's pilot pseudo-inverse once, for every point and group; an
-    entry used at the trial's last point leaves it there, and the rest is
-    freed when the trial returns.  A failed draw is the error of each of
-    its group's points.
+    support's pilot pseudo-inverse (or factor) once, for every point and
+    group; an entry used at the trial's last point leaves it there, and the
+    rest is freed when the trial returns.  A failed draw is the error of
+    each of its group's points.
     """
     out: list[dict[str, TrialMetrics] | Exception] = [None] * sum(len(ps) for _, ps in groups)
-    pilot_pinvs: dict[bytes, tuple[np.ndarray, float]] = {}
+    pilot_pinvs: dict[bytes, tuple[np.ndarray | PilotFactor, float]] = {}
     last_point = groups[-1][1][-1][0]
     for codebook, points in groups:
         try:

@@ -10,6 +10,7 @@ from pdrslink.combining import (
     demod_qpsk,
     dwe_weights,
     ls_channel_estimate,
+    pilot_factor,
     zf_weights,
 )
 from pdrslink.detectors import detect_pdrs_dwe
@@ -155,9 +156,9 @@ def test_end_to_end_noiseless_recovery():
 
 
 def _wide_estimate(M=10, L=6, zeta=9, seed=70):
-    """An ``LsEstimate`` of a Gaussian Y (M x L) and the pinv of a Gaussian zeta x L pilot block."""
+    """An ``LsEstimate`` of a Gaussian Y (M x L) and the factor of a Gaussian zeta x L pilot block."""
     rng = RngStream(seed, 0)
-    return LsEstimate(cgauss(M, L, 1.0, rng), pinv(cgauss(zeta, L, 1.0, rng)))
+    return LsEstimate(cgauss(M, L, 1.0, rng), pilot_factor(cgauss(zeta, L, 1.0, rng)))
 
 
 def _assert_falls_back_to_pinv_of_the_product(est):
@@ -172,10 +173,38 @@ def test_a_wide_estimate_is_kept_as_its_factors_and_reads_as_their_product():
     res = detect_pdrs_dwe(frame, pool, cb, cfg.zeta)
     est = ls_channel_estimate(frame, pool, res.detected)
     assert isinstance(est, LsEstimate)
-    assert est.Y is frame.Y and est.p_pinv.shape == (cfg.L, cfg.zeta)
+    assert est.Y is frame.Y and np.array_equal(est.pilot.P, pool.P[res.detected])
+    R_inv_h, Q = est.pilot.R_inv_h, est.pilot.Q
+    assert R_inv_h.shape == (cfg.L, cfg.L) and Q.shape == (cfg.zeta, cfg.L)
+    assert np.allclose(Q.conj().T @ Q, np.eye(cfg.L), rtol=0, atol=1e-12)  # orthonormal columns
+    assert np.array_equal(np.triu(R_inv_h), R_inv_h)  # R^-H of a lower-triangular R
     product = frame.Y @ pinv(pool.P[res.detected])
     assert est.shape == product.shape == (cfg.M, cfg.zeta)
     assert np.array_equal(est.H, product) and np.array_equal(np.asarray(est), product)
+
+
+def test_a_wide_estimate_takes_a_pilot_factor_computed_before():
+    cfg, pool, cb, act, frame = build(seed=10, zeta=20)
+    res = detect_pdrs_dwe(frame, pool, cb, cfg.zeta)
+    factor = pilot_factor(pool.P[res.detected])
+    est = ls_channel_estimate(frame, pool, res.detected, factor)
+    assert est.pilot is factor
+    fresh = ls_channel_estimate(frame, pool, res.detected)
+    W, W_fresh = (zf_weights(e, res.detected).W for e in (est, fresh))
+    assert np.array_equal(W.view(np.float64), W_fresh.view(np.float64))
+
+
+@pytest.mark.parametrize("which", ["pinv", "short factor"])
+def test_a_wide_estimate_rejects_anything_but_its_pilot_factor(which):
+    cfg, pool, cb, act, frame = build(seed=10, zeta=20)
+    res = detect_pdrs_dwe(frame, pool, cb, cfg.zeta)
+    if which == "pinv":
+        given, got = pinv(pool.P[res.detected]), "an array of shape (12, 20)"
+    else:
+        given, got = pilot_factor(pool.P[res.detected[:-1]]), "a PilotFactor of shape (19, 12)"
+    due = "a PilotFactor of shape (20, 12)"
+    with pytest.raises(ValueError, match=re.escape(got) + ".*" + re.escape(due)):
+        ls_channel_estimate(frame, pool, res.detected, given)
 
 
 def test_a_wide_estimate_is_zero_forced_from_its_factors():
@@ -188,25 +217,60 @@ def test_a_wide_estimate_is_zero_forced_from_its_factors():
 
 def test_zf_falls_back_when_cholesky_finds_the_pilot_gram_singular():
     est = _wide_estimate()
-    p_pinv = est.p_pinv.copy()
-    p_pinv[-1] = 0.0  # the inverse of a pilot block whose last column is zero
-    _assert_falls_back_to_pinv_of_the_product(LsEstimate(est.Y, p_pinv))
+    P = est.pilot.P.copy()
+    P[:, -1] = 0.0  # a pilot block of rank L - 1: its Gram has a zero pivot
+    factor = pilot_factor(P)
+    assert factor.R_inv_h is None and factor.Q is None
+    _assert_falls_back_to_pinv_of_the_product(LsEstimate(est.Y, factor))
 
 
 def test_zf_falls_back_when_the_cholesky_factor_is_too_ill_conditioned():
     est = _wide_estimate()
-    # rows graded from 1 down to 1e-12: cholesky succeeds, but ||Lc||_F ||Lc^-1||_F L eps > 1e-4
-    p_pinv = np.logspace(0, -12, 6)[:, None] * np.linalg.svd(est.p_pinv, full_matrices=False)[2]
-    Lc = np.linalg.cholesky(p_pinv @ p_pinv.conj().T)
-    # Y undoes the grading, so B = Y Lc is well conditioned and only the Lc bound can fail
-    _assert_falls_back_to_pinv_of_the_product(LsEstimate(est.Y @ np.linalg.inv(Lc), p_pinv))
+    # columns graded from 1 down to 1e-12: cholesky is blind to the grading and succeeds,
+    # but ||R||_F ||R^-1||_F L eps > 1e-4
+    P = est.pilot.P * np.logspace(0, -12, 6)
+    R = np.linalg.cholesky(P.conj().T @ P)
+    assert np.linalg.norm(R) * np.linalg.norm(np.linalg.inv(R)) * 6 * np.finfo(float).eps > 1e-4
+    factor = pilot_factor(P)
+    assert factor.Q is None
+    # Y undoes the grading, so B = Y R^-H is well conditioned and only the R bound can fail
+    _assert_falls_back_to_pinv_of_the_product(LsEstimate(est.Y @ R.conj().T, factor))
+
+
+def test_zf_falls_back_when_repeated_pilots_leave_the_pilot_block_short_of_rank():
+    P = cgauss(9, 6, 1.0, RngStream(70, 0))
+    P[[1, 3, 5, 7]] = P[[0, 2, 4, 6]]  # four users share a pilot with another: rank 5 < L = 6
+    # the Gram's zero eigenvalue rounds to about eps, so cholesky succeeds and R looks only
+    # moderately ill conditioned; the bound holds unsquared and fails squared
+    R = np.linalg.cholesky(P.conj().T @ P)
+    cond_R = np.linalg.norm(R) * np.linalg.norm(np.linalg.inv(R))
+    assert cond_R * 6 * np.finfo(float).eps < 1e-4 < cond_R**2 * 9 * np.finfo(float).eps
+    factor = pilot_factor(P)
+    assert factor.Q is None
+    _assert_falls_back_to_pinv_of_the_product(LsEstimate(_wide_estimate().Y, factor))
 
 
 def test_zf_falls_back_when_y_has_lost_rank():
     est = _wide_estimate()
     rng = RngStream(71, 0)
-    Y = cgauss(10, 4, 1.0, rng) @ cgauss(4, 6, 1.0, rng)  # rank 4 < L = 6
-    _assert_falls_back_to_pinv_of_the_product(LsEstimate(Y, est.p_pinv))
+    Y = cgauss(10, 4, 1.0, rng) @ cgauss(4, 6, 1.0, rng)  # rank 4 < L = 6: pinv(B) B has trace 4
+    _assert_falls_back_to_pinv_of_the_product(LsEstimate(Y, est.pilot))
+
+
+def test_zf_falls_back_when_an_svd_of_h_would_drop_a_singular_value():
+    # B has singular values 1 down to 1e-10: pinv(B) keeps all six (its cutoff is
+    # max(M, L) 1e-12 = 1e-11), but H's cutoff is max(M, zeta) 1e-12 = 1.2e-10
+    est = _wide_estimate(zeta=120)
+    rng = RngStream(72, 0)
+    u = np.linalg.qr(cgauss(10, 6, 1.0, rng))[0]
+    vh = np.linalg.qr(cgauss(6, 6, 1.0, rng))[0]
+    B = (u * np.logspace(0, -10, 6)) @ vh
+    R = np.linalg.cholesky(est.pilot.P.conj().T @ est.pilot.P)
+    est = LsEstimate(B @ R.conj().T, est.pilot)  # so that Y R^-H = B
+    B_pinv = pinv(est.Y @ est.pilot.R_inv_h)
+    assert abs(np.trace(B_pinv @ est.Y @ est.pilot.R_inv_h) - 6) < 0.5  # the trace check holds
+    _assert_falls_back_to_pinv_of_the_product(est)
+    assert np.linalg.matrix_rank(zf_weights(est, np.arange(120)).W, rtol=1e-9) == 5
 
 
 def test_fewer_antennas_than_pilot_symbols_keep_the_product():

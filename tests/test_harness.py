@@ -268,10 +268,11 @@ def test_without_a_known_symbol_an_unpinned_blas_gets_one_trial_worker(monkeypat
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(linalg, "_blas", BlasThreads(env_pinned=linalg._env_pins_blas()))
     monkeypatch.setenv("PDRS_THREADS", "3")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     blas = process_blas()
     assert blas.symbol is None and blas.serial_only is serial
     assert blas.path == ("unknown: one trial worker" if serial else "pinned by environment")
-    assert worker_count() == (1 if serial else min(3, os.cpu_count() or 1))
+    assert worker_count() == (1 if serial else 3)
 
 
 @pytest.mark.skipif(process_blas().symbol is None, reason="numpy's BLAS exports no known thread setter")
@@ -881,25 +882,66 @@ def test_a_draws_last_point_frees_its_pilot_pinv_before_zero_forcing(monkeypatch
     assert alive_at_zf == [[True], [True], [False]]
 
 
-def test_a_wide_estimate_holds_its_pilot_pinv_through_zero_forcing_and_frees_it_with_the_trial(
-    monkeypatch,
-):
-    # zeta > L and M >= L: ZF reads the inverse as a factor of the estimate
-    cfg = small_cfg(zeta=10)
-    refs, alive_at_zf = _pilot_pinv_lifetimes(monkeypatch)
-    estimates = []
-    zf = harness.zf_weights
+def _pilot_factor_lifetimes(monkeypatch):
+    """Weak references to every pilot factor the harness forms, and whether each was alive at
+    each ZF entry, with the type of the estimate ZF was given."""
+    refs, alive_at_zf, estimates = [], [], []
+    original, zf = harness.pilot_factor, harness.zf_weights
 
-    def recorded(h_est, users):
+    def tracked(P):
+        out = original(P)
+        refs.append(weakref.ref(out))
+        return out
+
+    def checked(h_est, users):
+        alive_at_zf.append([ref() is not None for ref in refs])
         estimates.append(type(h_est))
         return zf(h_est, users)
 
-    monkeypatch.setattr(harness, "zf_weights", recorded)
+    monkeypatch.setattr(harness, "pilot_factor", tracked)
+    monkeypatch.setattr(harness, "zf_weights", checked)
+    return refs, alive_at_zf, estimates
+
+
+def test_a_wide_estimate_holds_its_pilot_factor_through_zf_and_frees_it_with_trial(monkeypatch):
+    # zeta > L and M >= L: the memo holds the pilot block's factor, and ZF reads it
+    cfg = small_cfg(zeta=10)
+    blocks = _pilot_pinv_calls(monkeypatch)
+    refs, alive_at_zf, estimates = _pilot_factor_lifetimes(monkeypatch)
     run_trial(cfg, synth_pool(cfg), synth_codebook(cfg), None, 0, ["pdrs-lszf"])
+    assert blocks == []  # no pinv of the pilot block
     assert estimates == [LsEstimate]
     assert len(refs) == 1
     assert alive_at_zf == [[True]]
     assert refs[0]() is None
+
+
+def test_an_snr_sweep_forms_each_wide_supports_pilot_factor_once_per_trial(monkeypatch):
+    cfg = small_cfg(K=6, zeta=10, snr_db=0.0)  # zeta > L = 8 and M = 12 >= L: all estimates wide
+    values = [-4.0, 0.0, 4.0, 8.0]
+    dets = ["pdrs-lszf", "fpr"]
+    pool, codebook = synth_pool(cfg), synth_codebook(cfg)
+    gram = fpr_gram_pinv(pool)
+    pairs = set()
+    for t in range(cfg.trials):
+        draw = draw_trial(cfg, pool, codebook, t)
+        for v in values:
+            frame = draw.frame(replace(cfg, snr_db=v).sigma2)
+            for d in dets:
+                stage = STAGE_TABLE[DETECTOR_TABLE[d].stage]
+                res = stage.detect(frame, pool, codebook, cfg.zeta, cfg.svd_cost, gram)
+                pairs.add((t, res.detected.tobytes()))
+    # some trial detects two supports, and some support at several points or by both detectors,
+    # so a memo per trial without the support in its key, or one per point, fails
+    assert cfg.trials < len(pairs) < cfg.trials * len(values) * len(dets)
+    blocks = _pilot_pinv_calls(monkeypatch)
+    refs, alive_at_zf, estimates = _pilot_factor_lifetimes(monkeypatch)
+    rows = harness.run_sweep(SweepSpec(cfg, "snr_db", values, dets))
+    assert len(refs) == len(pairs)
+    assert blocks == [] and set(estimates) == {LsEstimate}
+    assert [ref() for ref in refs] == [None] * len(refs)
+    alone = [row for v in values for row in run_point(replace(cfg, snr_db=v), dets)]
+    assert _rows_without_wall_clock(rows) == _rows_without_wall_clock(alone)
 
 
 def test_an_overshoot_shaped_trial_inverts_no_wide_matrix(monkeypatch):
@@ -918,8 +960,25 @@ def test_an_overshoot_shaped_trial_inverts_no_wide_matrix(monkeypatch):
     # every detector that picks zeta users; oracle's K = 5 < L pilot rows are a wide block
     for t in range(3):
         run_trial(cfg, pool, cb, gram, t, ["pdrs", "pdrs-lszf", "bomp", "fpr"])
-    assert (cfg.M, cfg.L) in shapes  # the factored ZF's B = Y Lc
+    assert (cfg.M, cfg.L) in shapes  # pdrs's pinv(Y) and the factored ZF's B = Y R^-H
     assert [s for s in shapes if s[0] < s[1]] == []
+    assert (cfg.zeta, cfg.L) not in shapes  # the zeta x L pilot block is factored, not inverted
+
+
+def test_dwe_forms_weight_rows_only_for_the_users_it_scores(monkeypatch):
+    cfg = small_cfg(zeta=10)  # pdrs detects five users that are not active
+    given = []
+    dwe = harness.dwe_weights
+
+    def recorded(frame, pool, users, y_pinv=None):
+        given.append((users, frame.ground_truth.active))
+        return dwe(frame, pool, users, y_pinv=y_pinv)
+
+    monkeypatch.setattr(harness, "dwe_weights", recorded)
+    run_trial(cfg, synth_pool(cfg), synth_codebook(cfg), None, 0, ["pdrs", "oracle-dwe"])
+    (pdrs_users, active), (oracle_users, _) = given
+    assert pdrs_users.size < cfg.zeta and np.all(np.isin(pdrs_users, active))
+    assert np.array_equal(oracle_users, active)
 
 
 def test_no_pilot_pinv_outlives_its_trial(monkeypatch):
@@ -1113,6 +1172,26 @@ def test_worker_count(monkeypatch):
         worker_count()
     monkeypatch.delenv("PDRS_THREADS")
     assert worker_count() >= 1
+
+
+def test_worker_count_follows_the_cpu_affinity_mask(monkeypatch):
+    monkeypatch.setattr(linalg, "_blas", BlasThreads(env_pinned=True))
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.delenv("PDRS_THREADS", raising=False)
+    assert worker_count() == 3  # taskset or a cpuset leaves 3 of the 16 CPUs
+    monkeypatch.setenv("PDRS_THREADS", "2")
+    assert worker_count() == 2
+
+
+def test_worker_count_falls_back_on_the_cpu_count_without_an_affinity_mask(monkeypatch):
+    monkeypatch.setattr(linalg, "_blas", BlasThreads(env_pinned=True))
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.delenv("PDRS_THREADS", raising=False)
+    assert worker_count() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable: one worker
+    assert worker_count() == 1
 
 
 @pytest.mark.parametrize("cap", ["0", "-2"])

@@ -6,8 +6,9 @@ length or equal to the pool size, every user active, one-symbol reference
 signals, no data block, noiseless frames and pools with repeated pilots.
 Every counted ledger must equal its closed-form model, every direct weight
 row must equal its own pilot's product with ``pinv(Y)`` bit for bit, the
-zero-forcing of a wide least-squares estimate from its factors must match
-``pinv`` of the product, and
+zero-forcing of a wide least-squares estimate from ``Y`` and its pilot
+factor must match numpy's ``pinv`` of the product, or fall back to
+``pinv`` of it exactly, and
 ``run_point`` rows must not depend on the number of trial workers, with the
 library's BLAS pin active or bypassed, nor on whether the config's whole
 numbers were given as ints or as floats.  A config file of small
@@ -129,7 +130,8 @@ def test_a_dwe_row_is_its_pilot_times_pinv_y_whatever_its_companions(case):
 
 @st.composite
 def wide_ls_cases(draw):
-    """A noisy frame with M >= L and the support ``pdrs`` detects at zeta > L, in either codebook mode."""
+    """A noisy frame with M >= L and the support ``pdrs`` detects at zeta > L, in either codebook
+    mode, from a pool that may repeat pilots."""
     L = draw(st.integers(1, 12))
     N = draw(st.integers(L + 1, 40))
     cfg = SystemConfig(
@@ -138,24 +140,30 @@ def wide_ls_cases(draw):
         snr_db=draw(st.sampled_from([0.0, 10.0, 30.0])), D=0,
         pdrs_mode=draw(st.sampled_from(PDRS_MODES)), trials=1, seed=draw(st.integers(0, 2**16)),
     )
-    frame, pool, codebook = _frame(cfg, [])
-    return frame, pool, detect_pdrs_dwe(frame, pool, codebook, cfg.zeta).detected
+    copies = draw(st.lists(st.integers(1, N - 1), max_size=3, unique=True))
+    frame, pool, codebook = _frame(cfg, copies)
+    return frame, pool, detect_pdrs_dwe(frame, pool, codebook, cfg.zeta).detected, copies
 
 
-#: Relative Frobenius bound on the factored zero-forcing weights against ``pinv`` of the product;
-#: the worst of these examples reads 8.8e-14.
+#: Relative Frobenius bound on the factored zero-forcing weights against numpy's ``pinv`` of the
+#: product at the same cutoff; the worst of these examples reads 2.0e-12, and ten fall back.
 FACTORED_ZF_RTOL = 1e-10
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(wide_ls_cases())
 def test_a_wide_estimate_is_zero_forced_from_its_factors_as_pinv_of_the_product(case):
-    frame, pool, detected = case
+    frame, pool, detected, copies = case
     est = ls_channel_estimate(frame, pool, detected)
     assert isinstance(est, LsEstimate)
-    assert _factored_zf(est) is not None  # noisy Gaussian frames pass the certificate
     H = est.H
-    W, ref = zf_weights(est, detected).W, linalg.pinv(H)
+    W = zf_weights(est, detected).W
+    if _factored_zf(est) is None:
+        # only a repeated pilot can leave the pilot block short of rank L
+        assert copies
+        assert np.array_equal(W.view(np.float64), linalg.pinv(H).view(np.float64))
+        return
+    ref = np.linalg.pinv(H, rtol=max(H.shape) * linalg.DEFAULT_PINV_RTOL_SCALE)
     assert np.linalg.norm(W - ref) <= FACTORED_ZF_RTOL * np.linalg.norm(ref)
     # W H is the orthogonal projector pinv(H) H onto the rows of H
     assert np.linalg.norm(W @ H - ref @ H) <= FACTORED_ZF_RTOL * np.linalg.norm(ref @ H)
