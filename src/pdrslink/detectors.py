@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import col_norms_sq, residual_row_norms
-from .linalg import orthonormal_step, pinv
+from .linalg import _schur_pinv, orthonormal_step, pinv
 from .metrics import matmul_mults, pinv_mults
 from .scenario import PdrsCodebook, PilotPool, ReceivedFrame, SystemConfig
 
@@ -154,21 +154,42 @@ def detect_bomp(
     return DetectionResult(detected, scores, mults)
 
 
+#: Rows of ``P P^H`` formed at a time by ``fpr_gram_pinv``.
+_GRAM_BLOCK_ROWS = 128
+
+
+def _squared_gram(pool: PilotPool) -> np.ndarray:
+    """``|P P^H|^2`` in float64, formed ``_GRAM_BLOCK_ROWS`` rows at a time from the cached ``P_h``."""
+    P, P_h = pool.P, pool.P_h
+    G = np.empty((pool.n_pilots, pool.n_pilots))
+    for start in range(0, pool.n_pilots, _GRAM_BLOCK_ROWS):
+        rows = slice(start, start + _GRAM_BLOCK_ROWS)
+        np.abs(P[rows] @ P_h, out=G[rows])
+    G *= G
+    return G
+
+
 def fpr_gram_pinv(pool: PilotPool) -> np.ndarray:
-    """Pseudo-inverse of the squared-modulus pilot Gram matrix.
+    """Pseudo-inverse of the squared-modulus pilot Gram matrix, read-only.
 
     One-time precomputation per pilot pool; the per-frame ledger charges only
-    its application.  ``G = |P P^H|^2`` is formed from the pool's cached
-    ``P_h`` and squared in place (numpy squares as ``x * x`` either way, so
-    the bits are those of ``** 2``, with one N x N temporary fewer).  It is
-    real and exactly symmetric, so ``pinv`` keeps it in float64 and inverts
-    it by certified recursive Schur complements; LU when that certificate
-    fails, and the SVD when the Gram has lost rank (a pool with repeated
-    pilots).
+    its application, and every trial thread shares the result, so it cannot
+    be written.  ``G = |P P^H|^2`` is formed from the pool's cached ``P_h``,
+    ``_GRAM_BLOCK_ROWS`` rows at a time straight into one N x N float64
+    array, and squared in place (numpy squares as ``x * x`` either way, so
+    the bits are those of ``** 2``); no N x N complex product is formed.  It
+    is real and exactly symmetric, so ``pinv``'s rule 1, certified recursive
+    Schur complements, inverts it in that same array, with nothing N x N
+    beside it.  When that certificate fails (a pool with repeated pilots,
+    whose Gram has lost rank, or a failed bound), the partly overwritten
+    array is dropped, the Gram formed again and ``pinv(G)`` returned: LU, or
+    the SVD when the Gram has lost rank.
     """
-    G = np.abs(pool.P @ pool.P_h)
-    G *= G
-    return pinv(G)
+    x = _schur_pinv(_squared_gram(pool), None, overwrite=True)
+    if x is None:
+        x = pinv(_squared_gram(pool))
+    x.flags.writeable = False
+    return x
 
 
 def detect_fpr(

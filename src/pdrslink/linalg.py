@@ -1,8 +1,11 @@
 """Dense-matrix kernel shared by every other module, and the BLAS thread budget.
 
 Matrices are plain 2-D ``numpy.ndarray`` (row-major) and vectors are 1-D
-float/complex arrays.  All matrix functions are pure, never mutate their
-inputs, and return finite values for finite inputs.
+float/complex arrays.  The public matrix functions are pure, never mutate
+their inputs, and return finite values for finite inputs.  The private
+``_schur_pinv`` may overwrite its argument: ``pinv`` hands it a copy, and
+``detectors.fpr_gram_pinv`` the Gram buffer it owns, so the FPR Gram is
+formed and inverted in one N x N array.
 
 ``pinv`` picks one of four rules (certified recursive Schur complements, LU,
 certified normal equations, SVD) from the input's shape and symmetry; its
@@ -102,16 +105,20 @@ def pinv(a, rel_tol: float | None = None) -> np.ndarray:
     1. a square input exactly equal to its conjugate transpose is inverted
        by recursive Schur complements: with ``A = [[A11, B], [B^H, D]]``
        split in halves, ``A11`` and ``S = D - B^H A11^-1 B`` are inverted
-       the same way and the four blocks put back together.  Blocks of at
-       most ``SCHUR_LEAF`` rows are inverted by ``inv`` once ``cholesky``
-       has found them positive definite, so the rule costs about
-       ``4/3 n^3`` flops, against ``8/3 n^3`` for LU, nearly all in large
-       products.  Its result is kept when ``||A||_F ||X||_F <= SCHUR_BOUND``;
-       an indefinite input, or one over the bound, goes on to rule 2.  An
-       input that is Hermitian only up to rounding takes rule 2 as well:
-       slower, but still correct.  With numpy's bundled OpenBLAS, the FPR
-       Gram ``|P P^H|^2`` and a product ``A^H A`` came out exactly Hermitian
-       on every input checked;
+       the same way and the four blocks put back together.  The recursion
+       overwrites a copy of the input level by level, so it holds one n x n
+       array beside the input, and its largest temporaries are n/2 x n/2;
+       the copy is made only once the input has been found Hermitian.
+       Blocks of at most ``SCHUR_LEAF`` rows are inverted by ``inv`` once
+       ``cholesky`` has found them positive definite, so the rule costs
+       about ``4/3 n^3`` flops, against ``8/3 n^3`` for LU, nearly all in
+       large products.  Its result is kept when
+       ``||A||_F ||X||_F <= SCHUR_BOUND`` and the cutoff test below holds;
+       an indefinite input, or one that fails either test, goes on to
+       rule 2.  An input that is Hermitian only up to rounding takes rule 2
+       as well: slower, but still correct.  With numpy's bundled OpenBLAS,
+       the FPR Gram ``|P P^H|^2`` and a product ``A^H A`` came out exactly
+       Hermitian on every input checked;
     2. any other square input is inverted by LU, ``X = inv(A)``;
     3. a tall input takes the normal equations and one Newton-Schulz step,
        ``G = A^H A``, ``X0 = inv(G) A^H``, ``X = 2 X0 - (X0 A) X0``, when the
@@ -148,9 +155,11 @@ def pinv(a, rel_tol: float | None = None) -> np.ndarray:
     m = _as_matrix(a, np.complex128 if np.iscomplexobj(a) else np.float64)
     rel_tol = _rank_cutoff(m.shape, rel_tol)
     rows, cols = m.shape
-    x = _schur_pinv(m) if rows == cols else None
+    x = _schur_pinv(m, rel_tol, overwrite=False) if rows == cols else None
+    if x is not None:
+        return x
     try:
-        if rows == cols and x is None:
+        if rows == cols:
             x = np.linalg.inv(m)
         elif rows > cols:
             x = _normal_eq_pinv(m)
@@ -161,37 +170,57 @@ def pinv(a, rel_tol: float | None = None) -> np.ndarray:
     return _svd_pinv(m, rel_tol)
 
 
-def _schur_pinv(m: np.ndarray) -> np.ndarray | None:
-    """Inverse of an exactly Hermitian positive-definite ``m`` by Schur complements; None when uncertified."""
+def _schur_pinv(m: np.ndarray, rel_tol: float | None, overwrite: bool) -> np.ndarray | None:
+    """Rule 1 of ``pinv`` with its certificate: ``m``'s inverse, or None when uncertified.
+
+    ``m`` must be exactly Hermitian, positive definite at every leaf, and
+    meet both ``||m||_F ||X||_F <= SCHUR_BOUND`` and ``pinv``'s cutoff test
+    at ``rel_tol`` (None: ``pinv``'s default).  The Hermitian check comes
+    first and writes nothing.  Then, with ``overwrite``, the inverse is
+    formed in ``m`` itself, which is returned; a None after that leaves
+    ``m`` overwritten in part or in full.  Without it, ``m`` is copied and
+    never changes.
+    """
+    rel_tol = _rank_cutoff(m.shape, rel_tol)
     if not np.array_equal(m, m.conj().T):
         return None
+    norm_m = np.linalg.norm(m)
+    x = m if overwrite else m.copy()
     try:
-        x = _schur_inv(m)
+        _schur_inv(x)
     except np.linalg.LinAlgError:
         return None  # a leaf is not positive definite
-    if not np.linalg.norm(m) * np.linalg.norm(x) <= SCHUR_BOUND:
+    product = norm_m * np.linalg.norm(x)
+    if not (product <= SCHUR_BOUND and product * rel_tol < 1.0):
         return None
     return x
 
 
-def _schur_inv(m: np.ndarray) -> np.ndarray:
-    """``inv(m)`` by halves: ``S = D - B^H A^-1 B`` and both halves inverted the same way.
+def _schur_inv(m: np.ndarray) -> None:
+    """Overwrite the Hermitian ``m`` with ``inv(m)`` by halves: ``S = D - B^H A^-1 B`` and both halves the same way.
 
-    With ``W = A^-1 B``, the inverse is ``[[A^-1 + W S^-1 W^H, -W S^-1],
-    [-S^-1 W^H, S^-1]]``.  A leaf raises LinAlgError unless ``cholesky``
-    finds it positive definite.
+    With ``m = [[A, B], [B^H, D]]`` and ``W = A^-1 B``, the inverse is
+    ``[[A^-1 - X12 W^H, X12], [X12^H, S^-1]]`` with ``X12 = -W S^-1``.  In
+    order: ``A <- A^-1``, ``D -= B^H W``, ``D <- S^-1``, ``B <- X12``,
+    ``A -= X12 W^H``, and the lower-left block, never read, ``<- X12^H``.
+    A leaf raises LinAlgError unless ``cholesky`` finds it positive
+    definite, and is then overwritten by ``inv``.
     """
     n = m.shape[0]
     if n <= SCHUR_LEAF:
         np.linalg.cholesky(m)
-        return np.linalg.inv(m)
+        m[...] = np.linalg.inv(m)
+        return
     h = n // 2
-    a_inv = _schur_inv(m[:h, :h])
-    b = m[:h, h:]
-    w = a_inv @ b
-    s_inv = _schur_inv(m[h:, h:] - b.conj().T @ w)
-    x12 = -w @ s_inv
-    return np.block([[a_inv - x12 @ w.conj().T, x12], [x12.conj().T, s_inv]])
+    a, b, d = m[:h, :h], m[:h, h:], m[h:, h:]
+    _schur_inv(a)
+    w = a @ b
+    d -= b.conj().T @ w
+    _schur_inv(d)
+    x12 = np.matmul(w, d, out=b)
+    np.negative(x12, out=x12)
+    a -= x12 @ w.conj().T
+    m[h:, :h] = x12.conj().T
 
 
 def _normal_eq_pinv(m: np.ndarray) -> np.ndarray | None:

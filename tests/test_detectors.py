@@ -1,10 +1,11 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pdrslink import detectors
+from pdrslink import detectors, linalg
 from pdrslink._kernels import col_norms_sq
 from pdrslink.detectors import (
     detect_bomp,
@@ -14,7 +15,7 @@ from pdrslink.detectors import (
     oracle_support,
 )
 from pdrslink.harness import STAGE_TABLE
-from pdrslink.linalg import pinv
+from pdrslink.linalg import SCHUR_LEAF, pinv
 from pdrslink.metrics import complexity_model, pinv_mults
 from pdrslink.scenario import (
     ActivityPattern,
@@ -331,13 +332,21 @@ def test_fpr_gram_pinv_squared_in_place_equals_the_power_bit_for_bit():
 
 
 def test_fpr_gram_pinv_stays_off_the_eigh_and_svd_paths(monkeypatch):
-    cfg, pool, cb, act, frame = build(seed=10)
+    # N = 200 > SCHUR_LEAF, so an LU inverse of the whole Gram would be seen
+    cfg, pool, cb, act, frame = build(seed=10, N=200, L=24)
+    inv = np.linalg.inv
 
     def refuse(*args, **kwargs):
         raise AssertionError("eigh or svd called on a full-rank Gram")
 
+    def leaf_inv(a, *args, **kwargs):
+        if np.shape(a)[0] > SCHUR_LEAF:
+            raise AssertionError(f"LU inverse of a {np.shape(a)[0]}-row block of a full-rank Gram")
+        return inv(a, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "inv", leaf_inv)
     assert fpr_gram_pinv(pool).dtype == np.float64
 
 
@@ -357,6 +366,49 @@ def test_fpr_gram_pinv_of_a_duplicated_pool_takes_one_svd(monkeypatch):
     assert gram.dtype == np.float64
     G = np.abs(dup.P @ dup.P.conj().T) ** 2
     assert np.linalg.matrix_rank(gram) == np.linalg.matrix_rank(G) < dup.n_pilots
+    # the failed in-place attempt leaves no trace: the Gram is formed again for pinv
+    assert np.array_equal(gram, pinv(G))
+
+
+def test_fpr_gram_pinv_over_the_schur_bound_returns_lu_of_the_formed_gram(monkeypatch):
+    cfg, pool, cb, act, frame = build(seed=10, N=200, L=24)
+    G = np.abs(pool.P @ pool.P.conj().T) ** 2
+    buffers = []
+    schur_pinv = detectors._schur_pinv
+
+    def recorded(m, *args, **kwargs):
+        buffers.append(m)
+        return schur_pinv(m, *args, **kwargs)
+
+    monkeypatch.setattr(detectors, "_schur_pinv", recorded)
+    monkeypatch.setattr(linalg, "SCHUR_BOUND", 1.0)  # below n, which ||G||_F ||G^-1||_F always reaches
+    gram = fpr_gram_pinv(pool)
+    # the attempt inverted the Gram's own buffer before its bound failed
+    assert len(buffers) == 1 and not np.array_equal(buffers[0], G)
+    assert np.array_equal(gram, np.linalg.inv(G))
+
+
+def test_fpr_gram_pinv_is_read_only():
+    cfg, pool, cb, act, frame = build(seed=11)
+    dup = PilotPool(np.vstack([pool.P, pool.P[:4]]))  # takes the fallback
+    for gram in (fpr_gram_pinv(pool), fpr_gram_pinv(dup)):
+        with pytest.raises(ValueError, match="read-only"):
+            gram[0, 0] = 1.0
+
+
+def test_the_anchor_gram_build_peaks_below_two_n_by_n_float_arrays():
+    # the Gram is formed and inverted in one N x N float64 buffer; an N x N
+    # complex product, or an inverse formed beside the Gram, reaches the limit
+    pool = synth_pool(SystemConfig())  # the anchor pool: N = 1000 pilots of length L = 96
+    N = pool.n_pilots
+    tracemalloc.start()
+    try:
+        gram = fpr_gram_pinv(pool)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gram.shape == (N, N)
+    assert peak < 2 * N**2 * 8
 
 
 def test_fpr_rejects_a_complex_gram():

@@ -290,6 +290,41 @@ def test_the_hermitian_rule_is_as_accurate_as_the_svd(monkeypatch, n, real):
     assert rel_err(got, ref) <= 1e-13 * np.linalg.cond(a)
 
 
+def schur_inv_reference(m):
+    """The Hermitian rule as it was before it worked in place: each level's blocks in new arrays."""
+    n = m.shape[0]
+    if n <= SCHUR_LEAF:
+        np.linalg.cholesky(m)
+        return np.linalg.inv(m)
+    h = n // 2
+    a_inv = schur_inv_reference(m[:h, :h])
+    b = m[:h, h:]
+    w = a_inv @ b
+    s_inv = schur_inv_reference(m[h:, h:] - b.conj().T @ w)
+    x12 = -w @ s_inv
+    return np.block([[a_inv - x12 @ w.conj().T, x12], [x12.conj().T, s_inv]])
+
+
+def shifted_hermitian(n, rng, real=False):
+    """An exactly Hermitian n x n input, positive definite: a Gaussian one shifted past its spectrum."""
+    return hermitian(gauss(n, n, rng, real)) + 3 * np.sqrt(n) * np.eye(n)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [1, SCHUR_LEAF, SCHUR_LEAF + 1, 130, 300, 1000])
+def test_the_in_place_hermitian_rule_is_the_allocating_one_bit_for_bit(n, real):
+    a = shifted_hermitian(n, RngStream(115, n), real)
+    assert np.array_equal(a, a.conj().T)
+    ref = schur_inv_reference(a)
+    x = a.copy()
+    linalg._schur_inv(x)
+    assert x.tobytes() == ref.tobytes()
+    before = a.copy()
+    got = pinv(a)
+    assert a.tobytes() == before.tobytes()  # pinv inverted a copy
+    assert got.tobytes() == ref.tobytes()
+
+
 def test_the_anchor_fpr_gram_takes_the_hermitian_rule(monkeypatch):
     pool = synth_pool(SystemConfig())  # the anchor pool: N = 1000 pilots of length L = 96
     G = np.abs(pool.P @ pool.P.conj().T) ** 2

@@ -8,7 +8,9 @@ Every counted ledger must equal its closed-form model, every direct weight
 row must equal its own pilot's product with ``pinv(Y)`` bit for bit, the
 zero-forcing of a wide least-squares estimate from ``Y`` and its pilot
 factor must match numpy's ``pinv`` of the product, or fall back to
-``pinv`` of it exactly, and
+``pinv`` of it exactly, the in-place Schur rule of ``pinv`` must equal the
+allocating one it replaced bit for bit, or fail on the same leaf, while
+``pinv`` leaves its input as it was, and
 ``run_point`` rows must not depend on the number of trial workers, with the
 library's BLAS pin active or bypassed, nor on whether the config's whole
 numbers were given as ints or as floats.  A config file of small
@@ -30,6 +32,7 @@ from hypothesis import strategies as st
 from pdrslink.combining import LsEstimate, _factored_zf, dwe_weights, ls_channel_estimate, zf_weights
 from pdrslink.detectors import detect_bomp, detect_fpr, detect_pdrs_dwe, fpr_gram_pinv, oracle_support
 from pdrslink import linalg
+from test_linalg import schur_inv_reference
 from pdrslink.harness import DETECTORS, SWEEP_VARS, SweepSpec, parse_config, run_point, run_sweep
 from pdrslink.metrics import complexity_model
 from pdrslink.scenario import (
@@ -176,6 +179,38 @@ def _rows_without_wall_clock(cfg, threads, blas):
         rows = run_point(cfg, list(DETECTORS))
     # nan rates compare equal through repr
     return [repr({**vars(r), "wall_clock_ms": None}) for r in rows]
+
+
+@st.composite
+def hermitian_inputs(draw):
+    """An exactly Hermitian input up to three Schur leaves wide, real or complex, its Gaussian
+    spectrum shifted to be positive definite (3 sqrt(n)) or not (the smaller shifts)."""
+    n = draw(st.integers(1, 3 * linalg.SCHUR_LEAF))
+    gen = np.random.default_rng(draw(st.integers(0, 2**16)))
+    g = gen.standard_normal((n, n))
+    if not draw(st.booleans()):
+        g = g + 1j * gen.standard_normal((n, n))
+    shift = draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 3.0])) * np.sqrt(n)
+    return (g + g.conj().T) / 2 + shift * np.eye(n)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(hermitian_inputs())
+def test_the_in_place_hermitian_rule_is_the_allocating_one(a):
+    try:
+        ref = schur_inv_reference(a)
+    except np.linalg.LinAlgError:
+        ref = None  # a leaf is not positive definite: the in-place rule fails on the same leaf
+    x = a.copy()
+    if ref is None:
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg._schur_inv(x)
+    else:
+        linalg._schur_inv(x)
+        assert x.tobytes() == ref.tobytes()
+    before = a.copy()
+    linalg.pinv(a)
+    assert a.tobytes() == before.tobytes()
 
 
 #: No setter and an environment said to pin BLAS: the sweep leaves BLAS alone and keeps its workers.
