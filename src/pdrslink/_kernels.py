@@ -1,9 +1,9 @@
 """Fused element-wise/reduction kernels in numpy.
 
-The matrix products and SVDs that dominate the detectors run on BLAS/LAPACK
-through numpy and are not touched here; the kernels below are the squared-
-magnitude reductions and symbol decisions where one fused expression avoids
-large temporaries.
+The matrix products and inverses of the detectors and combiners run on
+BLAS/LAPACK through numpy and are not touched here; the kernels below are
+the squared-magnitude reductions and symbol decisions where one fused
+expression avoids large temporaries.
 """
 
 import numpy as np

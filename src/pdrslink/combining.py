@@ -3,12 +3,14 @@
 Two combiner families are provided: the decorrelating weight read-out, which
 derives each detected user's weight row directly from its pilot and the
 pseudo-inverse of the pilot block, and the conventional two-stage chain that
-first estimates the channel by least squares and then zero-forces it.  When
-the detected support is longer than the pilots (zeta > L) and M >= L, the
-estimate is kept as ``Y`` and the Cholesky factor of the pilot block's Gram
-(``PilotFactor``) and zero-forced from them (``zf_weights``): neither the
-pilot block's pseudo-inverse nor an SVD of the wide M x zeta product is
-formed.
+first estimates the channel by least squares and then zero-forces it.  The
+chain's inverse of the detected pilot block is chosen here alone, by
+``support_inverse``.  When the detected support is longer than the pilots
+(zeta > L) and M >= L, that is the Cholesky factor of the block's Gram
+(``PilotFactor``), and the estimate is kept as ``Y`` and the factor and
+zero-forced from them (``zf_weights``): neither the pilot block's
+pseudo-inverse nor an SVD of the wide M x zeta product is formed.
+Otherwise it is ``pinv`` of the block.
 """
 
 from dataclasses import dataclass
@@ -24,9 +26,9 @@ __all__ = [
     "PilotFactor",
     "WeightMatrix",
     "dwe_weights",
-    "is_wide_estimate",
     "ls_channel_estimate",
     "pilot_factor",
+    "support_inverse",
     "zf_weights",
     "demod_qpsk",
 ]
@@ -118,8 +120,7 @@ class LsEstimate:
     ``Y`` is the frame's received M x L pilot block, with M >= L, and
     ``pilot`` the ``PilotFactor`` of the zeta x L block ``P = pool.P[detected]``,
     zeta > L.  ``H`` forms the M x zeta product on request, each time it is
-    read; ``shape`` and ``__array__`` let the estimate read as that product.
-    ``zf_weights`` zero-forces it from ``Y`` and the factor.
+    read.  ``zf_weights`` zero-forces it from ``Y`` and the factor.
     """
 
     Y: np.ndarray
@@ -130,17 +131,22 @@ class LsEstimate:
         """The estimate ``Y @ pinv(P)``, formed anew."""
         return self.Y @ pinv(self.pilot.P)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.Y.shape[0], self.pilot.P.shape[0]
 
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.H, dtype=dtype)
-
-
-def is_wide_estimate(M: int, L: int, zeta: int) -> bool:
+def _is_wide_estimate(M: int, L: int, zeta: int) -> bool:
     """True when an M x zeta estimate from L pilot symbols is an ``LsEstimate``: zeta > L <= M."""
     return zeta > L and M >= L
+
+
+def support_inverse(P_block: np.ndarray, M: int) -> np.ndarray | PilotFactor:
+    """The inverse the least-squares estimate takes of the zeta x L pilot block, for M antennas.
+
+    The block's ``PilotFactor`` when zeta > L <= M, and ``pinv(P_block)``
+    otherwise.  It depends only on the pool, the support and M, so one
+    trial's frames at several points can share it.
+    """
+    if _is_wide_estimate(M, P_block.shape[1], P_block.shape[0]):
+        return pilot_factor(P_block)
+    return pinv(P_block)
 
 
 def ls_channel_estimate(
@@ -154,29 +160,26 @@ def ls_channel_estimate(
     When zeta > L and M >= L the estimate is returned as an ``LsEstimate``
     that holds ``Y`` and the pilot block's ``PilotFactor``, and
     ``pinv(P_detected)`` is never formed; otherwise as the product.
-    ``p_pinv`` accepts the support's pilot inverse already computed, as
-    ``dwe_weights`` accepts ``y_pinv``: the pilot block depends only on the
-    pool and the support, so one trial's frames at several points can share
-    it.  For a wide estimate that is ``pilot_factor(pool.P[detected])``, and
-    otherwise ``pinv(pool.P[detected])``.  Any other kind, or a block of
-    another shape than the support's, raises a ValueError that names both.
+    ``p_pinv`` accepts ``support_inverse(pool.P[detected], M)`` already
+    computed, as ``dwe_weights`` accepts ``y_pinv``; when None, it is formed
+    here.  Any other kind, or a block of another shape than the support's,
+    raises a ValueError that names both.
     """
     detected = np.asarray(detected, dtype=np.int64)
-    shape = (pool.length, detected.size)
-    wide = is_wide_estimate(frame.Y.shape[0], *shape)
+    M = frame.Y.shape[0]
     if p_pinv is None:
-        P = pool.P[detected]
-        p_pinv = pilot_factor(P) if wide else pinv(P)
-    else:
-        factor = isinstance(p_pinv, PilotFactor)
-        given = p_pinv.P.shape if factor else np.shape(p_pinv)
-        due = shape[::-1] if wide else shape
-        if factor != wide or given != due:
-            kinds = ("an array", "a PilotFactor")
-            raise ValueError(
-                f"p_pinv is {kinds[factor]} of shape {given}, but this estimate takes "
-                f"{kinds[wide]} of shape {due}"
-            )
+        p_pinv = support_inverse(pool.P[detected], M)
+    shape = (pool.length, detected.size)
+    wide = _is_wide_estimate(M, *shape)
+    factor = isinstance(p_pinv, PilotFactor)
+    given = p_pinv.P.shape if factor else np.shape(p_pinv)
+    due = shape[::-1] if wide else shape
+    if factor != wide or given != due:
+        kinds = ("an array", "a PilotFactor")
+        raise ValueError(
+            f"p_pinv is {kinds[factor]} of shape {given}, but this estimate takes "
+            f"{kinds[wide]} of shape {due}"
+        )
     return LsEstimate(frame.Y, p_pinv) if wide else frame.Y @ p_pinv
 
 
@@ -219,7 +222,7 @@ def _factored_zf(est: LsEstimate) -> np.ndarray | None:
     B_pinv = pinv(B)
     if not abs(np.einsum("ij,ji->", B_pinv, B) - B.shape[1]) < 0.5:
         return None
-    rel_tol = max(est.shape) * DEFAULT_PINV_RTOL_SCALE
+    rel_tol = max(est.Y.shape[0], pilot.P.shape[0]) * DEFAULT_PINV_RTOL_SCALE
     if not np.linalg.norm(B) * np.linalg.norm(B_pinv) * rel_tol < 1.0:
         return None
     return pilot.Q @ B_pinv

@@ -178,14 +178,15 @@ def fpr_gram_pinv(pool: PilotPool) -> np.ndarray:
     ``_GRAM_BLOCK_ROWS`` rows at a time straight into one N x N float64
     array, and squared in place (numpy squares as ``x * x`` either way, so
     the bits are those of ``** 2``); no N x N complex product is formed.  It
-    is real and exactly symmetric, so ``pinv``'s rule 1, certified recursive
-    Schur complements, inverts it in that same array, with nothing N x N
-    beside it.  When that certificate fails (a pool with repeated pilots,
-    whose Gram has lost rank, or a failed bound), the partly overwritten
-    array is dropped, the Gram formed again and ``pinv(G)`` returned: LU, or
-    the SVD when the Gram has lost rank.
+    is real and exactly symmetric, so the Gram's Schur rule
+    (``linalg._schur_pinv``), certified recursive Schur complements, inverts
+    it in that same array, with nothing N x N beside it.  When that
+    certificate fails (a pool with repeated pilots, whose Gram has lost
+    rank, or a failed bound), the partly overwritten array is dropped, the
+    Gram formed again and ``pinv(G)`` returned: LU, or the SVD when the Gram
+    has lost rank.
     """
-    x = _schur_pinv(_squared_gram(pool), None, overwrite=True)
+    x = _schur_pinv(_squared_gram(pool))
     if x is None:
         x = pinv(_squared_gram(pool))
     x.flags.writeable = False

@@ -29,15 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .combining import (
-    PilotFactor,
-    demod_qpsk,
-    dwe_weights,
-    is_wide_estimate,
-    ls_channel_estimate,
-    pilot_factor,
-    zf_weights,
-)
+from .combining import demod_qpsk, dwe_weights, ls_channel_estimate, support_inverse, zf_weights
 from .detectors import (
     DetectionResult,
     detect_bomp,
@@ -334,7 +326,7 @@ def _score_frame(
     trial_index: int,
     specs: dict[str, DetectorSpec],
     frame: ReceivedFrame,
-    pilot_pinvs: dict[bytes, tuple[np.ndarray | PilotFactor, float]],
+    pilot_pinvs: dict[bytes, tuple[object, float]],
     last: bool,
 ) -> dict[str, TrialMetrics]:
     """Every detector of ``specs`` scored on ``frame``, one point of ``_trial_at_points``.
@@ -346,12 +338,11 @@ def _score_frame(
     whole support.  The least-squares estimate takes the support's pilot
     inverse from the trial's ``pilot_pinvs``, keyed by the support's bytes,
     forming it there on first use with the ms it took; that time is charged
-    in full at every point that uses it.  The entry is ``pinv(pool.P[support])``,
-    or, for a wide estimate (zeta > L, M >= L), the block's ``PilotFactor``
-    and no pseudo-inverse.  At the trial's ``last`` point the entry leaves
-    the memo.  An estimate formed as the product then frees the inverse
-    before zero-forcing runs.  A wide ``LsEstimate`` holds the factor, since
-    ZF reads it, until the frame is scored.
+    in full at every point that uses it.  The entry is
+    ``combining.support_inverse(pool.P[support], M)``, which alone picks its
+    kind; the harness only holds it.  At the trial's ``last`` point the entry
+    leaves the memo, so an inverse the estimate does not keep is freed before
+    zero-forcing runs, and one it keeps lives until the frame is scored.
     """
     truth = frame.ground_truth
     stages: dict[str, tuple[DetectionResult, float]] = {}
@@ -379,13 +370,12 @@ def _score_frame(
                 else:
                     if key[1] not in pilot_pinvs:
                         t0 = time.perf_counter()
-                        wide = is_wide_estimate(frame.Y.shape[0], pool.length, res.detected.size)
-                        p_pinv = (pilot_factor if wide else pinv)(pool.P[res.detected])
+                        p_pinv = support_inverse(pool.P[res.detected], frame.Y.shape[0])
                         pilot_pinvs[key[1]] = p_pinv, (time.perf_counter() - t0) * 1e3
                     p_pinv, pinv_ms = pilot_pinvs.pop(key[1]) if last else pilot_pinvs[key[1]]
                     t0 = time.perf_counter()
                     h_est = ls_channel_estimate(frame, pool, res.detected, p_pinv)
-                    del p_pinv  # at the trial's last point, only a wide h_est holds it now
+                    del p_pinv  # at the trial's last point, only an h_est that keeps it holds it now
                     tp_W = zf_weights(h_est, res.detected).W[tp_mask]
                 step = "score"
                 m = detection_metrics(res, truth)
@@ -420,13 +410,13 @@ def _trial_at_points(
     per group; each point's frame is formed from the draw and lives only
     while it is scored, and the draw is let go before the group's last frame
     is scored.  The trial's ``pilot_pinvs`` memo forms each detected
-    support's pilot pseudo-inverse (or factor) once, for every point and
+    support's ``support_inverse`` once, for every point and
     group; an entry used at the trial's last point leaves it there, and the
     rest is freed when the trial returns.  A failed draw is the error of
     each of its group's points.
     """
     out: list[dict[str, TrialMetrics] | Exception] = [None] * sum(len(ps) for _, ps in groups)
-    pilot_pinvs: dict[bytes, tuple[np.ndarray | PilotFactor, float]] = {}
+    pilot_pinvs: dict[bytes, tuple[object, float]] = {}
     last_point = groups[-1][1][-1][0]
     for codebook, points in groups:
         try:

@@ -3,16 +3,15 @@
 Matrices are plain 2-D ``numpy.ndarray`` (row-major) and vectors are 1-D
 float/complex arrays.  The public matrix functions are pure, never mutate
 their inputs, and return finite values for finite inputs.  The private
-``_schur_pinv`` may overwrite its argument: ``pinv`` hands it a copy, and
-``detectors.fpr_gram_pinv`` the Gram buffer it owns, so the FPR Gram is
+``_schur_pinv`` overwrites its argument: it is the FPR Gram's own rule, and
+``detectors.fpr_gram_pinv`` hands it the Gram buffer it owns, so the Gram is
 formed and inverted in one N x N array.
 
-``pinv`` picks one of four rules (certified recursive Schur complements, LU,
-certified normal equations, SVD) from the input's shape and symmetry; its
-docstring states them and their certificates.  No rule calls numpy's QR,
-linear solve or determinant.  In numpy 2.4 QR and determinant hold the
-interpreter lock (two threads ran them slower than one), so the trial
-threads would queue on them.
+``pinv`` picks one of three rules (LU, certified normal equations, SVD) from
+the input's shape; its docstring states them and their certificates.  No
+rule calls numpy's QR, linear solve or determinant.  In numpy 2.4 QR and
+determinant hold the interpreter lock (two threads ran them slower than
+one), so the trial threads would queue on them.
 
 ``BlasThreads`` owns the thread count of the BLAS that numpy loaded:
 ``run_sweep`` pins it to one thread while its trial pool runs.
@@ -51,7 +50,7 @@ DEFAULT_PINV_RTOL_SCALE = 1e-12
 #: cond(A) > 10; without the step the error grows as cond(A)^2 eps.
 NORMAL_EQ_BOUND = 1e-4
 
-#: Bound on ``||A||_F ||X||_F`` for the Hermitian rule's inverse X.  Above it
+#: Bound on ``||A||_F ||X||_F`` for the Schur rule's inverse X.  Above it
 #: the recursion's error grows faster than cond(A) eps.  Over 68 random exactly
 #: Hermitian positive-definite inputs ``Q diag(lam) Q^H`` (Q random orthogonal
 #: or unitary, lam a geometric ladder from 1 down to 1/cond in random order;
@@ -63,7 +62,7 @@ NORMAL_EQ_BOUND = 1e-4
 #: 1e8, a leaf failed ``cholesky``.
 SCHUR_BOUND = 1e4
 
-#: Largest block the Hermitian rule inverts directly, by ``inv`` once
+#: Largest block the Schur rule inverts directly, by ``inv`` once
 #: ``cholesky`` has found it positive definite.
 SCHUR_LEAF = 64
 
@@ -100,38 +99,21 @@ def pinv(a, rel_tol: float | None = None) -> np.ndarray:
     is loose enough to absorb rounding in double precision while still zeroing
     deliberately rank-deficient inputs.
 
-    ``pinv`` tries four rules in turn:
+    ``pinv`` tries three rules in turn:
 
-    1. a square input exactly equal to its conjugate transpose is inverted
-       by recursive Schur complements: with ``A = [[A11, B], [B^H, D]]``
-       split in halves, ``A11`` and ``S = D - B^H A11^-1 B`` are inverted
-       the same way and the four blocks put back together.  The recursion
-       overwrites a copy of the input level by level, so it holds one n x n
-       array beside the input, and its largest temporaries are n/2 x n/2;
-       the copy is made only once the input has been found Hermitian.
-       Blocks of at most ``SCHUR_LEAF`` rows are inverted by ``inv`` once
-       ``cholesky`` has found them positive definite, so the rule costs
-       about ``4/3 n^3`` flops, against ``8/3 n^3`` for LU, nearly all in
-       large products.  Its result is kept when
-       ``||A||_F ||X||_F <= SCHUR_BOUND`` and the cutoff test below holds;
-       an indefinite input, or one that fails either test, goes on to
-       rule 2.  An input that is Hermitian only up to rounding takes rule 2
-       as well: slower, but still correct.  With numpy's bundled OpenBLAS,
-       the FPR Gram ``|P P^H|^2`` and a product ``A^H A`` came out exactly
-       Hermitian on every input checked;
-    2. any other square input is inverted by LU, ``X = inv(A)``;
-    3. a tall input takes the normal equations and one Newton-Schulz step,
+    1. a square input is inverted by LU, ``X = inv(A)``;
+    2. a tall input takes the normal equations and one Newton-Schulz step,
        ``G = A^H A``, ``X0 = inv(G) A^H``, ``X = 2 X0 - (X0 A) X0``, when the
        contraction certificate ``||G||_F ||G^-1||_F rows eps <= NORMAL_EQ_BOUND``
        holds.  The step forms the small cols x cols ``X0 A``, so its two
        products cost ``2 rows cols^2`` multiplies, not ``2 rows^2 cols``.
-       ``G`` keeps LU, not rule 1: cond(G) is cond(A)^2, and rule 1 without
-       its certificate missed the tall rule's 10 cond(A) eps on test inputs
-       from cond(A) = 1e3;
-    4. the SVD, which applies the cutoff: for a wide input, an input whose
+       ``G`` keeps LU, not the Gram's Schur rule (``_schur_pinv``): cond(G)
+       is cond(A)^2, and that rule without its certificate missed the tall
+       rule's 10 cond(A) eps on test inputs from cond(A) = 1e3;
+    3. the SVD, which applies the cutoff: for a wide input, an input whose
        ``inv`` finds it singular, and one that fails a certificate.
 
-    The result of rules 1-3 is returned only when
+    The result of rules 1-2 is returned only when
     ``||A||_F * ||X||_F * rel_tol < 1``: since ``||A||_F * ||X||_F`` is at
     least the 2-norm condition number, every singular value then lies above
     the cutoff.  The choice changes the result in its last bits only.
@@ -155,9 +137,7 @@ def pinv(a, rel_tol: float | None = None) -> np.ndarray:
     m = _as_matrix(a, np.complex128 if np.iscomplexobj(a) else np.float64)
     rel_tol = _rank_cutoff(m.shape, rel_tol)
     rows, cols = m.shape
-    x = _schur_pinv(m, rel_tol, overwrite=False) if rows == cols else None
-    if x is not None:
-        return x
+    x = None
     try:
         if rows == cols:
             x = np.linalg.inv(m)
@@ -170,30 +150,33 @@ def pinv(a, rel_tol: float | None = None) -> np.ndarray:
     return _svd_pinv(m, rel_tol)
 
 
-def _schur_pinv(m: np.ndarray, rel_tol: float | None, overwrite: bool) -> np.ndarray | None:
-    """Rule 1 of ``pinv`` with its certificate: ``m``'s inverse, or None when uncertified.
+def _schur_pinv(m: np.ndarray) -> np.ndarray | None:
+    """The FPR Gram's rule: ``m`` inverted in place by recursive Schur complements, or None.
 
     ``m`` must be exactly Hermitian, positive definite at every leaf, and
-    meet both ``||m||_F ||X||_F <= SCHUR_BOUND`` and ``pinv``'s cutoff test
-    at ``rel_tol`` (None: ``pinv``'s default).  The Hermitian check comes
-    first and writes nothing.  Then, with ``overwrite``, the inverse is
-    formed in ``m`` itself, which is returned; a None after that leaves
-    ``m`` overwritten in part or in full.  Without it, ``m`` is copied and
-    never changes.
+    meet ``||m||_F ||X||_F <= SCHUR_BOUND``.  The Hermitian check comes
+    first and writes nothing; then ``_schur_inv`` forms the inverse in ``m``
+    itself, which is returned.  A None after that leaves ``m`` overwritten
+    in part or in full.  The recursion costs about ``4/3 n^3`` flops,
+    against ``8/3 n^3`` for LU, nearly all in large products.  With numpy's
+    bundled OpenBLAS, the FPR Gram ``|P P^H|^2`` came out exactly Hermitian
+    on every pool checked.
+
+    ``pinv``'s default cutoff test, ``||m||_F ||X||_F n 1e-12 < 1`` for an
+    n x n input, needs no check of its own: under ``SCHUR_BOUND`` its left
+    side is at most ``1e4 n 1e-12 = n 1e-8``, below 1 for any n below 1e8,
+    so an SVD would keep every singular value as well.
     """
-    rel_tol = _rank_cutoff(m.shape, rel_tol)
     if not np.array_equal(m, m.conj().T):
         return None
     norm_m = np.linalg.norm(m)
-    x = m if overwrite else m.copy()
     try:
-        _schur_inv(x)
+        _schur_inv(m)
     except np.linalg.LinAlgError:
         return None  # a leaf is not positive definite
-    product = norm_m * np.linalg.norm(x)
-    if not (product <= SCHUR_BOUND and product * rel_tol < 1.0):
+    if not norm_m * np.linalg.norm(m) <= SCHUR_BOUND:
         return None
-    return x
+    return m
 
 
 def _schur_inv(m: np.ndarray) -> None:

@@ -5,12 +5,14 @@ import pytest
 
 from pdrslink.combining import (
     LsEstimate,
+    PilotFactor,
     WeightMatrix,
     _factored_zf,
     demod_qpsk,
     dwe_weights,
     ls_channel_estimate,
     pilot_factor,
+    support_inverse,
     zf_weights,
 )
 from pdrslink.detectors import detect_pdrs_dwe
@@ -162,7 +164,7 @@ def _wide_estimate(M=10, L=6, zeta=9, seed=70):
 
 
 def _assert_falls_back_to_pinv_of_the_product(est):
-    users = np.arange(est.shape[1])
+    users = np.arange(est.pilot.P.shape[0])
     assert _factored_zf(est) is None
     W = zf_weights(est, users).W
     assert np.array_equal(W.view(np.float64), pinv(est.H).view(np.float64))
@@ -179,8 +181,23 @@ def test_a_wide_estimate_is_kept_as_its_factors_and_reads_as_their_product():
     assert np.allclose(Q.conj().T @ Q, np.eye(cfg.L), rtol=0, atol=1e-12)  # orthonormal columns
     assert np.array_equal(np.triu(R_inv_h), R_inv_h)  # R^-H of a lower-triangular R
     product = frame.Y @ pinv(pool.P[res.detected])
-    assert est.shape == product.shape == (cfg.M, cfg.zeta)
-    assert np.array_equal(est.H, product) and np.array_equal(np.asarray(est), product)
+    assert product.shape == (cfg.M, cfg.zeta)
+    assert np.array_equal(est.H, product)
+
+
+@pytest.mark.parametrize(
+    "zeta, M, factored",
+    [(8, 9, False), (9, 8, True), (9, 7, False)],
+    ids=["zeta=L", "zeta=L+1,M=L", "zeta=L+1,M=L-1"],
+)
+def test_support_inverse_factors_the_block_exactly_when_zeta_exceeds_L_and_M_reaches_L(zeta, M, factored):
+    P = cgauss(zeta, 8, 1.0, RngStream(73, zeta))  # L = 8
+    got = support_inverse(P, M)
+    if factored:
+        assert isinstance(got, PilotFactor) and got.P is P and got.Q is not None
+    else:
+        assert type(got) is np.ndarray
+        assert got.tobytes() == pinv(P).tobytes()
 
 
 def test_a_wide_estimate_takes_a_pilot_factor_computed_before():

@@ -350,6 +350,20 @@ def test_fpr_gram_pinv_stays_off_the_eigh_and_svd_paths(monkeypatch):
     assert fpr_gram_pinv(pool).dtype == np.float64
 
 
+def _gram_schur_runs(monkeypatch, n):
+    """Wrap ``linalg._schur_inv``; returns a list that gains one entry per run on a whole n x n Gram."""
+    runs = []
+    schur_inv = linalg._schur_inv
+
+    def counted(m):
+        if m.shape[0] == n:  # the recursion's own calls are on halves
+            runs.append(m)
+        return schur_inv(m)
+
+    monkeypatch.setattr(linalg, "_schur_inv", counted)
+    return runs
+
+
 def test_fpr_gram_pinv_of_a_duplicated_pool_takes_one_svd(monkeypatch):
     cfg, pool, cb, act, frame = build(seed=10)
     dup = PilotPool(np.vstack([pool.P, pool.P[:4]]))
@@ -361,8 +375,10 @@ def test_fpr_gram_pinv_of_a_duplicated_pool_takes_one_svd(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    runs = _gram_schur_runs(monkeypatch, dup.n_pilots)
     gram = fpr_gram_pinv(dup)
     assert len(calls) == 1
+    assert len(runs) == 1  # the fallback goes straight to pinv's LU, then its SVD
     assert gram.dtype == np.float64
     G = np.abs(dup.P @ dup.P.conj().T) ** 2
     assert np.linalg.matrix_rank(gram) == np.linalg.matrix_rank(G) < dup.n_pilots
@@ -382,9 +398,11 @@ def test_fpr_gram_pinv_over_the_schur_bound_returns_lu_of_the_formed_gram(monkey
 
     monkeypatch.setattr(detectors, "_schur_pinv", recorded)
     monkeypatch.setattr(linalg, "SCHUR_BOUND", 1.0)  # below n, which ||G||_F ||G^-1||_F always reaches
+    runs = _gram_schur_runs(monkeypatch, pool.n_pilots)
     gram = fpr_gram_pinv(pool)
-    # the attempt inverted the Gram's own buffer before its bound failed
+    # the attempt inverted the Gram's own buffer before its bound failed, and only that attempt ran
     assert len(buffers) == 1 and not np.array_equal(buffers[0], G)
+    assert len(runs) == 1 and runs[0] is buffers[0]
     assert np.array_equal(gram, np.linalg.inv(G))
 
 

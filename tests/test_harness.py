@@ -115,7 +115,7 @@ def test_trial_errors_carry_the_trial_index(monkeypatch):
         ("pdrs", "draw_trial", "synthesis"),
         ("pdrs", "dwe_weights", "combine"),
         ("pdrs-lszf", "ls_channel_estimate", "combine"),
-        ("pdrs-lszf", "pinv", "combine"),
+        ("pdrs-lszf", "support_inverse", "combine"),
         ("pdrs-lszf", "zf_weights", "combine"),
         ("pdrs", "detection_metrics", "score"),
         ("pdrs", "demod_qpsk", "demod"),
@@ -766,16 +766,19 @@ def _repeating_supports_cfg(**kw):
 
 
 def _pilot_pinv_calls(monkeypatch, sleep_s=0.0):
-    """Wrap the harness's pilot pseudo-inverse; returns the list of pilot blocks it was given."""
+    """Wrap the harness's support inverse; returns the pilot blocks it inverted by ``pinv``,
+    not those it factored (a wide estimate's)."""
     blocks = []
-    original = harness.pinv
+    original = harness.support_inverse
 
-    def counted(a):
-        blocks.append(a)  # list.append is atomic across the trial threads
+    def counted(P, M):
         time.sleep(sleep_s)
-        return original(a)
+        out = original(P, M)
+        if isinstance(out, np.ndarray):
+            blocks.append(P)  # list.append is atomic across the trial threads
+        return out
 
-    monkeypatch.setattr(harness, "pinv", counted)
+    monkeypatch.setattr(harness, "support_inverse", counted)
     return blocks
 
 
@@ -848,12 +851,12 @@ def test_a_shared_pilot_pinv_is_charged_in_full_at_every_point(monkeypatch):
 
 
 def _pilot_pinv_lifetimes(monkeypatch):
-    """Weak references to every pilot pseudo-inverse, and whether each was alive at each ZF entry."""
+    """Weak references to every support inverse, and whether each was alive at each ZF entry."""
     refs, alive_at_zf = [], []
-    original, zf = harness.pinv, harness.zf_weights
+    original, zf = harness.support_inverse, harness.zf_weights
 
-    def tracked(a):
-        out = original(a)
+    def tracked(P, M):
+        out = original(P, M)
         refs.append(weakref.ref(out))
         return out
 
@@ -861,7 +864,7 @@ def _pilot_pinv_lifetimes(monkeypatch):
         alive_at_zf.append([ref() is not None for ref in refs])
         return zf(*args)
 
-    monkeypatch.setattr(harness, "pinv", tracked)
+    monkeypatch.setattr(harness, "support_inverse", tracked)
     monkeypatch.setattr(harness, "zf_weights", checked)
     return refs, alive_at_zf
 
@@ -886,7 +889,7 @@ def _pilot_factor_lifetimes(monkeypatch):
     """Weak references to every pilot factor the harness forms, and whether each was alive at
     each ZF entry, with the type of the estimate ZF was given."""
     refs, alive_at_zf, estimates = [], [], []
-    original, zf = harness.pilot_factor, harness.zf_weights
+    original, zf = combining.pilot_factor, harness.zf_weights
 
     def tracked(P):
         out = original(P)
@@ -898,7 +901,7 @@ def _pilot_factor_lifetimes(monkeypatch):
         estimates.append(type(h_est))
         return zf(h_est, users)
 
-    monkeypatch.setattr(harness, "pilot_factor", tracked)
+    monkeypatch.setattr(combining, "pilot_factor", tracked)  # where support_inverse looks it up
     monkeypatch.setattr(harness, "zf_weights", checked)
     return refs, alive_at_zf, estimates
 

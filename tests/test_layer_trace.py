@@ -32,8 +32,8 @@ def _load_tracing():
 
 @pytest.mark.parametrize(
     "kw",
-    [{}, {"zeta": 10}, {"pdrs_mode": "orthogonal-reuse", "l": 3}],
-    ids=["zeta=K", "zeta>L", "orthogonal-reuse"],
+    [{}, {"zeta": 10}, {"M": 6}, {"M": 6, "zeta": 10}, {"pdrs_mode": "orthogonal-reuse", "l": 3}],
+    ids=["zeta=K", "zeta>L", "M<L", "M<L,zeta>L", "orthogonal-reuse"],
 )
 def test_the_layer_trace_replays_every_detectors_rows(kw):
     tracing = _load_tracing()

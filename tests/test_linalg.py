@@ -195,7 +195,7 @@ def test_pinv_is_the_moore_penrose_inverse(a):
     ref = svd_pinv_reference(a)
     s = np.linalg.svd(a, compute_uv=False)
     kept = s[s > max(a.shape) * 1e-12 * s[0]]
-    # the Schur, LU and normal-equation paths differ from the SVD by rounding, which grows with the condition number
+    # the LU and normal-equation paths differ from the SVD by rounding, which grows with the condition number
     tol = 1e-13 * kept[0] / kept[-1] if kept.size else 0.0
     assert rel_err(ap, ref) <= tol
     if kept.size:
@@ -281,7 +281,7 @@ def test_the_hermitian_rule_is_as_accurate_as_the_svd(monkeypatch, n, real):
     assert np.linalg.norm(a) * np.linalg.norm(np.linalg.inv(a)) <= SCHUR_BOUND
     ref = svd_pinv_reference(a)
     cholesky, inv, svd = (call_sizes(monkeypatch, name) for name in ("cholesky", "inv", "svd"))
-    got = pinv(a)
+    got = linalg._schur_pinv(a.copy())
     # every leaf is checked positive definite, the full input never reaches LU, and no SVD runs
     assert svd == []
     assert cholesky and max(cholesky) <= SCHUR_LEAF
@@ -319,10 +319,10 @@ def test_the_in_place_hermitian_rule_is_the_allocating_one_bit_for_bit(n, real):
     x = a.copy()
     linalg._schur_inv(x)
     assert x.tobytes() == ref.tobytes()
+    assert linalg._schur_pinv(a.copy()).tobytes() == ref.tobytes()
     before = a.copy()
-    got = pinv(a)
-    assert a.tobytes() == before.tobytes()  # pinv inverted a copy
-    assert got.tobytes() == ref.tobytes()
+    pinv(a)
+    assert a.tobytes() == before.tobytes()  # pinv leaves its input unchanged
 
 
 def test_the_anchor_fpr_gram_takes_the_hermitian_rule(monkeypatch):
@@ -338,6 +338,17 @@ def test_the_anchor_fpr_gram_takes_the_hermitian_rule(monkeypatch):
     product = np.linalg.norm(G) * np.linalg.norm(gram)
     assert 1e3 < product <= SCHUR_BOUND
     assert rel_err(gram, svd_pinv_reference(G)) <= 1e-13 * np.linalg.cond(G)
+
+
+def test_pinv_of_a_hermitian_input_takes_lu(monkeypatch):
+    # the Schur rule is the FPR Gram's alone: pinv spends no symmetry check or cholesky on it
+    a = hermitian_pd(200, 1e2, RngStream(116, 0))
+    assert np.array_equal(a, a.conj().T)
+    cholesky, inv, svd = (call_sizes(monkeypatch, name) for name in ("cholesky", "inv", "svd"))
+    got = pinv(a)
+    assert (cholesky, inv, svd) == ([], [200], [])
+    monkeypatch.undo()
+    assert np.array_equal(got, np.linalg.inv(a))
 
 
 def test_a_non_hermitian_square_input_takes_lu(monkeypatch):
@@ -361,6 +372,7 @@ def test_a_non_hermitian_square_input_takes_lu(monkeypatch):
 )
 def test_the_hermitian_rule_hands_an_uncertified_input_on(monkeypatch, a, expect):
     assert np.array_equal(a, a.conj().T)
+    assert linalg._schur_pinv(a.copy()) is None
     svd = count_calls(monkeypatch, "svd")
     got = pinv(a)
     monkeypatch.undo()
