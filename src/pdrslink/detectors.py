@@ -61,11 +61,16 @@ def detect_pdrs_dwe(
     a reconstructed reference signal; active users reconstruct theirs almost
     exactly, so the zeta smallest residuals ``||p_n @ T - r_n||^2`` form the
     detected support.  The cached ``pinv(Y)`` is reusable for the weight
-    read-out.
+    read-out.  A codebook ``R`` that is not N x l, for the pool's N and
+    ``Y_R``'s l, raises a ValueError that names both shapes.
     """
     Y, Y_R = frame.Y, frame.Y_R
     M, L = Y.shape
     N, ell = codebook.R.shape
+    if (N, ell) != (pool.n_pilots, Y_R.shape[1]):
+        raise ValueError(
+            f"codebook R has shape {(N, ell)}, but the pool and Y_R take {(pool.n_pilots, Y_R.shape[1])}"
+        )
     if not 1 <= zeta <= N:
         raise ValueError(f"zeta must be in [1, {N}], got {zeta}")
     if not np.all(np.isfinite(Y)):

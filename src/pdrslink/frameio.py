@@ -58,6 +58,8 @@ def save_frame(
         raise ValueError("frame blocks are inconsistent with the pool/codebook dimensions")
     if frame.ground_truth.n_pilots != N:
         raise ValueError(f"ground truth counts {frame.ground_truth.n_pilots} pilots, the pool has {N}")
+    if codebook.R.shape[0] != N:
+        raise ValueError(f"codebook has {codebook.R.shape[0]} reference rows, the pool has {N} pilots")
 
     out: list[bytes] = [
         MAGIC,

@@ -339,8 +339,8 @@ def _score_frame(
     inverse from the trial's ``pilot_pinvs``, keyed by the support's bytes,
     forming it there on first use with the ms it took; that time is charged
     in full at every point that uses it.  The entry is
-    ``combining.support_inverse(pool.P[support], M)``, which alone picks its
-    kind; the harness only holds it.  At the trial's ``last`` point the entry
+    ``combining.support_inverse(pool.P[support])``, which alone picks its
+    kind, a pilot factor or ``pinv`` of the block; the harness only holds it.  At the trial's ``last`` point the entry
     leaves the memo, so an inverse the estimate does not keep is freed before
     zero-forcing runs, and one it keeps lives until the frame is scored.
     """
@@ -370,7 +370,7 @@ def _score_frame(
                 else:
                     if key[1] not in pilot_pinvs:
                         t0 = time.perf_counter()
-                        p_pinv = support_inverse(pool.P[res.detected], frame.Y.shape[0])
+                        p_pinv = support_inverse(pool.P[res.detected])
                         pilot_pinvs[key[1]] = p_pinv, (time.perf_counter() - t0) * 1e3
                     p_pinv, pinv_ms = pilot_pinvs.pop(key[1]) if last else pilot_pinvs[key[1]]
                     t0 = time.perf_counter()

@@ -7,7 +7,6 @@ from pdrslink.combining import (
     LsEstimate,
     PilotFactor,
     WeightMatrix,
-    _factored_zf,
     demod_qpsk,
     dwe_weights,
     ls_channel_estimate,
@@ -16,7 +15,7 @@ from pdrslink.combining import (
     zf_weights,
 )
 from pdrslink.detectors import detect_pdrs_dwe
-from pdrslink.linalg import pinv
+from pdrslink.linalg import DEFAULT_PINV_RTOL_SCALE, pinv
 from pdrslink.scenario import RngStream, cgauss
 from pdrslink.scenario import QPSK_POINTS, SystemConfig, synth_codebook, synth_frame, synth_pool
 
@@ -163,11 +162,29 @@ def _wide_estimate(M=10, L=6, zeta=9, seed=70):
     return LsEstimate(cgauss(M, L, 1.0, rng), pilot_factor(cgauss(zeta, L, 1.0, rng)))
 
 
-def _assert_falls_back_to_pinv_of_the_product(est):
-    users = np.arange(est.pilot.P.shape[0])
-    assert _factored_zf(est) is None
-    W = zf_weights(est, users).W
-    assert np.array_equal(W.view(np.float64), pinv(est.H).view(np.float64))
+def _assert_takes_pinv_of_the_product(Y, P):
+    """A block without a certified factor: its support inverse is ``pinv(P)``, and ZF is
+    ``pinv(Y @ pinv(P))`` bit for bit."""
+    assert pilot_factor(P) is None
+    p_pinv = support_inverse(P)
+    assert type(p_pinv) is np.ndarray and p_pinv.tobytes() == pinv(P).tobytes()
+    W = zf_weights(Y @ p_pinv, np.arange(P.shape[0])).W
+    assert np.array_equal(W.view(np.float64), pinv(Y @ pinv(P)).view(np.float64))
+
+
+def _assert_is_pinv_of_the_product_at_its_cutoff(est, rank):
+    """ZF of ``est`` keeps ``rank`` singular values of ``H = Y @ pinv(P)`` and is numpy's
+    ``pinv(H)`` at H's cutoff, within a bound scaled by the condition number of the kept values."""
+    W = zf_weights(est, np.arange(est.pilot.P.shape[0])).W
+    H = est.Y @ pinv(est.pilot.P)
+    cutoff = max(H.shape) * DEFAULT_PINV_RTOL_SCALE
+    s = np.linalg.svd(H, compute_uv=False)
+    kept = s[s > cutoff * s[0]]
+    assert kept.size == rank
+    ref = np.linalg.pinv(H, rtol=cutoff)
+    assert np.linalg.matrix_rank(W, rtol=cutoff) == rank
+    bound = 100 * (kept[0] / kept[-1]) * np.finfo(float).eps
+    assert np.linalg.norm(W - ref) <= bound * np.linalg.norm(ref)
 
 
 def test_a_wide_estimate_is_kept_as_its_factors_and_reads_as_their_product():
@@ -182,19 +199,22 @@ def test_a_wide_estimate_is_kept_as_its_factors_and_reads_as_their_product():
     assert np.array_equal(np.triu(R_inv_h), R_inv_h)  # R^-H of a lower-triangular R
     product = frame.Y @ pinv(pool.P[res.detected])
     assert product.shape == (cfg.M, cfg.zeta)
-    assert np.array_equal(est.H, product)
+    B = frame.Y @ R_inv_h
+    assert np.linalg.norm(B @ Q.conj().T - product) <= 1e-12 * np.linalg.norm(product)
 
 
 @pytest.mark.parametrize(
-    "zeta, M, factored",
-    [(8, 9, False), (9, 8, True), (9, 7, False)],
-    ids=["zeta=L", "zeta=L+1,M=L", "zeta=L+1,M=L-1"],
+    "zeta, repeat, factored",
+    [(8, False, False), (9, False, True), (9, True, False)],
+    ids=["zeta=L", "zeta=L+1", "zeta=L+1,repeated pilots"],
 )
-def test_support_inverse_factors_the_block_exactly_when_zeta_exceeds_L_and_M_reaches_L(zeta, M, factored):
+def test_support_inverse_factors_the_block_exactly_when_zeta_exceeds_L(zeta, repeat, factored):
     P = cgauss(zeta, 8, 1.0, RngStream(73, zeta))  # L = 8
-    got = support_inverse(P, M)
+    if repeat:
+        P[[1, 3]] = P[[0, 2]]  # two pilots shared: 7 distinct rows, rank L - 1, factor uncertified
+    got = support_inverse(P)
     if factored:
-        assert isinstance(got, PilotFactor) and got.P is P and got.Q is not None
+        assert isinstance(got, PilotFactor) and got.P is P
     else:
         assert type(got) is np.ndarray
         assert got.tobytes() == pinv(P).tobytes()
@@ -213,13 +233,18 @@ def test_a_wide_estimate_takes_a_pilot_factor_computed_before():
 
 @pytest.mark.parametrize("which", ["pinv", "short factor"])
 def test_a_wide_estimate_rejects_anything_but_its_pilot_factor(which):
+    # a given pilot inverse is checked by its shape alone: a right-shaped array gives the product
     cfg, pool, cb, act, frame = build(seed=10, zeta=20)
     res = detect_pdrs_dwe(frame, pool, cb, cfg.zeta)
     if which == "pinv":
-        given, got = pinv(pool.P[res.detected]), "an array of shape (12, 20)"
+        p_pinv = pinv(pool.P[res.detected])
+        product = ls_channel_estimate(frame, pool, res.detected, p_pinv)
+        assert type(product) is np.ndarray and product.tobytes() == (frame.Y @ p_pinv).tobytes()
+        given, got = pinv(pool.P[res.detected[:-1]]), "an array of shape (12, 19)"
+        due = "shape (12, 20)"
     else:
-        given, got = pilot_factor(pool.P[res.detected[:-1]]), "a PilotFactor of shape (19, 12)"
-    due = "a PilotFactor of shape (20, 12)"
+        given, got = pilot_factor(pool.P[res.detected[:-1]]), "a PilotFactor of a block of shape (19, 12)"
+        due = "shape (20, 12)"
     with pytest.raises(ValueError, match=re.escape(got) + ".*" + re.escape(due)):
         ls_channel_estimate(frame, pool, res.detected, given)
 
@@ -227,8 +252,10 @@ def test_a_wide_estimate_rejects_anything_but_its_pilot_factor(which):
 def test_a_wide_estimate_is_zero_forced_from_its_factors():
     est = _wide_estimate()
     W = zf_weights(est, np.arange(9)).W
-    assert np.array_equal(W, _factored_zf(est))  # certified, so no fallback
-    ref = pinv(est.H)  # the wide product takes the SVD
+    # certified, so pinv(B) keeps the tall rule's result at either cutoff
+    B_pinv = pinv(est.Y @ est.pilot.R_inv_h)
+    assert np.array_equal(W.view(np.float64), (est.pilot.Q @ B_pinv).view(np.float64))
+    ref = pinv(est.Y @ pinv(est.pilot.P))  # the wide product takes the SVD
     assert np.linalg.norm(W - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -236,9 +263,9 @@ def test_zf_falls_back_when_cholesky_finds_the_pilot_gram_singular():
     est = _wide_estimate()
     P = est.pilot.P.copy()
     P[:, -1] = 0.0  # a pilot block of rank L - 1: its Gram has a zero pivot
-    factor = pilot_factor(P)
-    assert factor.R_inv_h is None and factor.Q is None
-    _assert_falls_back_to_pinv_of_the_product(LsEstimate(est.Y, factor))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(P.conj().T @ P)
+    _assert_takes_pinv_of_the_product(est.Y, P)
 
 
 def test_zf_falls_back_when_the_cholesky_factor_is_too_ill_conditioned():
@@ -248,10 +275,8 @@ def test_zf_falls_back_when_the_cholesky_factor_is_too_ill_conditioned():
     P = est.pilot.P * np.logspace(0, -12, 6)
     R = np.linalg.cholesky(P.conj().T @ P)
     assert np.linalg.norm(R) * np.linalg.norm(np.linalg.inv(R)) * 6 * np.finfo(float).eps > 1e-4
-    factor = pilot_factor(P)
-    assert factor.Q is None
     # Y undoes the grading, so B = Y R^-H is well conditioned and only the R bound can fail
-    _assert_falls_back_to_pinv_of_the_product(LsEstimate(est.Y @ R.conj().T, factor))
+    _assert_takes_pinv_of_the_product(est.Y @ R.conj().T, P)
 
 
 def test_zf_falls_back_when_repeated_pilots_leave_the_pilot_block_short_of_rank():
@@ -262,21 +287,20 @@ def test_zf_falls_back_when_repeated_pilots_leave_the_pilot_block_short_of_rank(
     R = np.linalg.cholesky(P.conj().T @ P)
     cond_R = np.linalg.norm(R) * np.linalg.norm(np.linalg.inv(R))
     assert cond_R * 6 * np.finfo(float).eps < 1e-4 < cond_R**2 * 9 * np.finfo(float).eps
-    factor = pilot_factor(P)
-    assert factor.Q is None
-    _assert_falls_back_to_pinv_of_the_product(LsEstimate(_wide_estimate().Y, factor))
+    _assert_takes_pinv_of_the_product(_wide_estimate().Y, P)
 
 
 def test_zf_falls_back_when_y_has_lost_rank():
+    # B = Y R^-H has rank 4 < L = 6: pinv(B) leaves the tall rule for its SVD, which keeps 4 values
     est = _wide_estimate()
     rng = RngStream(71, 0)
-    Y = cgauss(10, 4, 1.0, rng) @ cgauss(4, 6, 1.0, rng)  # rank 4 < L = 6: pinv(B) B has trace 4
-    _assert_falls_back_to_pinv_of_the_product(LsEstimate(Y, est.pilot))
+    Y = cgauss(10, 4, 1.0, rng) @ cgauss(4, 6, 1.0, rng)
+    _assert_is_pinv_of_the_product_at_its_cutoff(LsEstimate(Y, est.pilot), rank=4)
 
 
 def test_zf_falls_back_when_an_svd_of_h_would_drop_a_singular_value():
-    # B has singular values 1 down to 1e-10: pinv(B) keeps all six (its cutoff is
-    # max(M, L) 1e-12 = 1e-11), but H's cutoff is max(M, zeta) 1e-12 = 1.2e-10
+    # B has singular values 1 down to 1e-10: pinv(B) at its own cutoff, max(M, L) 1e-12 = 1e-11,
+    # keeps all six, but at H's cutoff, max(M, zeta) 1e-12 = 1.2e-10, it takes the SVD and keeps 5
     est = _wide_estimate(zeta=120)
     rng = RngStream(72, 0)
     u = np.linalg.qr(cgauss(10, 6, 1.0, rng))[0]
@@ -284,16 +308,15 @@ def test_zf_falls_back_when_an_svd_of_h_would_drop_a_singular_value():
     B = (u * np.logspace(0, -10, 6)) @ vh
     R = np.linalg.cholesky(est.pilot.P.conj().T @ est.pilot.P)
     est = LsEstimate(B @ R.conj().T, est.pilot)  # so that Y R^-H = B
-    B_pinv = pinv(est.Y @ est.pilot.R_inv_h)
-    assert abs(np.trace(B_pinv @ est.Y @ est.pilot.R_inv_h) - 6) < 0.5  # the trace check holds
-    _assert_falls_back_to_pinv_of_the_product(est)
-    assert np.linalg.matrix_rank(zf_weights(est, np.arange(120)).W, rtol=1e-9) == 5
+    B = est.Y @ est.pilot.R_inv_h
+    assert abs(np.trace(pinv(B) @ B) - 6) < 0.5
+    _assert_is_pinv_of_the_product_at_its_cutoff(est, rank=5)
 
 
-def test_fewer_antennas_than_pilot_symbols_keep_the_product():
+def test_fewer_antennas_than_pilot_symbols_zero_force_from_the_pilot_factor():
+    # M = 10 < L = 12 < zeta = 20: B = Y R^-H is wide, and its pinv takes the SVD
     cfg, pool, cb, act, frame = build(seed=11, M=10, zeta=20)
     res = detect_pdrs_dwe(frame, pool, cb, cfg.zeta)
     h_est = ls_channel_estimate(frame, pool, res.detected)
-    assert type(h_est) is np.ndarray and h_est.shape == (cfg.M, cfg.zeta)
-    W = zf_weights(h_est, res.detected).W
-    assert np.array_equal(W.view(np.float64), pinv(h_est).view(np.float64))
+    assert isinstance(h_est, LsEstimate)
+    _assert_is_pinv_of_the_product_at_its_cutoff(h_est, rank=cfg.M)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -466,6 +467,17 @@ def test_fpr_rejects_wrong_gram_shape():
     cfg, pool, cb, act, frame = build(seed=11)
     with pytest.raises(ValueError):
         detect_fpr(frame, pool, cfg.zeta, np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "other, shape", [({"N": 40}, (40, 4)), ({"l": 3}, (32, 3))], ids=["pilot count", "reference length"]
+)
+def test_pdrs_names_a_codebook_that_does_not_fit_the_pool_and_frame(other, shape):
+    cfg, pool, cb, act, frame = build(seed=11)
+    _, _, wrong, _, _ = build(seed=11, **other)
+    message = f"codebook R has shape {shape}, but the pool and Y_R take (32, 4)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        detect_pdrs_dwe(frame, pool, wrong, cfg.zeta)
 
 
 def test_oracle_support():

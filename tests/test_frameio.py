@@ -163,6 +163,14 @@ def test_save_names_a_ground_truth_of_another_pool_size(tmp_path):
         save_frame(tmp_path / "x.pdrs", bigger, pool, cb)
 
 
+def test_save_names_a_codebook_of_another_pool_size(tmp_path):
+    frame, pool, _ = make_frame(N=30)
+    _, _, bigger = make_frame(N=40)
+    with pytest.raises(ValueError, match="codebook has 40 reference rows, the pool has 30 pilots"):
+        save_frame(tmp_path / "x.pdrs", frame, pool, bigger)
+    assert not (tmp_path / "x.pdrs").exists()
+
+
 def test_noiseless_round_trip_sigma(tmp_path):
     frame, pool, cb = make_frame(snr_db=float("inf"))
     path = tmp_path / "frame.pdrs"

@@ -771,9 +771,9 @@ def _pilot_pinv_calls(monkeypatch, sleep_s=0.0):
     blocks = []
     original = harness.support_inverse
 
-    def counted(P, M):
+    def counted(P):
         time.sleep(sleep_s)
-        out = original(P, M)
+        out = original(P)
         if isinstance(out, np.ndarray):
             blocks.append(P)  # list.append is atomic across the trial threads
         return out
@@ -855,8 +855,8 @@ def _pilot_pinv_lifetimes(monkeypatch):
     refs, alive_at_zf = [], []
     original, zf = harness.support_inverse, harness.zf_weights
 
-    def tracked(P, M):
-        out = original(P, M)
+    def tracked(P):
+        out = original(P)
         refs.append(weakref.ref(out))
         return out
 
@@ -907,7 +907,7 @@ def _pilot_factor_lifetimes(monkeypatch):
 
 
 def test_a_wide_estimate_holds_its_pilot_factor_through_zf_and_frees_it_with_trial(monkeypatch):
-    # zeta > L and M >= L: the memo holds the pilot block's factor, and ZF reads it
+    # zeta > L: the memo holds the pilot block's factor, and ZF reads it
     cfg = small_cfg(zeta=10)
     blocks = _pilot_pinv_calls(monkeypatch)
     refs, alive_at_zf, estimates = _pilot_factor_lifetimes(monkeypatch)
@@ -920,7 +920,7 @@ def test_a_wide_estimate_holds_its_pilot_factor_through_zf_and_frees_it_with_tri
 
 
 def test_an_snr_sweep_forms_each_wide_supports_pilot_factor_once_per_trial(monkeypatch):
-    cfg = small_cfg(K=6, zeta=10, snr_db=0.0)  # zeta > L = 8 and M = 12 >= L: all estimates wide
+    cfg = small_cfg(K=6, zeta=10, snr_db=0.0)  # zeta > L = 8: all estimates wide
     values = [-4.0, 0.0, 4.0, 8.0]
     dets = ["pdrs-lszf", "fpr"]
     pool, codebook = synth_pool(cfg), synth_codebook(cfg)

@@ -6,9 +6,10 @@ length or equal to the pool size, every user active, one-symbol reference
 signals, no data block, noiseless frames and pools with repeated pilots.
 Every counted ledger must equal its closed-form model, every direct weight
 row must equal its own pilot's product with ``pinv(Y)`` bit for bit, the
-zero-forcing of a wide least-squares estimate from ``Y`` and its pilot
-factor must match numpy's ``pinv`` of the product, or fall back to
-``pinv`` of it exactly, the in-place Schur rule of ``pinv`` must equal the
+zero-forcing of a wide least-squares estimate from ``Y`` and its certified
+pilot factor must match numpy's ``pinv`` of the product at the product's
+cutoff, for any M, and without a certified factor the estimate is the
+product and its ``pinv`` exactly, the FPR Gram's in-place Schur rule must equal the
 allocating one it replaced bit for bit, or fail on the same leaf, while
 ``pinv`` leaves its input as it was, and
 ``run_point`` rows must not depend on the number of trial workers, with the
@@ -29,7 +30,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pdrslink.combining import LsEstimate, _factored_zf, dwe_weights, ls_channel_estimate, zf_weights
+from pdrslink.combining import LsEstimate, dwe_weights, ls_channel_estimate, pilot_factor, zf_weights
 from pdrslink.detectors import detect_bomp, detect_fpr, detect_pdrs_dwe, fpr_gram_pinv, oracle_support
 from pdrslink import linalg
 from test_linalg import schur_inv_reference
@@ -133,14 +134,14 @@ def test_a_dwe_row_is_its_pilot_times_pinv_y_whatever_its_companions(case):
 
 @st.composite
 def wide_ls_cases(draw):
-    """A noisy frame with M >= L and the support ``pdrs`` detects at zeta > L, in either codebook
-    mode, from a pool that may repeat pilots."""
+    """A frame with M from 1 up, noisy or noiseless, and the support ``pdrs`` detects at
+    zeta > L, in either codebook mode, from a pool that may repeat pilots."""
     L = draw(st.integers(1, 12))
     N = draw(st.integers(L + 1, 40))
     cfg = SystemConfig(
-        M=draw(st.integers(L, 24)), N=N, L=L, l=draw(st.integers(1, 3)),
+        M=draw(st.integers(1, 24)), N=N, L=L, l=draw(st.integers(1, 3)),
         K=draw(st.integers(1, N)), zeta=draw(st.integers(L + 1, N)),
-        snr_db=draw(st.sampled_from([0.0, 10.0, 30.0])), D=0,
+        snr_db=draw(st.sampled_from([0.0, 10.0, 30.0, float("inf")])), D=0,
         pdrs_mode=draw(st.sampled_from(PDRS_MODES)), trials=1, seed=draw(st.integers(0, 2**16)),
     )
     copies = draw(st.lists(st.integers(1, N - 1), max_size=3, unique=True))
@@ -149,7 +150,9 @@ def wide_ls_cases(draw):
 
 
 #: Relative Frobenius bound on the factored zero-forcing weights against numpy's ``pinv`` of the
-#: product at the same cutoff; the worst of these examples reads 2.0e-12, and ten fall back.
+#: product at the same cutoff.  Of these 150 examples (14 with M < L, 22 noiseless, 19 with Y of
+#: rank below L), the worst reads 3.2e-14, and 8.5e-14 on the projector ``W H``; 8 repeat pilots
+#: so that the factor is uncertified, and take the product.
 FACTORED_ZF_RTOL = 1e-10
 
 
@@ -157,15 +160,17 @@ FACTORED_ZF_RTOL = 1e-10
 @given(wide_ls_cases())
 def test_a_wide_estimate_is_zero_forced_from_its_factors_as_pinv_of_the_product(case):
     frame, pool, detected, copies = case
+    P = pool.P[detected]
+    H = frame.Y @ linalg.pinv(P)
     est = ls_channel_estimate(frame, pool, detected)
-    assert isinstance(est, LsEstimate)
-    H = est.H
     W = zf_weights(est, detected).W
-    if _factored_zf(est) is None:
-        # only a repeated pilot can leave the pilot block short of rank L
+    if pilot_factor(P) is None:
+        # only a repeated pilot can leave the pilot block without a certified factor
         assert copies
+        assert type(est) is np.ndarray and est.tobytes() == H.tobytes()
         assert np.array_equal(W.view(np.float64), linalg.pinv(H).view(np.float64))
         return
+    assert isinstance(est, LsEstimate)
     ref = np.linalg.pinv(H, rtol=max(H.shape) * linalg.DEFAULT_PINV_RTOL_SCALE)
     assert np.linalg.norm(W - ref) <= FACTORED_ZF_RTOL * np.linalg.norm(ref)
     # W H is the orthogonal projector pinv(H) H onto the rows of H
