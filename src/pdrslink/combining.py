@@ -67,7 +67,10 @@ def dwe_weights(
     bit, in one call that releases the interpreter lock.  A plain
     ``P[detected] @ y_pinv`` would block the rows and break that promise.
     ``y_pinv`` accepts the pseudo-inverse already computed during detection.
+    A pool whose pilot length is not the frame's L raises a ValueError that
+    names both.
     """
+    pool.check_frame(frame)
     detected = np.asarray(detected, dtype=np.int64)
     if y_pinv is None:
         y_pinv = pinv(frame.Y)
@@ -158,8 +161,10 @@ def ls_channel_estimate(
     factor, so neither ``pinv(P_detected)`` nor the product is formed; an
     array gives the product.  A factor of another block than the zeta x L
     support's, or an array of another shape than L x zeta, raises a
-    ValueError that names both shapes.
+    ValueError that names both shapes, and a pool whose pilot length is not
+    the frame's L one that names both lengths.
     """
+    pool.check_frame(frame)
     detected = np.asarray(detected, dtype=np.int64)
     if p_pinv is None:
         p_pinv = support_inverse(pool.P[detected])

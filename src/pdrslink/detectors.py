@@ -48,6 +48,31 @@ def _pick(scores: np.ndarray, zeta: int, largest: bool) -> np.ndarray:
     return np.sort(order[:zeta])
 
 
+#: Pilots correlated at a time by ``_correlation_powers``: a multiple of the
+#: 4-pilot unroll of OpenBLAS's complex GEMM kernel, so that every block's
+#: columns keep the bits of the full product's.
+_CORRELATION_BLOCK = 256
+
+
+def _correlation_powers(Z: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Correlation power ``sum_i |(Z P^H)[i, n]|^2`` of every pilot row ``n`` of ``P``.
+
+    The pool is read ``_CORRELATION_BLOCK`` pilots at a time, as
+    ``col_norms_sq(Z.conj() @ P[block].T)``: that product is the conjugate of
+    those columns of ``Z P^H``, bit for bit, and a conjugate has the same
+    squared norms, so the largest temporary is M x block, never M x N.  A
+    last block of one pilot joins the one before it, since numpy would run
+    it as a matrix-vector product, whose sums round differently.
+    """
+    N = P.shape[0]
+    Z_conj = Z.conj()
+    power = np.empty(N)
+    bounds = [*range(0, max(N - 1, 1), _CORRELATION_BLOCK), N]
+    for start, stop in zip(bounds, bounds[1:]):
+        power[start:stop] = col_norms_sq(Z_conj @ P[start:stop].T)
+    return power
+
+
 def detect_pdrs_dwe(
     frame: ReceivedFrame,
     pool: PilotPool,
@@ -62,10 +87,12 @@ def detect_pdrs_dwe(
     exactly, so the zeta smallest residuals ``||p_n @ T - r_n||^2`` form the
     detected support.  The cached ``pinv(Y)`` is reusable for the weight
     read-out.  A codebook ``R`` that is not N x l, for the pool's N and
-    ``Y_R``'s l, raises a ValueError that names both shapes.
+    ``Y_R``'s l, raises a ValueError that names both shapes, and a pool
+    whose pilot length is not the frame's L one that names both lengths.
     """
     Y, Y_R = frame.Y, frame.Y_R
     M, L = Y.shape
+    pool.check_frame(frame)
     N, ell = codebook.R.shape
     if (N, ell) != (pool.n_pilots, Y_R.shape[1]):
         raise ValueError(
@@ -109,18 +136,20 @@ def detect_bomp(
     the lowest unselected index (the tie rule), not a draw of rounding noise.
     Every pick is one ``argmax`` over the powers with admitted users masked to
     ``-inf``; a non-finite winning power, at any pick, raises ValueError.
-    The correlations and the picked pilots read the pool's cached ``P_h``.
-    ``svd_cost`` has no effect (BOMP computes no pseudo-inverse); it stays only
-    because ``pdrsbench/tracing.py`` passes it by position, as
-    ``tests/test_bench_contract.py`` checks.
+    The powers come from ``_correlation_powers``, so no pick forms the
+    M x N correlation, and a picked pilot enters ``Q`` as ``P[best].conj()``.
+    A pool whose pilot length is not the frame's L raises a ValueError that
+    names both.  ``svd_cost`` has no effect (BOMP computes no
+    pseudo-inverse); it stays only because ``pdrsbench/tracing.py`` passes
+    it by position, as ``tests/test_bench_contract.py`` checks.
     """
     Y = frame.Y
     M, L = Y.shape
     N = pool.n_pilots
+    pool.check_frame(frame)
     if not 1 <= zeta <= N:
         raise ValueError(f"zeta must be in [1, {N}], got {zeta}")
     mults = 0
-    P_h = pool.P_h
 
     Q = np.empty((L, min(zeta, L)), dtype=np.complex128)
     rank = 0
@@ -128,10 +157,8 @@ def detect_bomp(
     selected: list[int] = []
     scores = np.zeros(N, dtype=np.float64)
     for _ in range(zeta):
-        C = Z @ P_h
-        mults += matmul_mults(M, L, N)
-        power = col_norms_sq(C)
-        mults += M * N
+        power = _correlation_powers(Z, pool.P)
+        mults += matmul_mults(M, L, N) + M * N
         # -inf masks admitted users; argmax returns the first nan or +inf
         power[selected] = -np.inf
         best = int(np.argmax(power))
@@ -142,7 +169,7 @@ def detect_bomp(
         if rank == L:
             continue
 
-        q = orthonormal_step(Q[:, :rank], P_h[:, best])
+        q = orthonormal_step(Q[:, :rank], pool.P[best].conj())
         mults += 4 * L * rank + 2 * L
         if q is None:
             continue
@@ -164,12 +191,12 @@ _GRAM_BLOCK_ROWS = 128
 
 
 def _squared_gram(pool: PilotPool) -> np.ndarray:
-    """``|P P^H|^2`` in float64, formed ``_GRAM_BLOCK_ROWS`` rows at a time from the cached ``P_h``."""
-    P, P_h = pool.P, pool.P_h
+    """``|P P^H|^2`` in float64, ``_GRAM_BLOCK_ROWS`` rows at a time as ``|P[rows].conj() @ P.T|``."""
+    P = pool.P
     G = np.empty((pool.n_pilots, pool.n_pilots))
     for start in range(0, pool.n_pilots, _GRAM_BLOCK_ROWS):
         rows = slice(start, start + _GRAM_BLOCK_ROWS)
-        np.abs(P[rows] @ P_h, out=G[rows])
+        np.abs(P[rows].conj() @ P.T, out=G[rows])
     G *= G
     return G
 
@@ -179,7 +206,8 @@ def fpr_gram_pinv(pool: PilotPool) -> np.ndarray:
 
     One-time precomputation per pilot pool; the per-frame ledger charges only
     its application, and every trial thread shares the result, so it cannot
-    be written.  ``G = |P P^H|^2`` is formed from the pool's cached ``P_h``,
+    be written.  ``G = |P P^H|^2`` is formed as ``|P[rows].conj() @ P.T|``
+    (the conjugate of those rows of ``P P^H``, so the same moduli),
     ``_GRAM_BLOCK_ROWS`` rows at a time straight into one N x N float64
     array, and squared in place (numpy squares as ``x * x`` either way, so
     the bits are those of ``** 2``); no N x N complex product is formed.  It
@@ -209,8 +237,10 @@ def detect_fpr(
     Matched filtering gives per-user powers contaminated by pilot
     cross-correlations; multiplying by the precomputed Gram pseudo-inverse
     unmixes them, and the zeta largest recovered powers form the support.
-    The matched filter reads the pool's cached ``P_h``, so no frame copies
-    the conjugate pool.  The unmixing solve is real-valued and tallied
+    The matched-filter powers come from ``_correlation_powers``, so neither
+    the M x N matched filter nor a conjugate of the pool is formed.  A pool
+    whose pilot length is not the frame's L raises a ValueError that names
+    both.  The unmixing solve is real-valued and tallied
     separately; ``gram_pinv`` is ``fpr_gram_pinv(pool)``, an N x N float64
     ndarray, and anything else (``None`` included) raises a ValueError that
     names it.
@@ -218,6 +248,7 @@ def detect_fpr(
     Y = frame.Y
     M, L = Y.shape
     N = pool.n_pilots
+    pool.check_frame(frame)
     if not 1 <= zeta <= N:
         raise ValueError(f"zeta must be in [1, {N}], got {zeta}")
     if not isinstance(gram_pinv, np.ndarray):
@@ -229,8 +260,7 @@ def detect_fpr(
             f"gram_pinv must be the float64 Gram pseudo-inverse, got {gram_pinv.dtype}"
         )
 
-    H_mf = Y @ pool.P_h
-    p_mf = col_norms_sq(H_mf)
+    p_mf = _correlation_powers(Y, pool.P)
     with np.errstate(over="ignore"):  # an overflow is named below, not warned of by numpy
         p_rec = gram_pinv @ p_mf
     if not np.all(np.isfinite(p_rec)):

@@ -75,14 +75,12 @@ __all__ = [
 class StageSpec(NamedTuple):
     """One detection method: its ``STAGE_TABLE`` entry, keyed by its ``complexity_model`` name.
 
-    ``detect(frame, pool, codebook, zeta, svd_cost, gram_pinv)`` runs it;
-    ``needs_gram`` asks for the pool's Gram pseudo-inverse, and ``reads_p_h``
-    says that it reads the pool's conjugate block ``P_h`` on every frame.
+    ``detect(frame, pool, codebook, zeta, svd_cost, gram_pinv)`` runs it, and
+    ``needs_gram`` asks for the pool's Gram pseudo-inverse.
     """
 
     detect: Callable[..., DetectionResult]
     needs_gram: bool
-    reads_p_h: bool
 
 
 # Each lambda adapts one detection method to the common call and looks it up when called.
@@ -90,21 +88,16 @@ STAGE_TABLE: dict[str, StageSpec] = {
     "pdrs": StageSpec(
         lambda fr, pool, cb, zeta, svd, gram: detect_pdrs_dwe(fr, pool, cb, zeta, svd),
         needs_gram=False,
-        reads_p_h=False,
     ),
     "bomp": StageSpec(
         lambda fr, pool, cb, zeta, svd, gram: detect_bomp(fr, pool, zeta),
         needs_gram=False,
-        reads_p_h=True,
     ),
     "fpr": StageSpec(
         lambda fr, pool, cb, zeta, svd, gram: detect_fpr(fr, pool, zeta, gram),
         needs_gram=True,
-        reads_p_h=True,
     ),
-    "oracle": StageSpec(
-        lambda fr, pool, cb, zeta, svd, gram: oracle_support(fr), needs_gram=False, reads_p_h=False
-    ),
+    "oracle": StageSpec(lambda fr, pool, cb, zeta, svd, gram: oracle_support(fr), needs_gram=False),
 }
 
 
@@ -504,9 +497,9 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
 
     Each point's rows equal those of ``run_point`` on ``spec.config_at(value)``
     with the same detectors, relabelled with the sweep variable and value.
-    The pilot pool, its Gram pseudo-inverse when a stage needs it, its
-    conjugate block ``P_h`` when a stage reads it, and each point's config
-    are built once, on the caller's thread before the trial pool starts.
+    The pilot pool, its Gram pseudo-inverse when a stage needs it, and each
+    point's config are built once, on the caller's thread before the trial
+    pool starts.
     Points with one ``scenario.draw_key`` (configs that differ only in
     ``snr_db`` and ``zeta``) share one codebook, and a trial draws once for
     them all and forms each point's frame from that draw (so ``snr_db`` and
@@ -536,8 +529,6 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
         pool = synth_pool(spec.base)
         stages = [STAGE_TABLE[d.stage] for d in specs.values()]
         gram_pinv = fpr_gram_pinv(pool) if any(s.needs_gram for s in stages) else None
-        if any(s.reads_p_h for s in stages):
-            pool.P_h  # formed here, not in the first trial that reads it
         points = [spec.config_at(v) for v in spec.values]
         by_key: dict[SystemConfig, list[tuple[int, SystemConfig]]] = {}
         for p, cfg in enumerate(points):

@@ -32,7 +32,6 @@ Only ``draw_frame``, ``draw_trial`` and ``synth_*`` map keys to draws, and
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -253,9 +252,8 @@ class PilotPool:
     Frozen, as ``SystemConfig`` is, and ``P`` is a read-only array that the
     pool owns (a copy, unless it is handed a read-only array that owns its
     data), so the caller's array stays writeable and the pool never
-    changes: every trial thread shares it, with ``P_h`` and each trial's
-    pilot pseudo-inverses formed from it.  ``P_h`` is the conjugate
-    transpose, formed on first read and then kept.
+    changes: every trial thread shares it, and reads it as it is; no
+    conjugate or transpose of it is kept.
     """
 
     P: np.ndarray
@@ -272,16 +270,11 @@ class PilotPool:
     def length(self) -> int:
         return self.P.shape[1]
 
-    @cached_property
-    def P_h(self) -> np.ndarray:
-        """``P.conj().T``, read-only: the transposed view of a C-contiguous conjugate.
-
-        It has the layout ``P.conj().T`` has, so a product with it keeps
-        every bit of a product with ``P.conj().T``.
-        """
-        conj = self.P.conj()
-        conj.flags.writeable = False
-        return conj.T
+    def check_frame(self, frame: "ReceivedFrame") -> None:
+        """Raise a ValueError that names both lengths unless ``frame``'s L is ``length``."""
+        L = frame.Y.shape[1]
+        if L != self.length:
+            raise ValueError(f"the pool's pilots have length {self.length}, but the frame's L is {L}")
 
 
 @dataclass(frozen=True)

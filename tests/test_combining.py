@@ -76,6 +76,15 @@ def test_ls_estimate_rejects_empty_support():
         ls_channel_estimate(frame, pool, np.array([], dtype=np.int64))
 
 
+@pytest.mark.parametrize("combine", [dwe_weights, ls_channel_estimate])
+def test_a_pool_of_another_pilot_length_is_named(combine):
+    cfg, pool, cb, act, frame = build(seed=7)
+    _, short, _, _, _ = build(seed=7, L=10)
+    message = "the pool's pilots have length 10, but the frame's L is 12"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        combine(frame, short, act.active)
+
+
 def test_ls_estimate_takes_a_pilot_pinv_computed_before():
     cfg, pool, cb, act, frame = build(seed=7)
     p_pinv = pinv(pool.P[act.active])

@@ -430,6 +430,45 @@ def test_the_anchor_gram_build_peaks_below_two_n_by_n_float_arrays():
     assert peak < 2 * N**2 * 8
 
 
+@pytest.mark.parametrize(
+    "M, blocks, extra, zero",
+    [(16, 0, 100, False), (16, 1, 0, False), (16, 1, 1, False), (16, 2, 1, False), (1, 1, 1, False), (16, 1, 1, True)],
+    ids=["below the block", "one block", "one past the block", "two blocks and one", "M=1", "zero Z"],
+)
+def test_correlation_powers_equal_those_of_the_full_product_bit_for_bit(M, blocks, extra, zero):
+    N = blocks * detectors._CORRELATION_BLOCK + extra
+    rng = np.random.default_rng(N + M)
+    Z = rng.standard_normal((M, 12)) + 1j * rng.standard_normal((M, 12))
+    if zero:
+        Z[:] = 0.0  # BOMP's residual once the selected pilots span C^L
+    P = rng.standard_normal((N, 12)) + 1j * rng.standard_normal((N, 12))
+    power = detectors._correlation_powers(Z, P)
+    assert np.array_equal(power.view(np.uint64), col_norms_sq(Z @ P.conj().T).view(np.uint64))
+
+
+def test_the_anchor_squared_gram_is_the_conjugate_product_bit_for_bit_and_symmetric():
+    pool = synth_pool(SystemConfig())  # the anchor pool, several row blocks long
+    G = detectors._squared_gram(pool)
+    assert np.array_equal(G, np.abs(pool.P @ pool.P.conj().T) ** 2)
+    assert np.array_equal(G, G.T)
+
+
+@pytest.mark.parametrize("name", ["bomp", "fpr"])
+def test_an_anchor_detection_peaks_below_one_m_by_n_complex_array(name):
+    # correlating the pool block by block never forms the M x N product
+    cfg = SystemConfig()
+    pool, cb = synth_pool(cfg), synth_codebook(cfg)
+    frame = synth_frame(cfg, pool, cb, 0)
+    gram = fpr_gram_pinv(pool) if name == "fpr" else None
+    tracemalloc.start()
+    try:
+        STAGE_TABLE[name].detect(frame, pool, cb, cfg.zeta, cfg.svd_cost, gram)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cfg.M * cfg.N * 16
+
+
 def test_fpr_rejects_a_complex_gram():
     cfg, pool, cb, act, frame = build(seed=11)
     G = np.abs(pool.P @ pool.P.conj().T) ** 2
@@ -478,6 +517,16 @@ def test_pdrs_names_a_codebook_that_does_not_fit_the_pool_and_frame(other, shape
     message = f"codebook R has shape {shape}, but the pool and Y_R take (32, 4)"
     with pytest.raises(ValueError, match=re.escape(message)):
         detect_pdrs_dwe(frame, pool, wrong, cfg.zeta)
+
+
+@pytest.mark.parametrize("name", ["pdrs", "bomp", "fpr"])
+def test_a_pool_of_another_pilot_length_is_named(name):
+    cfg, pool, cb, act, frame = build(seed=11)
+    _, short, _, _, _ = build(seed=11, L=10)
+    gram = fpr_gram_pinv(short)
+    message = "the pool's pilots have length 10, but the frame's L is 12"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        STAGE_TABLE[name].detect(frame, short, cb, cfg.zeta, cfg.svd_cost, gram)
 
 
 def test_oracle_support():

@@ -1,5 +1,4 @@
 import csv
-import functools
 import hashlib
 import json
 import math
@@ -38,7 +37,6 @@ from pdrslink.harness import (
 from pdrslink.linalg import BlasThreads, process_blas
 from pdrslink.scenario import (
     FrameDraw,
-    PilotPool,
     SystemConfig,
     draw_trial,
     synth_codebook,
@@ -657,46 +655,6 @@ def test_run_sweep_builds_pool_and_gram_once(monkeypatch):
     caller = threading.get_ident()
     gram_and_pool = [call for call in order if call[0] in ("fpr_gram_pinv", "ThreadPoolExecutor")]
     assert gram_and_pool == [("fpr_gram_pinv", caller), ("ThreadPoolExecutor", caller)] * 3
-
-
-def _p_h_formations(monkeypatch):
-    """Record the thread of every ``PilotPool.P_h`` formation, in order."""
-    formed = []
-    form = PilotPool.P_h.func
-
-    def recorded(pool):
-        formed.append(("P_h", threading.get_ident()))
-        return form(pool)
-
-    prop = functools.cached_property(recorded)
-    prop.__set_name__(PilotPool, "P_h")
-    monkeypatch.setattr(PilotPool, "P_h", prop)
-    return formed
-
-
-@pytest.mark.parametrize(
-    "detectors, formed_here",
-    [(["bomp"], True), (["oracle", "bomp"], True), (["pdrs", "pdrs-lszf", "oracle-dwe"], False)],
-    ids=["bomp", "oracle-bomp", "pdrs"],
-)
-def test_run_sweep_forms_the_conjugate_pool_before_its_trials_only_when_a_stage_reads_it(
-    monkeypatch, detectors, formed_here
-):
-    formed = _p_h_formations(monkeypatch)
-    executor = harness.ThreadPoolExecutor
-
-    def recorded(*args, **kwargs):
-        formed.append(("ThreadPoolExecutor", threading.get_ident()))
-        return executor(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", recorded)
-    monkeypatch.setenv("PDRS_THREADS", "2")
-    harness.run_sweep(SweepSpec(small_cfg(trials=4), "snr_db", [0.0, 8.0], detectors))
-    caller = threading.get_ident()
-    if formed_here:
-        assert formed == [("P_h", caller), ("ThreadPoolExecutor", caller)]
-    else:
-        assert formed == [("ThreadPoolExecutor", caller)]
 
 
 @pytest.mark.parametrize(

@@ -404,20 +404,6 @@ def test_pool_and_codebook_keep_a_handed_over_array_and_copy_a_read_only_view(ki
     assert getattr(build(mine), name) is mine
 
 
-def test_pool_conjugate_transpose_is_formed_once_with_the_layout_of_conj_t():
-    pool = synth_pool(small_cfg())
-    P_h = pool.P_h
-    fresh = pool.P.conj().T
-    assert P_h.dtype == fresh.dtype and P_h.shape == fresh.shape
-    assert P_h.strides == fresh.strides
-    bits = [np.ascontiguousarray(a).view(np.uint64) for a in (P_h, fresh)]
-    assert np.array_equal(*bits)
-    assert not P_h.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        P_h[0, 0] = 0.0
-    assert pool.P_h is P_h
-
-
 def test_codebook_mode_validation():
     with pytest.raises(ValueError):
         PdrsCodebook(np.ones((3, 1), dtype=np.complex128), mode="bogus")
