@@ -124,18 +124,20 @@ def detect_bomp(
 ) -> DetectionResult:
     """Block orthogonal matching pursuit over pilot blocks.
 
-    Each of the zeta iterations correlates the running residual with every
+    Each pick of the pursuit correlates the running residual with every
     pilot, admits the strongest unselected user, and deflates the residual by
     the least-squares fit of the selected pilots, ``Z = Y - Y pinv(Ps) Ps``.
     That projection is kept as an incremental QR: the selected pilots'
     conjugates are orthonormalised one at a time into ``Q`` (Gram-Schmidt
     with one reorthogonalisation pass) and ``Z = Y - (Y Q) Q^H``.  A pilot
     already in the span of ``Q`` (``linalg.orthonormal_step``'s cutoff)
-    leaves the residual unchanged.  Once the selected pilots span C^L the
-    residual is set to exactly zero, so with zeta > L every remaining pick is
-    the lowest unselected index (the tie rule), not a draw of rounding noise.
+    leaves the residual unchanged, but costs its projection.  The pursuit
+    ends after zeta picks or once the selected pilots span C^L, whichever
+    comes first: the residual would then be exactly zero and every unselected
+    user would score 0, so with zeta > L the remaining picks are the lowest
+    unselected indices (the tie rule), scored 0 and with no correlation run.
     Every pick is one ``argmax`` over the powers with admitted users masked to
-    ``-inf``; a non-finite winning power, at any pick, raises ValueError.
+    ``-inf``; a non-finite winning power, at any pursued pick, raises ValueError.
     The powers come from ``_correlation_powers``, so no pick forms the
     M x N correlation, and a picked pilot enters ``Q`` as ``P[best].conj()``.
     A pool whose pilot length is not the frame's L raises a ValueError that
@@ -156,7 +158,7 @@ def detect_bomp(
     Z = Y
     selected: list[int] = []
     scores = np.zeros(N, dtype=np.float64)
-    for _ in range(zeta):
+    while len(selected) < zeta and rank < L:
         power = _correlation_powers(Z, pool.P)
         mults += matmul_mults(M, L, N) + M * N
         # -inf masks admitted users; argmax returns the first nan or +inf
@@ -166,9 +168,6 @@ def detect_bomp(
             raise ValueError("non-finite detection score: the frame holds nan or inf")
         scores[best] = power[best]
         selected.append(best)
-        if rank == L:
-            continue
-
         q = orthonormal_step(Q[:, :rank], pool.P[best].conj())
         mults += 4 * L * rank + 2 * L
         if q is None:
@@ -176,13 +175,12 @@ def detect_bomp(
         Q[:, rank] = q
         mults += L
         rank += 1
-        if rank == L:
-            Z = np.zeros_like(Y)
-        else:
+        if rank < L:
             Qr = Q[:, :rank]
             Z = Y - (Y @ Qr) @ Qr.conj().T
             mults += 2 * matmul_mults(M, L, rank)
-    detected = np.sort(np.asarray(selected, dtype=np.int64))
+    fill = np.setdiff1d(np.arange(N), selected, assume_unique=True)[: zeta - len(selected)]
+    detected = np.sort(np.concatenate((np.asarray(selected, dtype=np.int64), fill)))
     return DetectionResult(detected, scores, mults)
 
 

@@ -498,8 +498,8 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     Each point's rows equal those of ``run_point`` on ``spec.config_at(value)``
     with the same detectors, relabelled with the sweep variable and value.
     The pilot pool, its Gram pseudo-inverse when a stage needs it, and each
-    point's config are built once, on the caller's thread before the trial
-    pool starts.
+    point's config and cost models are built once, on the caller's thread
+    before the trial pool starts, so a stage with no cost model fails first.
     Points with one ``scenario.draw_key`` (configs that differ only in
     ``snr_db`` and ``zeta``) share one codebook, and a trial draws once for
     them all and forms each point's frame from that draw (so ``snr_db`` and
@@ -530,6 +530,7 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
         stages = [STAGE_TABLE[d.stage] for d in specs.values()]
         gram_pinv = fpr_gram_pinv(pool) if any(s.needs_gram for s in stages) else None
         points = [spec.config_at(v) for v in spec.values]
+        modeled = [{n: complexity_model(cfg, d.stage).detect_mults for n, d in specs.items()} for cfg in points]
         by_key: dict[SystemConfig, list[tuple[int, SystemConfig]]] = {}
         for p, cfg in enumerate(points):
             by_key.setdefault(draw_key(cfg), []).append((p, cfg))
@@ -552,7 +553,7 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
                         tallies[p][name].add(m)
 
     rows = []
-    for value, cfg, point, k, error in zip(spec.values, points, tallies, failed, first_error):
+    for value, cfg, models, point, k, error in zip(spec.values, points, modeled, tallies, failed, first_error):
         if k:
             msg = f"{k} of {trials} trials failed; first: {error}"
             print(f"sweep point {spec.variable}={value}: {msg}", file=sys.stderr)
@@ -562,7 +563,7 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
                     sweep_var=spec.variable,
                     sweep_value=value,
                     detector=name,
-                    modeled_mults=complexity_model(cfg, DETECTOR_TABLE[name].stage).detect_mults,
+                    modeled_mults=models[name],
                     **{c: getattr(cfg, c) for c in _CONFIG_COLUMNS},
                     **(_FAILED_COLUMNS if k else point[name].columns(cfg)),
                 )

@@ -63,7 +63,7 @@ class ComplexityModel:
 
 
 def complexity_model(cfg: SystemConfig, detector: str) -> ComplexityModel:
-    """Modeled per-frame multiplication counts for one detector."""
+    """Modeled per-frame multiplication counts for one detector; BOMP's pursuit makes min(zeta, L) picks."""
     M, N, L, ell, zeta = cfg.M, cfg.N, cfg.L, cfg.l, cfg.zeta
     c = cfg.svd_cost
     if detector == "pdrs":
@@ -71,12 +71,12 @@ def complexity_model(cfg: SystemConfig, detector: str) -> ComplexityModel:
         detect = pinv_mults(M, L, c) + matmul_mults(L, M, ell) + matmul_mults(N, L, ell) + N * ell
         return ComplexityModel(detect, weight_mults=zeta * L * M)
     if detector == "bomp":
-        # every pick t: correlation and powers; each pick t <= L: Gram-Schmidt
-        # against t-1 basis vectors (two passes, the norms of the pilot and of
-        # its remainder, scale); each pick t < L: the deflation Y - (Y Q) Q^H,
-        # which is free once rank t = L.  Summed over t in closed form:
+        # the pursuit ends at rank L, so with no pilot repeated each pick t <= r:
+        # correlation and powers, Gram-Schmidt against t-1 basis vectors (two
+        # passes, the norms of the pilot and of its remainder, scale); each pick
+        # t < L: the deflation Y - (Y Q) Q^H.  Summed over t in closed form:
         r, s = min(zeta, L), min(zeta, L - 1)
-        detect = zeta * (matmul_mults(M, L, N) + M * N)
+        detect = r * (matmul_mults(M, L, N) + M * N)
         detect += 2 * L * r * (r - 1) + 3 * L * r + L * M * s * (s + 1)
         return ComplexityModel(detect)
     if detector == "fpr":

@@ -222,6 +222,16 @@ def test_the_anchor_ledger_keeps_its_bytes(tmp_path, capsys, seed):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == LEDGER_CSV_SHA256
 
 
+def test_complexity_at_zeta_above_l_counts_no_pick_past_the_full_span(tmp_path, capsys):
+    # the anchor at zeta = 2L: BOMP's pursuit ends at rank L, so both its
+    # ledger and its model equal those at zeta = L
+    path = tmp_path / "overshoot.cfg"
+    path.write_text("zeta = 192\n")
+    assert main(["complexity", "--config", str(path)]) == 0
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("bomp ")]
+    assert line.split()[1:3] == ["1305781248", "1305781248"]
+
+
 def test_complexity_counts_what_a_one_trial_point_counts(cfg_file, tmp_path, capsys):
     out = tmp_path / "ledger.csv"
     assert main(["complexity", "--config", cfg_file, "--out", str(out)]) == 0

@@ -268,6 +268,24 @@ def test_bomp_picks_lowest_indices_once_the_span_is_full():
     assert res.mults == complexity_model(cfg, "bomp").detect_mults
 
 
+@pytest.mark.parametrize("zeta", [5, 9, 20])
+def test_bomp_stops_correlating_once_its_picks_span_c_l(monkeypatch, zeta):
+    # no pilot repeats, so the first L picks span C^L and the pursuit ends:
+    # the tail costs no correlation and the ledger is that of zeta = L
+    cfg, pool, cb, act, frame = build(seed=16, M=8, N=20, L=4, K=3, zeta=zeta)
+    calls = []
+    powers = detectors._correlation_powers
+
+    def counted(Z, P):
+        calls.append(Z)
+        return powers(Z, P)
+
+    monkeypatch.setattr(detectors, "_correlation_powers", counted)
+    res = detect_bomp(frame, pool, zeta)
+    assert len(calls) == cfg.L
+    assert res.mults == detect_bomp(frame, pool, cfg.L).mults
+
+
 def test_bomp_never_admits_a_nan_power_after_the_first_pick(monkeypatch):
     cfg, pool, cb, act, frame = build(seed=3, zeta=6)
     firsts = []

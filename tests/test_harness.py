@@ -449,6 +449,21 @@ def test_every_stage_is_the_detector_of_its_own_name():
         assert DETECTOR_TABLE[name].stage == name
 
 
+def test_a_stage_with_no_cost_model_fails_before_any_trial_is_drawn(monkeypatch):
+    drawn = []
+
+    def draw_and_count(*args):
+        drawn.append(args[-1])
+        return draw_trial(*args)
+
+    monkeypatch.setattr(harness, "draw_trial", draw_and_count)
+    monkeypatch.setitem(harness.STAGE_TABLE, "xyz", STAGE_TABLE["oracle"])
+    monkeypatch.setitem(harness.DETECTOR_TABLE, "xyz", DETECTOR_TABLE["oracle"]._replace(stage="xyz"))
+    with pytest.raises(ValueError, match="unknown detector 'xyz'"):
+        run_point(small_cfg(trials=7), ["xyz"])
+    assert drawn == []
+
+
 def test_sweep_config_application():
     cfg = small_cfg(K=5, zeta=10)  # alpha = 2
     spec = SweepSpec(base=cfg, variable="K", values=[3, 5, 8], detectors=["pdrs"])

@@ -4,7 +4,9 @@ Every detector that takes a support size must return exactly zeta sorted,
 distinct, in-range indices, whatever the dimensions: zeta above the pilot
 length or equal to the pool size, every user active, one-symbol reference
 signals, no data block, noiseless frames and pools with repeated pilots.
-Every counted ledger must equal its closed-form model, every direct weight
+Every counted ledger must equal its closed-form model, BOMP's picks at one
+zeta must be among its picks at any larger zeta, the picks past the full span
+scoring exactly 0, every direct weight
 row must equal its own pilot's product with ``pinv(Y)`` bit for bit, the
 zero-forcing of a wide least-squares estimate from ``Y`` and its certified
 pilot factor must match numpy's ``pinv`` of the product at the product's
@@ -32,7 +34,7 @@ from hypothesis import strategies as st
 
 from pdrslink.combining import LsEstimate, dwe_weights, ls_channel_estimate, pilot_factor, zf_weights
 from pdrslink.detectors import detect_bomp, detect_fpr, detect_pdrs_dwe, fpr_gram_pinv, oracle_support
-from pdrslink import linalg
+from pdrslink import detectors, linalg
 from test_linalg import schur_inv_reference
 from pdrslink.harness import DETECTORS, SWEEP_VARS, SweepSpec, parse_config, run_point, run_sweep
 from pdrslink.metrics import complexity_model
@@ -102,6 +104,30 @@ def test_every_detector_returns_zeta_distinct_sorted_indices(scenario):
         # distinct random pilots never trip the in-span skip, so BOMP's
         # ledger follows the closed-form model, zeta > L included
         assert bomp.mults == complexity_model(cfg, "bomp").detect_mults
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(scenarios(), st.data())
+def test_bomp_picks_do_not_depend_on_zeta(scenario, data):
+    # the run at z2 = cfg.zeta makes c correlated picks; they are the picks of
+    # zeta = c, and when c < z2 they span C^L and the rest of the support is
+    # the lowest unselected indices, scored exactly 0
+    cfg, copies = scenario
+    frame, pool, _ = _frame(cfg, copies)
+    z2, z1 = cfg.zeta, data.draw(st.integers(1, cfg.zeta), label="z1")
+    powers, calls = detectors._correlation_powers, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detectors, "_correlation_powers", lambda Z, P: calls.append(Z) or powers(Z, P))
+        full = detect_bomp(frame, pool, z2)
+    part = detect_bomp(frame, pool, z1)
+    assert np.isin(part.detected, full.detected).all()
+    assert np.array_equal(part.scores[part.detected], full.scores[part.detected])
+    pursued = detect_bomp(frame, pool, len(calls)).detected
+    tail = np.setdiff1d(full.detected, pursued)
+    assert np.array_equal(tail, np.setdiff1d(np.arange(cfg.N), pursued)[: z2 - len(calls)])
+    assert np.all(full.scores[tail] == 0.0)
+    if tail.size:
+        assert np.linalg.matrix_rank(pool.P[pursued]) == cfg.L
 
 
 @st.composite
