@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import col_norms_sq, residual_row_norms
-from .linalg import _schur_pinv, orthonormal_step, pinv
+from .linalg import _mirror_lower, _schur_pinv, orthonormal_step, pinv
 from .metrics import matmul_mults, pinv_mults
 from .scenario import PdrsCodebook, PilotPool, ReceivedFrame, SystemConfig
 
@@ -49,8 +49,9 @@ def _pick(scores: np.ndarray, zeta: int, largest: bool) -> np.ndarray:
 
 
 #: Pilots correlated at a time by ``_correlation_powers``: a multiple of the
-#: 4-pilot unroll of OpenBLAS's complex GEMM kernel, so that every block's
-#: columns keep the bits of the full product's.
+#: 4-pilot unroll of OpenBLAS's complex GEMM kernels, so that every block's
+#: columns keep the bits of the full product's on the kernels README
+#: "Determinism" names.
 _CORRELATION_BLOCK = 256
 
 
@@ -62,7 +63,12 @@ def _correlation_powers(Z: np.ndarray, P: np.ndarray) -> np.ndarray:
     those columns of ``Z P^H``, bit for bit, and a conjugate has the same
     squared norms, so the largest temporary is M x block, never M x N.  A
     last block of one pilot joins the one before it, since numpy would run
-    it as a matrix-vector product, whose sums round differently.
+    it as a matrix-vector product, whose sums round differently.  With BLAS
+    on one thread the powers are the full product's bit for bit under
+    OpenBLAS's ``SkylakeX`` and ``Sandybridge`` kernels, and under
+    ``Haswell`` when M mod 6 is 0 to 3; no split of the pool keeps them at
+    other M there, since that kernel rounds the last antennas of a product's
+    leading pilots otherwise than the same pilots further in.
     """
     N = P.shape[0]
     Z_conj = Z.conj()
@@ -184,18 +190,31 @@ def detect_bomp(
     return DetectionResult(detected, scores, mults)
 
 
-#: Rows of ``P P^H`` formed at a time by ``fpr_gram_pinv``.
-_GRAM_BLOCK_ROWS = 128
+#: Rows of ``P P^H`` formed at a time by ``_squared_gram``.
+_GRAM_BLOCK_ROWS = 64
 
 
 def _squared_gram(pool: PilotPool) -> np.ndarray:
-    """``|P P^H|^2`` in float64, ``_GRAM_BLOCK_ROWS`` rows at a time as ``|P[rows].conj() @ P.T|``."""
+    """``|P P^H|^2`` in float64, exactly symmetric, each symmetric pair formed once.
+
+    Row block ``[start:stop]`` of ``_GRAM_BLOCK_ROWS`` rows is formed only up
+    to the end of its diagonal block, as ``|P[start:stop].conj() @ P[:stop].T|``
+    (the conjugate of those entries of ``P P^H``, so the same moduli), and
+    squared in place (numpy squares as ``x * x`` either way, so the bits are
+    those of ``** 2``).  ``linalg._mirror_lower`` then copies the strict lower
+    triangle onto the upper, inside the diagonal blocks too, so ``G`` is
+    exactly symmetric on any BLAS kernel, from half the products of
+    ``P P^H``; the largest temporary is a complex block x N.
+    """
     P = pool.P
-    G = np.empty((pool.n_pilots, pool.n_pilots))
-    for start in range(0, pool.n_pilots, _GRAM_BLOCK_ROWS):
-        rows = slice(start, start + _GRAM_BLOCK_ROWS)
-        np.abs(P[rows].conj() @ P.T, out=G[rows])
-    G *= G
+    N = pool.n_pilots
+    G = np.empty((N, N))
+    for start in range(0, N, _GRAM_BLOCK_ROWS):
+        stop = min(start + _GRAM_BLOCK_ROWS, N)
+        rows = G[start:stop, :stop]
+        np.abs(P[start:stop].conj() @ P[:stop].T, out=rows)
+        rows *= rows
+    _mirror_lower(G)
     return G
 
 
@@ -204,18 +223,15 @@ def fpr_gram_pinv(pool: PilotPool) -> np.ndarray:
 
     One-time precomputation per pilot pool; the per-frame ledger charges only
     its application, and every trial thread shares the result, so it cannot
-    be written.  ``G = |P P^H|^2`` is formed as ``|P[rows].conj() @ P.T|``
-    (the conjugate of those rows of ``P P^H``, so the same moduli),
-    ``_GRAM_BLOCK_ROWS`` rows at a time straight into one N x N float64
-    array, and squared in place (numpy squares as ``x * x`` either way, so
-    the bits are those of ``** 2``); no N x N complex product is formed.  It
-    is real and exactly symmetric, so the Gram's Schur rule
-    (``linalg._schur_pinv``), certified recursive Schur complements, inverts
-    it in that same array, with nothing N x N beside it.  When that
-    certificate fails (a pool with repeated pilots, whose Gram has lost
-    rank, or a failed bound), the partly overwritten array is dropped, the
-    Gram formed again and ``pinv(G)`` returned: LU, or the SVD when the Gram
-    has lost rank.
+    be written.  ``_squared_gram`` forms ``G = |P P^H|^2`` in one N x N
+    float64 array, each symmetric pair once, so no N x N complex product is
+    formed and ``G`` is exactly symmetric by construction, on any BLAS
+    kernel.  The Gram's Schur rule (``linalg._schur_pinv``), certified
+    recursive Schur complements, inverts it in that same array, with nothing
+    N x N beside it.  When that certificate fails (a pool with repeated
+    pilots, whose Gram has lost rank, or a failed bound), the partly
+    overwritten array is dropped, the Gram formed again and ``pinv(G)``
+    returned: LU, or the SVD when the Gram has lost rank.
     """
     x = _schur_pinv(_squared_gram(pool))
     if x is None:

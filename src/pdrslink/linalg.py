@@ -5,7 +5,8 @@ float/complex arrays.  The public matrix functions are pure, never mutate
 their inputs, and return finite values for finite inputs.  The private
 ``_schur_pinv`` overwrites its argument: it is the FPR Gram's own rule, and
 ``detectors.fpr_gram_pinv`` hands it the Gram buffer it owns, so the Gram is
-formed and inverted in one N x N array.
+formed and inverted in one N x N array.  Both form a symmetric result's
+lower block triangle only and mirror it (``_mirror_lower``).
 
 ``pinv`` picks one of three rules (LU, certified normal equations, SVD) from
 the input's shape; its docstring states them and their certificates.  No
@@ -51,15 +52,16 @@ DEFAULT_PINV_RTOL_SCALE = 1e-12
 NORMAL_EQ_BOUND = 1e-4
 
 #: Bound on ``||A||_F ||X||_F`` for the Schur rule's inverse X.  Above it
-#: the recursion's error grows faster than cond(A) eps.  Over 68 random exactly
-#: Hermitian positive-definite inputs ``Q diag(lam) Q^H`` (Q random orthogonal
-#: or unitary, lam a geometric ladder from 1 down to 1/cond in random order;
-#: n in {65, 130, 300, 1000}, real and complex, cond log-uniform in 1 to 1e5,
-#: plus 8 at cond 1e6 and 1e8; ``np.random.default_rng(0)``), the error
-#: against the SVD was at most 15 cond(A) eps (LU: 15) on the 29 inputs with
-#: the product at or below 1e4, at most 43 (LU: 0.39) on the 12 between 1e4
-#: and 1e5, and up to 3.6e5 (LU: 0.28) above.  At n = 1000 and cond 1e6 or
-#: 1e8, a leaf failed ``cholesky``.
+#: the recursion's error can grow faster than cond(A) eps.  Over 68 random exactly
+#: Hermitian positive-definite inputs ``Q diag(lam) Q^H`` (Q from the QR of a
+#: Gaussian, orthogonal or unitary; lam a geometric ladder from 1 down to
+#: 1/cond in random order; 60 inputs at n = 65, 130, 300 and 1000 in turn, real
+#: and complex in alternate fours, cond = 10^U(0, 5), then each n at cond 1e6
+#: and 1e8; ``np.random.default_rng(0)``), the relative error against the SVD
+#: was at most 17 cond(A) eps (LU: 17) on the 32 inputs with the product at or
+#: below 1e4, at most 8.7 (LU: 0.50) on the 16 between 1e4 and 1e5, and up to
+#: 1.6e6 (LU: 0.30) on the 18 above.  On the 2 complex inputs at n = 300 and
+#: 1000 with cond 1e8, a leaf failed ``cholesky``.
 SCHUR_BOUND = 1e4
 
 #: Largest block the Schur rule inverts directly, by ``inv`` once
@@ -156,11 +158,12 @@ def _schur_pinv(m: np.ndarray) -> np.ndarray | None:
     ``m`` must be exactly Hermitian, positive definite at every leaf, and
     meet ``||m||_F ||X||_F <= SCHUR_BOUND``.  The Hermitian check comes
     first and writes nothing; then ``_schur_inv`` forms the inverse in ``m``
-    itself, which is returned.  A None after that leaves ``m`` overwritten
-    in part or in full.  The recursion costs about ``4/3 n^3`` flops,
-    against ``8/3 n^3`` for LU, nearly all in large products.  With numpy's
-    bundled OpenBLAS, the FPR Gram ``|P P^H|^2`` came out exactly Hermitian
-    on every pool checked.
+    itself, which is returned, with no block of ``m``'s size beside it.  A
+    None after that leaves ``m`` overwritten in part or in full.  The
+    recursion costs about ``n^3`` flops, against ``8/3 n^3`` for LU, nearly
+    all in large products.  The FPR Gram ``|P P^H|^2`` is exactly symmetric
+    by construction (``detectors._squared_gram`` mirrors its lower triangle),
+    whatever BLAS kernel formed it.
 
     ``pinv``'s default cutoff test, ``||m||_F ||X||_F n 1e-12 < 1`` for an
     n x n input, needs no check of its own: under ``SCHUR_BOUND`` its left
@@ -183,11 +186,15 @@ def _schur_inv(m: np.ndarray) -> None:
     """Overwrite the Hermitian ``m`` with ``inv(m)`` by halves: ``S = D - B^H A^-1 B`` and both halves the same way.
 
     With ``m = [[A, B], [B^H, D]]`` and ``W = A^-1 B``, the inverse is
-    ``[[A^-1 - X12 W^H, X12], [X12^H, S^-1]]`` with ``X12 = -W S^-1``.  In
-    order: ``A <- A^-1``, ``D -= B^H W``, ``D <- S^-1``, ``B <- X12``,
-    ``A -= X12 W^H``, and the lower-left block, never read, ``<- X12^H``.
-    A leaf raises LinAlgError unless ``cholesky`` finds it positive
-    definite, and is then overwritten by ``inv``.
+    ``[[A^-1 - X12 W^H, X12], [X12^H, S^-1]]`` with ``X12 = -W S^-1``.  The
+    lower-left block is never read, so it holds ``W^H = B^H A^-1`` and then
+    ``X12^H``, and no block is allocated beside ``m``.  In order:
+    ``A <- A^-1``, ``W^H <- B^H A^-1``, ``D -= W^H B``, ``D <- S^-1``,
+    ``B <- X12 = -(W^H)^H D``, ``A -= X12 W^H``, ``W^H <- X12^H``.  The two
+    updates have a Hermitian result, so ``_sub_hermitian_product`` forms
+    only their lower block triangle and mirrors it.  A leaf raises
+    LinAlgError unless ``cholesky`` finds it positive definite, and is then
+    overwritten by ``inv``.
     """
     n = m.shape[0]
     if n <= SCHUR_LEAF:
@@ -195,15 +202,50 @@ def _schur_inv(m: np.ndarray) -> None:
         m[...] = np.linalg.inv(m)
         return
     h = n // 2
-    a, b, d = m[:h, :h], m[:h, h:], m[h:, h:]
+    a, b, d, w_h = m[:h, :h], m[:h, h:], m[h:, h:], m[h:, :h]
     _schur_inv(a)
-    w = a @ b
-    d -= b.conj().T @ w
+    np.matmul(b.conj().T, a, out=w_h)
+    _sub_hermitian_product(d, w_h, b)
     _schur_inv(d)
-    x12 = np.matmul(w, d, out=b)
+    x12 = np.matmul(w_h.conj().T, d, out=b)
     np.negative(x12, out=x12)
-    a -= x12 @ w.conj().T
-    m[h:, :h] = x12.conj().T
+    _sub_hermitian_product(a, x12, w_h)
+    w_h[...] = x12.conj().T
+
+
+#: Rows of a Hermitian result formed, or mirrored, at a time.
+_HERMITIAN_BLOCK_ROWS = 64
+
+
+def _sub_hermitian_product(t: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """``t -= u @ v`` in place, for a product known to be Hermitian, in half the products.
+
+    Rows are formed ``_HERMITIAN_BLOCK_ROWS`` at a time, each only up to the
+    end of its own diagonal block, so the largest temporary is block x n;
+    ``_mirror_lower`` then writes the strict upper triangle, and ``t`` comes
+    out exactly Hermitian.
+    """
+    n = t.shape[0]
+    for start in range(0, n, _HERMITIAN_BLOCK_ROWS):
+        stop = min(start + _HERMITIAN_BLOCK_ROWS, n)
+        t[start:stop, :stop] -= u[start:stop] @ v[:, :stop]
+    _mirror_lower(t)
+
+
+def _mirror_lower(m: np.ndarray) -> None:
+    """Overwrite the strict upper triangle of the square ``m`` with the conjugate of its strict lower.
+
+    It works ``_HERMITIAN_BLOCK_ROWS`` rows at a time: the part right of
+    each row block's diagonal block is one transposed copy, and inside the
+    diagonal block the upper triangle is copied from the lower by index.
+    """
+    n = m.shape[0]
+    for start in range(0, n, _HERMITIAN_BLOCK_ROWS):
+        stop = min(start + _HERMITIAN_BLOCK_ROWS, n)
+        m[start:stop, stop:] = m[stop:, start:stop].conj().T
+        diag = m[start:stop, start:stop]
+        upper = np.triu_indices(stop - start, 1)
+        diag[upper] = diag.T[upper].conj()
 
 
 def _normal_eq_pinv(m: np.ndarray) -> np.ndarray | None:

@@ -289,10 +289,12 @@ def test_zf_falls_back_when_the_cholesky_factor_is_too_ill_conditioned():
 
 
 def test_zf_falls_back_when_repeated_pilots_leave_the_pilot_block_short_of_rank():
-    P = cgauss(9, 6, 1.0, RngStream(70, 0))
+    P = cgauss(9, 6, 1.0, RngStream(70, 10))
     P[[1, 3, 5, 7]] = P[[0, 2, 4, 6]]  # four users share a pilot with another: rank 5 < L = 6
     # the Gram's zero eigenvalue rounds to about eps, so cholesky succeeds and R looks only
-    # moderately ill conditioned; the bound holds unsquared and fails squared
+    # moderately ill conditioned; the bound holds unsquared and fails squared.  The sign of
+    # that rounding depends on the BLAS kernel set: this draw rounds it positive under the
+    # SkylakeX, Haswell and Sandybridge sets (tests/test_blas_kernels.py runs it under each)
     R = np.linalg.cholesky(P.conj().T @ P)
     cond_R = np.linalg.norm(R) * np.linalg.norm(np.linalg.inv(R))
     assert cond_R * 6 * np.finfo(float).eps < 1e-4 < cond_R**2 * 9 * np.finfo(float).eps

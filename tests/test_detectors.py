@@ -18,6 +18,7 @@ from pdrslink.detectors import (
 from pdrslink.harness import STAGE_TABLE
 from pdrslink.linalg import SCHUR_LEAF, pinv
 from pdrslink.metrics import complexity_model, pinv_mults
+from pdrslink.linalg import process_blas
 from pdrslink.scenario import (
     ActivityPattern,
     PdrsCodebook,
@@ -28,6 +29,7 @@ from pdrslink.scenario import (
     synth_frame,
     synth_pool,
 )
+from test_blas_kernels import FULL_PRODUCT_BIT_KERNELS, correlation_keeps_full_bits, loaded_kernel
 
 
 def build(seed=1, **kw):
@@ -345,9 +347,11 @@ def test_fpr_gram_pinv_is_real_and_consistent():
 
 
 def test_fpr_gram_pinv_squared_in_place_equals_the_power_bit_for_bit():
-    cfg, pool, cb, act, frame = build(seed=11, N=40)
-    expected = pinv(np.abs(pool.P @ pool.P.conj().T) ** 2)
-    assert np.array_equal(fpr_gram_pinv(pool), expected)
+    cfg, pool, cb, act, frame = build(seed=11, N=40)  # one row block of the Gram, one Schur leaf
+    G = np.abs(pool.P.conj() @ pool.P.T) ** 2
+    upper = np.triu_indices(pool.n_pilots, 1)
+    G[upper] = G.T[upper]  # the strict lower triangle mirrored, as the Gram is built on any kernel set
+    assert np.array_equal(fpr_gram_pinv(pool), pinv(G))
 
 
 def test_fpr_gram_pinv_stays_off_the_eigh_and_svd_paths(monkeypatch):
@@ -399,7 +403,7 @@ def test_fpr_gram_pinv_of_a_duplicated_pool_takes_one_svd(monkeypatch):
     assert len(calls) == 1
     assert len(runs) == 1  # the fallback goes straight to pinv's LU, then its SVD
     assert gram.dtype == np.float64
-    G = np.abs(dup.P @ dup.P.conj().T) ** 2
+    G = detectors._squared_gram(dup)
     assert np.linalg.matrix_rank(gram) == np.linalg.matrix_rank(G) < dup.n_pilots
     # the failed in-place attempt leaves no trace: the Gram is formed again for pinv
     assert np.array_equal(gram, pinv(G))
@@ -407,7 +411,7 @@ def test_fpr_gram_pinv_of_a_duplicated_pool_takes_one_svd(monkeypatch):
 
 def test_fpr_gram_pinv_over_the_schur_bound_returns_lu_of_the_formed_gram(monkeypatch):
     cfg, pool, cb, act, frame = build(seed=10, N=200, L=24)
-    G = np.abs(pool.P @ pool.P.conj().T) ** 2
+    G = detectors._squared_gram(pool)
     buffers = []
     schur_pinv = detectors._schur_pinv
 
@@ -434,8 +438,9 @@ def test_fpr_gram_pinv_is_read_only():
 
 
 def test_the_anchor_gram_build_peaks_below_two_n_by_n_float_arrays():
-    # the Gram is formed and inverted in one N x N float64 buffer; an N x N
-    # complex product, or an inverse formed beside the Gram, reaches the limit
+    # the Gram is formed and inverted in one N x N float64 buffer, with temporaries of a few
+    # rows only; a row block formed across all N columns, or an h x h array beside the
+    # buffer in the Schur recursion, reaches the limit
     pool = synth_pool(SystemConfig())  # the anchor pool: N = 1000 pilots of length L = 96
     N = pool.n_pilots
     tracemalloc.start()
@@ -445,13 +450,21 @@ def test_the_anchor_gram_build_peaks_below_two_n_by_n_float_arrays():
     finally:
         tracemalloc.stop()
     assert gram.shape == (N, N)
-    assert peak < 2 * N**2 * 8
+    assert peak < 1.2 * N**2 * 8
 
 
 @pytest.mark.parametrize(
     "M, blocks, extra, zero",
-    [(16, 0, 100, False), (16, 1, 0, False), (16, 1, 1, False), (16, 2, 1, False), (1, 1, 1, False), (16, 1, 1, True)],
-    ids=["below the block", "one block", "one past the block", "two blocks and one", "M=1", "zero Z"],
+    [
+        (16, 0, 100, False),
+        (16, 1, 0, False),
+        (16, 1, 1, False),
+        (16, 2, 1, False),
+        (1, 1, 1, False),
+        (16, 1, 1, True),
+        (128, 3, 232, False),
+    ],
+    ids=["below the block", "one block", "one past the block", "two blocks and one", "M=1", "zero Z", "anchor M and N"],
 )
 def test_correlation_powers_equal_those_of_the_full_product_bit_for_bit(M, blocks, extra, zero):
     N = blocks * detectors._CORRELATION_BLOCK + extra
@@ -460,15 +473,24 @@ def test_correlation_powers_equal_those_of_the_full_product_bit_for_bit(M, block
     if zero:
         Z[:] = 0.0  # BOMP's residual once the selected pilots span C^L
     P = rng.standard_normal((N, 12)) + 1j * rng.standard_normal((N, 12))
-    power = detectors._correlation_powers(Z, P)
-    assert np.array_equal(power.view(np.uint64), col_norms_sq(Z @ P.conj().T).view(np.uint64))
+    with process_blas().pinned():  # as run_sweep runs it: a threaded product splits otherwise
+        power = detectors._correlation_powers(Z, P)
+        full = col_norms_sq(Z @ P.conj().T)
+    if correlation_keeps_full_bits(M):
+        assert np.array_equal(power.view(np.uint64), full.view(np.uint64))
+    else:  # the kernel set rounds a pilot block's edge otherwise than the full product
+        assert np.linalg.norm(power - full) <= 1e-14 * np.linalg.norm(full)
 
 
 def test_the_anchor_squared_gram_is_the_conjugate_product_bit_for_bit_and_symmetric():
     pool = synth_pool(SystemConfig())  # the anchor pool, several row blocks long
     G = detectors._squared_gram(pool)
-    assert np.array_equal(G, np.abs(pool.P @ pool.P.conj().T) ** 2)
-    assert np.array_equal(G, G.T)
+    assert np.array_equal(G, G.T)  # by construction, on any kernel set
+    full = np.abs(pool.P @ pool.P.conj().T) ** 2
+    if loaded_kernel() in FULL_PRODUCT_BIT_KERNELS:
+        assert np.array_equal(G, full)
+    else:  # the full product need not even be symmetric here
+        assert np.linalg.norm(G - full) <= 1e-14 * np.linalg.norm(full)
 
 
 @pytest.mark.parametrize("name", ["bomp", "fpr"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdrslink import linalg
+from pdrslink import detectors, linalg
 from pdrslink.detectors import fpr_gram_pinv
 from pdrslink.linalg import BlasThreads, NORMAL_EQ_BOUND, SCHUR_BOUND, SCHUR_LEAF
 from pdrslink.linalg import as_cmatrix, orthonormal_step, pinv
@@ -291,7 +291,8 @@ def test_the_hermitian_rule_is_as_accurate_as_the_svd(monkeypatch, n, real):
 
 
 def schur_inv_reference(m):
-    """The Hermitian rule as it was before it worked in place: each level's blocks in new arrays."""
+    """The Hermitian rule with each level's blocks in new arrays: ``W^H`` formed once, and each
+    Hermitian update by row blocks over its lower block triangle, then mirrored."""
     n = m.shape[0]
     if n <= SCHUR_LEAF:
         np.linalg.cholesky(m)
@@ -299,10 +300,23 @@ def schur_inv_reference(m):
     h = n // 2
     a_inv = schur_inv_reference(m[:h, :h])
     b = m[:h, h:]
-    w = a_inv @ b
-    s_inv = schur_inv_reference(m[h:, h:] - b.conj().T @ w)
-    x12 = -w @ s_inv
-    return np.block([[a_inv - x12 @ w.conj().T, x12], [x12.conj().T, s_inv]])
+    w_h = b.conj().T @ a_inv
+    s_inv = schur_inv_reference(hermitian_difference_reference(m[h:, h:], w_h, b))
+    x12 = -(w_h.conj().T @ s_inv)
+    return np.block([[hermitian_difference_reference(a_inv, x12, w_h), x12], [x12.conj().T, s_inv]])
+
+
+def hermitian_difference_reference(t, u, v):
+    """``t - u @ v`` in a new array, for a Hermitian result: the row blocks up to their diagonal
+    block, and the strict upper triangle the conjugate of the strict lower."""
+    n, rows = t.shape[0], linalg._HERMITIAN_BLOCK_ROWS
+    out = t.copy()
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        out[start:stop, :stop] = t[start:stop, :stop] - u[start:stop] @ v[:, :stop]
+    upper = np.triu_indices(n, 1)
+    out[upper] = out.T[upper].conj()
+    return out
 
 
 def shifted_hermitian(n, rng, real=False):
@@ -327,7 +341,7 @@ def test_the_in_place_hermitian_rule_is_the_allocating_one_bit_for_bit(n, real):
 
 def test_the_anchor_fpr_gram_takes_the_hermitian_rule(monkeypatch):
     pool = synth_pool(SystemConfig())  # the anchor pool: N = 1000 pilots of length L = 96
-    G = np.abs(pool.P @ pool.P.conj().T) ** 2
+    G = detectors._squared_gram(pool)
     assert G.shape == (1000, 1000) and np.array_equal(G, G.T)
     cholesky, inv, svd = (call_sizes(monkeypatch, name) for name in ("cholesky", "inv", "svd"))
     gram = fpr_gram_pinv(pool)
