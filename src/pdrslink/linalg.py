@@ -222,8 +222,9 @@ def _sub_hermitian_product(t: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
 
     Rows are formed ``_HERMITIAN_BLOCK_ROWS`` at a time, each only up to the
     end of its own diagonal block, so the largest temporary is block x n;
-    ``_mirror_lower`` then writes the strict upper triangle, and ``t`` comes
-    out exactly Hermitian.
+    ``_mirror_lower`` then writes the strict upper triangle, so ``t``'s
+    off-diagonal entries come out exactly Hermitian (a real ``t`` exactly
+    symmetric).
     """
     n = t.shape[0]
     for start in range(0, n, _HERMITIAN_BLOCK_ROWS):
