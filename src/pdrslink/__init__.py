@@ -21,7 +21,6 @@ from .harness import (
     parse_config,
     run_point,
     run_sweep,
-    run_trial,
 )
 from .linalg import pinv
 from .metrics import (
@@ -71,7 +70,6 @@ __all__ = [
     "parse_config",
     "run_point",
     "run_sweep",
-    "run_trial",
     "pinv",
     "ComplexityModel",
     "TrialMetrics",

@@ -2,18 +2,23 @@
 
 Verbs: ``sweep`` runs a Monte-Carlo sweep and emits CSV, ``detect`` scores
 one detector on a stored frame, ``complexity`` prints the modeled/counted
-multiplication ledger, ``lemma-check`` runs the numerical verification
-suites, and ``gen-frame`` writes a frame container to disk.
+multiplication ledger of a one-trial ``run_point``, ``lemma-check`` runs the
+numerical verification suites, and ``gen-frame`` writes trial 0's frame to
+disk.  Every verb runs with the BLAS pinned to one thread, as a sweep does.
 """
 
 import argparse
+import contextlib
+import io
+import math
 import sys
 from dataclasses import replace
 
 from . import frameio, harness
 from .detectors import fpr_gram_pinv
+from .linalg import process_blas
 from .metrics import complexity_model, detection_metrics
-from .scenario import SystemConfig, synth_codebook, synth_frame, synth_pool
+from .scenario import SystemConfig, draw_trial, synth_codebook, synth_pool
 
 __all__ = ["main"]
 
@@ -79,10 +84,15 @@ def _cmd_complexity(args) -> int:
     cfg = _load_config(args)
     norm = cfg.K**3
 
-    pool, codebook = synth_pool(cfg), synth_codebook(cfg)
     # one row per stage, run as the detector of its name; the name keys its complexity model
-    trial = harness.run_trial(cfg, pool, codebook, fpr_gram_pinv(pool), 0, list(harness.STAGE_TABLE))
-    counted = {name: m.mult_count for name, m in trial.items()}
+    with contextlib.redirect_stderr(io.StringIO()) as notes:
+        rows = harness.run_point(replace(cfg, trials=1), list(harness.STAGE_TABLE))
+    if math.isnan(rows[0].wall_clock_ms):  # trial 0 failed, so every row of the point did
+        line = next(ln for ln in notes.getvalue().splitlines() if ln.startswith("sweep point "))
+        print(f"error: {line.partition('; first: ')[2]}", file=sys.stderr)
+        return 2
+    sys.stderr.write(notes.getvalue())
+    counted = {row.detector: row.counted_mults for row in rows}
     models = {name: complexity_model(cfg, name) for name in counted}
 
     print(
@@ -130,7 +140,7 @@ def _cmd_lemma_check(args) -> int:
 def _cmd_gen_frame(args) -> int:
     cfg = _load_config(args)
     pool, codebook = synth_pool(cfg), synth_codebook(cfg)
-    frame = synth_frame(cfg, pool, codebook, 0)
+    frame = draw_trial(cfg, pool, codebook, 0).frame(cfg.sigma2)
     frameio.save_frame(args.out, frame, pool, codebook)
     print(
         f"wrote {args.out}: M={cfg.M} N={cfg.N} L={cfg.L} l={cfg.l} "
@@ -183,7 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # every verb runs on one BLAS thread, as a sweep does, so no output depends on the count
+        with process_blas().pinned():
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

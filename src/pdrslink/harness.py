@@ -11,8 +11,9 @@ it draws once per ``scenario.draw_key`` and forms each point's frame from
 that draw, a detection stage runs once per frame, a (combiner, support)
 pair is combined and scored once per frame, and a detected support's pilot
 pseudo-inverse (for a wide estimate, its Cholesky factor) is formed once per
-trial, all in ``_trial_at_points``, which ``run_sweep`` maps over the trials
-and ``run_trial`` calls at one point.
+trial, all in ``_trial_at_points``, which ``run_sweep`` maps over the trials.
+``run_sweep`` and its one-value form ``run_point`` are the only ways to run
+a trial.
 ``STAGE_TABLE`` says how each detection method runs, and ``DETECTOR_TABLE``
 pairs one with a combiner to make each detector.
 """
@@ -64,7 +65,6 @@ __all__ = [
     "LemmaReport",
     "worker_count",
     "parse_config",
-    "run_trial",
     "run_point",
     "run_sweep",
     "emit_csv",
@@ -284,33 +284,6 @@ def _spec(name: str) -> DetectorSpec:
     return DETECTOR_TABLE[name]
 
 
-def run_trial(
-    cfg: SystemConfig,
-    pool: PilotPool,
-    codebook: PdrsCodebook,
-    gram_pinv: np.ndarray | None,
-    trial_index: int,
-    detectors: list[str],
-) -> dict[str, TrialMetrics]:
-    """Score every requested detector on trial ``trial_index``, by ``_trial_at_points`` at one point.
-
-    The frame depends only on (cfg.seed, trial_index), never on the detector
-    list, so adding a detector to a sweep does not move any other detector's
-    numbers.  Each distinct detection stage runs once, and each distinct
-    (combiner, detected support) is combined and scored once; every detector
-    that shares one is charged its full time in ``wall_ms`` and keeps its own
-    ``mult_count``.  A failure raises RuntimeError naming the trial and the
-    step that raised: ``trial <t>, synthesis: <msg>``, or ``trial <t>,
-    detector <name>, <step>: <msg>`` with step detect, combine, score, demod
-    or sinr.
-    """
-    specs = {name: _spec(name) for name in detectors}
-    (result,) = _trial_at_points(pool, gram_pinv, specs, [(codebook, [(0, cfg)])], trial_index)
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def _score_frame(
     cfg: SystemConfig,
     pool: PilotPool,
@@ -405,8 +378,15 @@ def _trial_at_points(
     is scored.  The trial's ``pilot_pinvs`` memo forms each detected
     support's ``support_inverse`` once, for every point and
     group; an entry used at the trial's last point leaves it there, and the
-    rest is freed when the trial returns.  A failed draw is the error of
-    each of its group's points.
+    rest is freed when the trial returns.
+
+    The frames depend only on (seed, trial_index), never on ``specs``.  A
+    point's error is a RuntimeError naming the trial and the step that
+    raised: ``trial <t>, synthesis: <msg>``, or ``trial <t>, detector <name>,
+    <step>: <msg>`` with step detect, combine, score, demod or sinr; a
+    failed draw is the error of each of its group's points.  ``run_sweep``
+    forms ``gram_pinv`` whenever a stage needs it, so only a direct call can
+    hand ``fpr`` a None Gram, which fails its detect step.
     """
     out: list[dict[str, TrialMetrics] | Exception] = [None] * sum(len(ps) for _, ps in groups)
     pilot_pinvs: dict[bytes, tuple[object, float]] = {}

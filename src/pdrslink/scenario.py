@@ -25,8 +25,9 @@ drawn at every SNR, infinite SNR included, as the last draws of the stream;
 a frame adds ``noise * sqrt(sigma2)`` only when ``sigma2 > 0``.  So the
 frames of one trial at different SNRs share every draw, and a sweep draws
 once per trial and ``draw_key`` and forms each point's frame in new arrays.
-Only ``draw_frame``, ``draw_trial`` and ``synth_*`` map keys to draws, and
-``draw_frame`` fixes the order after the active set.
+Only ``synth_pool``, ``synth_codebook`` and ``draw_trial`` map keys to
+draws, and ``draw_frame`` fixes the order after the active set; trial t's
+frame at a noise power is ``draw_trial(cfg, pool, codebook, t).frame(sigma2)``.
 """
 
 import math
@@ -61,7 +62,6 @@ __all__ = [
     "synth_codebook",
     "draw_key",
     "draw_trial",
-    "synth_frame",
 ]
 
 PDRS_MODES = ("gaussian", "orthogonal-reuse")
@@ -73,6 +73,9 @@ QPSK_POINTS = np.array(
 ) * np.sqrt(0.5)
 
 _ROW_NORM_TOL = 1e-10
+
+#: The longest array axis numpy takes.
+_MAX_AXIS = int(np.iinfo(np.intp).max)
 
 POOL_STREAM = 0
 CODEBOOK_STREAM = 1
@@ -180,6 +183,10 @@ class SystemConfig:
                     raise ValueError(f"{f.name} takes real numbers, got {value!r}")
                 value = float(value)
             object.__setattr__(self, f.name, value)
+        for name in ("M", "N", "L", "l", "D"):  # each sizes an array axis
+            if getattr(self, name) > _MAX_AXIS:
+                raise ValueError(f"{name} sizes an array axis, so must be <= {_MAX_AXIS}, "
+                                 f"got {getattr(self, name)}")
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
         if not 1 <= self.K <= self.N:
@@ -504,10 +511,3 @@ def draw_trial(cfg: SystemConfig, pool: PilotPool, codebook: PdrsCodebook, t: in
     rng = RngStream(cfg.seed, TRIAL_STREAM_BASE + t)
     activity = sample_activity(cfg, rng)
     return draw_frame(cfg, pool, codebook, activity, rng)
-
-
-def synth_frame(
-    cfg: SystemConfig, pool: PilotPool, codebook: PdrsCodebook, t: int
-) -> ReceivedFrame:
-    """Trial ``t``'s frame at ``cfg.sigma2``: ``draw_trial``, then its frame."""
-    return draw_trial(cfg, pool, codebook, t).frame(cfg.sigma2)

@@ -25,8 +25,8 @@ from pdrslink.scenario import (
     SystemConfig,
     assemble_frame,
     sample_activity,
+    draw_trial,
     synth_codebook,
-    synth_frame,
     synth_pool,
 )
 
@@ -181,7 +181,7 @@ def test_criterion_8_complexity_ledger(capsys):
     models = {name: complexity_model(cfg, name) for name in ("pdrs", "bomp", "fpr")}
 
     pool, cb = synth_pool(cfg), synth_codebook(cfg)
-    frame = synth_frame(cfg, pool, cb, 0)
+    frame = draw_trial(cfg, pool, cb, 0).frame(cfg.sigma2)
     counted = {
         "pdrs": detect_pdrs_dwe(frame, pool, cb, cfg.zeta, cfg.svd_cost).mults,
         "bomp": detect_bomp(frame, pool, cfg.zeta, cfg.svd_cost).mults,
@@ -222,7 +222,7 @@ def test_criterion_9_combined_ser_equivalence(capsys):
     worst_weight_gap = 0.0
     boundary_ok = True
     for t in range(cfg.trials):
-        frame = synth_frame(cfg, pool, cb, t)
+        frame = draw_trial(cfg, pool, cb, t).frame(cfg.sigma2)
         res = detect_pdrs_dwe(frame, pool, cb, cfg.zeta)
         assert np.linalg.matrix_rank(pool.P[res.detected]) == cfg.L
         direct = dwe_weights(frame, pool, res.detected, y_pinv=res.y_pinv)

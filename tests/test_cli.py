@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from pdrslink import harness
+from pdrslink import cli, frameio, harness
 from pdrslink.cli import main
 from pdrslink.frameio import _HEADER, MAGIC
 from pdrslink.harness import (
@@ -17,6 +17,7 @@ from pdrslink.harness import (
     parse_config,
     run_point,
 )
+from pdrslink.linalg import process_blas
 from pdrslink.metrics import complexity_model
 
 SMALL_CFG = """
@@ -239,6 +240,62 @@ def test_complexity_counts_what_a_one_trial_point_counts(cfg_file, tmp_path, cap
         counted = {row["detector"]: int(row["counted_mults"]) for row in csv.DictReader(fh)}
     rows = run_point(replace(parse_config(cfg_file), trials=1), list(STAGE_TABLE))
     assert counted == {row.detector: row.counted_mults for row in rows}
+
+
+def test_a_failed_ledger_trial_exits_2_naming_the_detector_and_step(cfg_file, capsys, monkeypatch):
+    def boom(*a, **kw):
+        raise ValueError("synthetic failure")
+
+    monkeypatch.setattr(harness, "detect_bomp", boom)
+    assert main(["complexity", "--config", cfg_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: trial 0, detector bomp, detect: synthetic failure\n"
+
+
+def test_complexity_reads_pdrs_threads_as_a_sweep_does(cfg_file, capsys, monkeypatch):
+    monkeypatch.setenv("PDRS_THREADS", "0")
+    assert main(["complexity", "--config", cfg_file]) == 2
+    assert capsys.readouterr().err == "error: PDRS_THREADS must be >= 1, got 0\n"
+
+
+#: Where each verb first calls the library: ``sweep`` and ``complexity`` reach
+#: ``harness.synth_pool`` inside ``run_sweep``, ``gen-frame`` calls ``synth_pool``
+#: itself, ``detect`` loads its frame and ``lemma-check`` runs its suites.
+FIRST_LIBRARY_CALLS = [
+    (cli, "synth_pool"), (harness, "synth_pool"), (frameio, "load_frame"), (harness, "lemma_check"),
+]
+
+
+@pytest.mark.skipif(process_blas().symbol is None, reason="numpy's BLAS exports no known thread setter")
+@pytest.mark.parametrize("verb", ["sweep", "detect", "complexity", "gen-frame", "lemma-check"])
+def test_every_verb_calls_the_library_with_blas_on_one_thread(verb, cfg_file, tmp_path, capsys, monkeypatch):
+    frame_path = str(tmp_path / "one.pdrs")
+    assert main(["gen-frame", "--config", cfg_file, "--out", frame_path]) == 0
+    argv = {
+        "sweep": ["sweep", "--config", cfg_file, "--values", "10", "--detectors", "fpr"],
+        "detect": ["detect", "--frame", frame_path, "--detector", "fpr"],
+        "complexity": ["complexity", "--config", cfg_file],
+        "gen-frame": ["gen-frame", "--config", cfg_file, "--out", frame_path],
+        "lemma-check": ["lemma-check", "--iterations", "1"],
+    }[verb]
+    blas = process_blas()
+    seen = []
+    for module, name in FIRST_LIBRARY_CALLS:
+        original = getattr(module, name)
+
+        def recorded(*args, _original=original, **kwargs):
+            seen.append(blas.threads())
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+    before = blas.threads()
+    blas._set(2)  # more than one, so an unpinned call shows on any machine
+    try:
+        assert main(argv) == 0
+    finally:
+        blas._set(before)
+    assert seen[:1] == [1]
 
 
 def test_lemma_check_verb(capsys):

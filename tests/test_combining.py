@@ -17,7 +17,7 @@ from pdrslink.combining import (
 from pdrslink.detectors import detect_pdrs_dwe
 from pdrslink.linalg import DEFAULT_PINV_RTOL_SCALE, pinv
 from pdrslink.scenario import RngStream, cgauss
-from pdrslink.scenario import QPSK_POINTS, SystemConfig, synth_codebook, synth_frame, synth_pool
+from pdrslink.scenario import QPSK_POINTS, SystemConfig, draw_trial, synth_codebook, synth_pool
 
 
 def build(seed=1, **kw):
@@ -25,7 +25,7 @@ def build(seed=1, **kw):
     base.update(kw)
     cfg = SystemConfig(**base)
     pool, cb = synth_pool(cfg), synth_codebook(cfg)
-    frame = synth_frame(cfg, pool, cb, 0)
+    frame = draw_trial(cfg, pool, cb, 0).frame(cfg.sigma2)
     return cfg, pool, cb, frame.ground_truth, frame
 
 

@@ -25,8 +25,8 @@ from pdrslink.scenario import (
     PilotPool,
     ReceivedFrame,
     SystemConfig,
+    draw_trial,
     synth_codebook,
-    synth_frame,
     synth_pool,
 )
 from test_blas_kernels import FULL_PRODUCT_BIT_KERNELS, correlation_keeps_full_bits, loaded_kernel
@@ -37,7 +37,7 @@ def build(seed=1, **kw):
     base.update(kw)
     cfg = SystemConfig(**base)
     pool, cb = synth_pool(cfg), synth_codebook(cfg)
-    frame = synth_frame(cfg, pool, cb, 0)
+    frame = draw_trial(cfg, pool, cb, 0).frame(cfg.sigma2)
     return cfg, pool, cb, frame.ground_truth, frame
 
 
@@ -227,7 +227,7 @@ def test_bomp_matches_pinv_reference_at_anchor(snr_db):
     pool, cb = synth_pool(cfg), synth_codebook(cfg)
     model = complexity_model(cfg, "bomp").detect_mults
     for t in range(cfg.trials):
-        frame = synth_frame(cfg, pool, cb, t)
+        frame = draw_trial(cfg, pool, cb, t).frame(cfg.sigma2)
         res = detect_bomp(frame, pool, cfg.zeta, cfg.svd_cost)
         assert np.array_equal(res.detected, bomp_pinv_reference(frame.Y, pool.P, cfg.zeta))
         assert res.mults == model
@@ -498,7 +498,7 @@ def test_an_anchor_detection_peaks_below_one_m_by_n_complex_array(name):
     # correlating the pool block by block never forms the M x N product
     cfg = SystemConfig()
     pool, cb = synth_pool(cfg), synth_codebook(cfg)
-    frame = synth_frame(cfg, pool, cb, 0)
+    frame = draw_trial(cfg, pool, cb, 0).frame(cfg.sigma2)
     gram = fpr_gram_pinv(pool) if name == "fpr" else None
     tracemalloc.start()
     try:
@@ -601,7 +601,7 @@ def test_aggressive_support_contains_actives_noiseless():
 def test_a_nan_in_the_frame_is_never_ranked(name, block):
     cfg = SystemConfig(M=16, N=32, L=12, l=4, K=8, zeta=6, snr_db=12.0, D=0, trials=1, seed=3)
     pool, cb = synth_pool(cfg), synth_codebook(cfg)
-    frame = synth_frame(cfg, pool, cb, 0)
+    frame = draw_trial(cfg, pool, cb, 0).frame(cfg.sigma2)
     bad = getattr(frame, block).copy()
     bad[0, 0] = np.nan
     poisoned = replace(frame, **{block: bad})

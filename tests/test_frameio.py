@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdrslink.frameio import _HEADER, MAGIC, MAGIC_V1, load_frame, save_frame
-from pdrslink.scenario import PDRS_MODES, SystemConfig, synth_codebook, synth_frame, synth_pool
+from pdrslink.scenario import PDRS_MODES, SystemConfig, draw_trial, synth_codebook, synth_pool
 
 
 def make_frame(seed=9, **kw):
@@ -14,7 +14,7 @@ def make_frame(seed=9, **kw):
     base.update(kw)
     cfg = SystemConfig(**base)
     pool, cb = synth_pool(cfg), synth_codebook(cfg)
-    return synth_frame(cfg, pool, cb, 0), pool, cb
+    return draw_trial(cfg, pool, cb, 0).frame(cfg.sigma2), pool, cb
 
 
 def test_round_trip_bitwise(tmp_path):

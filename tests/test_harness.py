@@ -31,7 +31,6 @@ from pdrslink.harness import (
     lemma_check,
     parse_config,
     run_point,
-    run_trial,
     worker_count,
 )
 from pdrslink.linalg import BlasThreads, process_blas
@@ -40,7 +39,6 @@ from pdrslink.scenario import (
     SystemConfig,
     draw_trial,
     synth_codebook,
-    synth_frame,
     synth_pool,
 )
 
@@ -74,37 +72,40 @@ def _stable_fields(row: ResultRow):
     )
 
 
-def test_run_trial_is_deterministic():
+def trial_at_one_point(cfg, t, detectors, gram_pinv=None):
+    """Trial ``t`` of ``cfg`` at its one point, by ``harness._trial_at_points``; raises its error."""
+    specs = {name: DETECTOR_TABLE[name] for name in detectors}
+    groups = [(synth_codebook(cfg), [(0, cfg)])]
+    (result,) = harness._trial_at_points(synth_pool(cfg), gram_pinv, specs, groups, t)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def test_a_trial_is_deterministic():
     cfg = small_cfg()
-    pool, cb = synth_pool(cfg), synth_codebook(cfg)
-    a = run_trial(cfg, pool, cb, None, 3, ["pdrs"])["pdrs"]
-    b = run_trial(cfg, pool, cb, None, 3, ["pdrs"])["pdrs"]
+    a = trial_at_one_point(cfg, 3, ["pdrs"])["pdrs"]
+    b = trial_at_one_point(cfg, 3, ["pdrs"])["pdrs"]
     assert (a.miss, a.false_pos, a.sym_errors) == (b.miss, b.false_pos, b.sym_errors)
     assert np.array_equal(a.post_sinr_db, b.post_sinr_db)
 
 
 def test_trial_frame_independent_of_detector_list():
     cfg = small_cfg()
-    pool, cb = synth_pool(cfg), synth_codebook(cfg)
-    alone = run_trial(cfg, pool, cb, None, 0, ["pdrs"])["pdrs"]
-    paired = run_trial(cfg, pool, cb, None, 0, ["pdrs", "oracle"])["pdrs"]
-    assert (alone.miss, alone.false_pos, alone.sym_errors) == (
-        paired.miss,
-        paired.false_pos,
-        paired.sym_errors,
-    )
+    (alone,) = run_point(cfg, ["pdrs"])
+    paired, _ = run_point(cfg, ["pdrs", "oracle"])
+    assert _stable_fields(alone) == _stable_fields(paired)
 
 
 def test_trial_errors_carry_the_trial_index(monkeypatch):
     cfg = small_cfg()
-    pool, cb = synth_pool(cfg), synth_codebook(cfg)
 
     def boom(*a, **kw):
         raise ValueError("synthetic failure")
 
     monkeypatch.setattr(harness, "detect_pdrs_dwe", boom)
     with pytest.raises(RuntimeError, match=r"^trial 7, detector pdrs, detect: synthetic failure$"):
-        run_trial(cfg, pool, cb, None, 7, ["pdrs"])
+        trial_at_one_point(cfg, 7, ["pdrs"])
 
 
 @pytest.mark.parametrize(
@@ -123,7 +124,6 @@ def test_trial_errors_carry_the_trial_index(monkeypatch):
 )
 def test_trial_errors_name_the_step_that_raised(monkeypatch, detector, target, step):
     cfg = small_cfg(snr_db=float("inf"), zeta=8)
-    pool, cb = synth_pool(cfg), synth_codebook(cfg)
 
     def boom(*a, **kw):
         raise ValueError("synthetic failure")
@@ -131,14 +131,13 @@ def test_trial_errors_name_the_step_that_raised(monkeypatch, detector, target, s
     monkeypatch.setattr(harness, target, boom)
     where = "synthesis" if step == "synthesis" else f"detector {detector}, {step}"
     with pytest.raises(RuntimeError, match=rf"^trial 3, {where}: synthetic failure$"):
-        run_trial(cfg, pool, cb, None, 3, [detector])
+        trial_at_one_point(cfg, 3, [detector])
 
 
 def test_a_missing_gram_fails_the_trial_and_names_it():
-    cfg = small_cfg()
-    pool, cb = synth_pool(cfg), synth_codebook(cfg)
+    # run_sweep forms the Gram whenever a stage needs it, so only a direct call can omit it
     with pytest.raises(RuntimeError, match=r"^trial 2, detector fpr, detect: gram_pinv"):
-        run_trial(cfg, pool, cb, None, 2, ["fpr"])
+        trial_at_one_point(small_cfg(), 2, ["fpr"])
 
 
 def test_run_point_schedule_invariance(monkeypatch):
@@ -152,9 +151,7 @@ def test_run_point_schedule_invariance(monkeypatch):
 
 def test_the_trial_path_makes_no_call_that_holds_the_interpreter_lock(monkeypatch):
     # zeta > L makes the least-squares pilot block tall, so every pinv rule but the SVD runs
-    cfg = small_cfg(zeta=12)
-    pool, cb = synth_pool(cfg), synth_codebook(cfg)
-    gram = harness.fpr_gram_pinv(pool)
+    cfg = small_cfg(zeta=12, trials=3)
     calls = []
     for name in ("qr", "solve", "det", "inv"):
         original = getattr(np.linalg, name)
@@ -164,8 +161,7 @@ def test_the_trial_path_makes_no_call_that_holds_the_interpreter_lock(monkeypatc
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    for t in range(3):
-        run_trial(cfg, pool, cb, gram, t, list(DETECTORS))
+    run_point(cfg, list(DETECTORS))
     assert calls.count("qr") == calls.count("solve") == calls.count("det") == 0
     assert "inv" in calls
 
@@ -369,7 +365,7 @@ FRAME_DRAW_DIGESTS_V2 = {
 @pytest.mark.parametrize("t", [0, 1])
 def test_trial_draws_are_pinned_by_the_determinism_contract(t):
     cfg = small_cfg()
-    frame = synth_frame(cfg, synth_pool(cfg), synth_codebook(cfg), t)
+    frame = draw_trial(cfg, synth_pool(cfg), synth_codebook(cfg), t).frame(cfg.sigma2)
     assert frame.H.shape == (cfg.M, cfg.K)
     digest = hashlib.sha256()
     for block in (frame.ground_truth.active, frame.H, frame.X_D):
@@ -546,7 +542,7 @@ def test_a_failed_point_leaves_the_other_points_of_its_sweep_alone(monkeypatch, 
     # the draw serves every point, so the failure sits in a per-point step: detection of
     # the 4 dB frame of every trial but trial 2, told apart by its active set
     pool, cb = synth_pool(cfg), synth_codebook(cfg)
-    actives = [synth_frame(cfg, pool, cb, t).ground_truth.active for t in range(4)]
+    actives = [draw_trial(cfg, pool, cb, t).ground_truth.active for t in range(4)]
     assert all(not np.array_equal(actives[t], actives[2]) for t in (0, 1, 3))
     detect = harness.detect_pdrs_dwe
 
@@ -843,9 +839,8 @@ def _pilot_pinv_lifetimes(monkeypatch):
 
 
 def test_a_one_point_trial_frees_its_pilot_pinv_before_zero_forcing(monkeypatch):
-    cfg = small_cfg()
     refs, alive_at_zf = _pilot_pinv_lifetimes(monkeypatch)
-    run_trial(cfg, synth_pool(cfg), synth_codebook(cfg), None, 0, ["oracle"])
+    run_point(small_cfg(trials=1), ["oracle"])
     assert len(refs) == 1
     assert alive_at_zf == [[False]]
 
@@ -881,10 +876,9 @@ def _pilot_factor_lifetimes(monkeypatch):
 
 def test_a_wide_estimate_holds_its_pilot_factor_through_zf_and_frees_it_with_trial(monkeypatch):
     # zeta > L: the memo holds the pilot block's factor, and ZF reads it
-    cfg = small_cfg(zeta=10)
     blocks = _pilot_pinv_calls(monkeypatch)
     refs, alive_at_zf, estimates = _pilot_factor_lifetimes(monkeypatch)
-    run_trial(cfg, synth_pool(cfg), synth_codebook(cfg), None, 0, ["pdrs-lszf"])
+    run_point(small_cfg(zeta=10, trials=1), ["pdrs-lszf"])
     assert blocks == []  # no pinv of the pilot block
     assert estimates == [LsEstimate]
     assert len(refs) == 1
@@ -921,9 +915,7 @@ def test_an_snr_sweep_forms_each_wide_supports_pilot_factor_once_per_trial(monke
 
 
 def test_an_overshoot_shaped_trial_inverts_no_wide_matrix(monkeypatch):
-    cfg = small_cfg(zeta=16)  # zeta > M >= L, as in overshoot-pdrs: the estimate H is M x zeta, wide
-    pool, cb = synth_pool(cfg), synth_codebook(cfg)
-    gram = fpr_gram_pinv(pool)
+    cfg = small_cfg(zeta=16, trials=3)  # zeta > M >= L, as in overshoot-pdrs: the estimate H is M x zeta, wide
     shapes = []
     for module in (harness, combining, detection):
         original = module.pinv
@@ -934,8 +926,7 @@ def test_an_overshoot_shaped_trial_inverts_no_wide_matrix(monkeypatch):
 
         monkeypatch.setattr(module, "pinv", recorded)
     # every detector that picks zeta users; oracle's K = 5 < L pilot rows are a wide block
-    for t in range(3):
-        run_trial(cfg, pool, cb, gram, t, ["pdrs", "pdrs-lszf", "bomp", "fpr"])
+    run_point(cfg, ["pdrs", "pdrs-lszf", "bomp", "fpr"])
     assert (cfg.M, cfg.L) in shapes  # pdrs's pinv(Y) and the factored ZF's B = Y R^-H
     assert [s for s in shapes if s[0] < s[1]] == []
     assert (cfg.zeta, cfg.L) not in shapes  # the zeta x L pilot block is factored, not inverted
@@ -951,7 +942,7 @@ def test_dwe_forms_weight_rows_only_for_the_users_it_scores(monkeypatch):
         return dwe(frame, pool, users, y_pinv=y_pinv)
 
     monkeypatch.setattr(harness, "dwe_weights", recorded)
-    run_trial(cfg, synth_pool(cfg), synth_codebook(cfg), None, 0, ["pdrs", "oracle-dwe"])
+    run_point(replace(cfg, trials=1), ["pdrs", "oracle-dwe"])
     (pdrs_users, active), (oracle_users, _) = given
     assert pdrs_users.size < cfg.zeta and np.all(np.isin(pdrs_users, active))
     assert np.array_equal(oracle_users, active)

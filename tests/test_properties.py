@@ -20,8 +20,8 @@ numbers were given as ints or as floats.  A config file of small
 or junk values is either rejected with a ValueError or synthesises a frame,
 and so is a sweep of repeated, fractional or non-finite values and repeated
 or unknown detectors: rejected, or one row per distinct value and detector.
-One trial's draw gives, at every noise power, the frame ``synth_frame`` gives
-at that SNR bit for bit, and a sweep over any variable gives the rows of
+One trial's draw gives, at every noise power, the frame that a new draw of
+the trial at that SNR gives, bit for bit, and a sweep over any variable gives the rows of
 its points run one by one.
 """
 
@@ -44,7 +44,6 @@ from pdrslink.scenario import (
     SystemConfig,
     draw_trial,
     synth_codebook,
-    synth_frame,
     synth_pool,
 )
 
@@ -76,7 +75,7 @@ def _frame(cfg, copies):
     for n in copies:
         P[n] = P[n - 1]
     pool, codebook = PilotPool(P), synth_codebook(cfg)
-    return synth_frame(cfg, pool, codebook, 0), pool, codebook
+    return draw_trial(cfg, pool, codebook, 0).frame(cfg.sigma2), pool, codebook
 
 
 def _assert_support(detected, size, N):
@@ -141,7 +140,7 @@ def dwe_cases(draw):
     )
     detected = draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=N, unique=True))
     pool = synth_pool(cfg)
-    return synth_frame(cfg, pool, synth_codebook(cfg), 0), pool, np.sort(detected)
+    return draw_trial(cfg, pool, synth_codebook(cfg), 0).frame(cfg.sigma2), pool, np.sort(detected)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -297,7 +296,7 @@ def test_a_config_file_is_rejected_or_synthesises_a_frame(tmp_path_factory, text
     except ValueError:
         return
     pool, codebook = synth_pool(cfg), synth_codebook(cfg)
-    synth_frame(cfg, pool, codebook, 0)
+    draw_trial(cfg, pool, codebook, 0).frame(cfg.sigma2)
 
 
 #: Sweep values: whole numbers, fractions, non-finite values and one so large
@@ -346,7 +345,7 @@ def test_a_draw_gives_the_synthesised_frame_at_every_snr(scenario, snrs, t):
     for snr_db in snrs:
         at = replace(cfg, snr_db=snr_db)
         got = draw.frame(at.sigma2)
-        want = synth_frame(at, pool, cb, t)
+        want = draw_trial(at, pool, cb, t).frame(at.sigma2)
         assert got.sigma2 == want.sigma2
         for name in ("Y_R", "Y", "Y_D", "H", "X_D"):
             a, b = getattr(got, name), getattr(want, name)

@@ -23,7 +23,6 @@ from pdrslink.scenario import (
     noise_power,
     sample_activity,
     synth_codebook,
-    synth_frame,
     synth_pool,
 )
 
@@ -90,6 +89,14 @@ def test_config_rejects_a_seed_outside_the_philox_key(seed):
     small_cfg(seed=2**64 - 1)
     with pytest.raises(ValueError, match=rf"^seed must satisfy 0 <= seed < 2\*\*64, got {seed}$"):
         small_cfg(seed=seed)
+
+
+@pytest.mark.parametrize("name", ["M", "N", "L", "l", "D"])
+def test_config_rejects_an_axis_longer_than_numpy_takes(name):
+    # else the config passes and the draw fails in numpy, naming no field
+    longest = np.iinfo(np.intp).max
+    with pytest.raises(ValueError, match=rf"^{name} sizes an array axis, so must be <= {longest}, got {2**64}$"):
+        small_cfg(**{name: 2**64})
 
 
 #: Every SystemConfig field declared int.
@@ -204,7 +211,7 @@ def test_activity_flags():
 
 def _frame(cfg):
     pool, cb = synth_pool(cfg), synth_codebook(cfg)
-    frame = synth_frame(cfg, pool, cb, 0)
+    frame = draw_trial(cfg, pool, cb, 0).frame(cfg.sigma2)
     return pool, cb, frame.ground_truth, frame
 
 
