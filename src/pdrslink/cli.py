@@ -196,8 +196,8 @@ def main(argv: list[str] | None = None) -> int:
         # every verb runs on one BLAS thread, as a sweep does, so no output depends on the count
         with process_blas().pinned():
             return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # a MemoryError may carry no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

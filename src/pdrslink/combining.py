@@ -80,16 +80,17 @@ def dwe_weights(
 
 @dataclass(frozen=True)
 class PilotFactor:
-    """A tall pilot block and the certified Cholesky factor of its Gram, as zero-forcing reads them.
+    """The certified Cholesky factor of a tall pilot block's Gram, as zero-forcing reads it.
 
-    ``P`` is the zeta x L block ``pool.P[detected]``.  With ``P^H P = R R^H``
+    For the zeta x L block ``P = pool.P[detected]`` with ``P^H P = R R^H``
     (``cholesky``, R lower triangular), ``R_inv_h`` is ``R^-H`` and
-    ``Q = P R^-H`` has orthonormal columns, to within ``NORMAL_EQ_BOUND``
-    over zeta (``pilot_factor`` certifies it).  The factor depends only on
-    the pool and the support, so a trial forms it once and shares it.
+    ``Q = P R^-H`` (zeta x L, so it carries the block's shape) has
+    orthonormal columns, to within ``NORMAL_EQ_BOUND`` over zeta
+    (``pilot_factor`` certifies it).  The block itself is not kept.  The
+    factor depends only on the pool and the support, so a trial forms it
+    once and shares it.
     """
 
-    P: np.ndarray
     R_inv_h: np.ndarray
     Q: np.ndarray
 
@@ -116,7 +117,7 @@ def pilot_factor(P: np.ndarray) -> PilotFactor | None:
     if not (np.linalg.norm(R) * np.linalg.norm(R_inv)) ** 2 * P.shape[0] * eps <= NORMAL_EQ_BOUND:
         return None
     R_inv_h = R_inv.conj().T
-    return PilotFactor(P, R_inv_h, P @ R_inv_h)
+    return PilotFactor(R_inv_h, P @ R_inv_h)
 
 
 @dataclass(frozen=True)
@@ -159,8 +160,8 @@ def ls_channel_estimate(
     computed, as ``dwe_weights`` accepts ``y_pinv``; when None, it is formed
     here.  A ``PilotFactor`` gives an ``LsEstimate`` that holds ``Y`` and the
     factor, so neither ``pinv(P_detected)`` nor the product is formed; an
-    array gives the product.  A factor of another block than the zeta x L
-    support's, or an array of another shape than L x zeta, raises a
+    array gives the product.  A factor whose ``Q`` is not the zeta x L
+    support's shape, or an array of another shape than L x zeta, raises a
     ValueError that names both shapes, and a pool whose pilot length is not
     the frame's L one that names both lengths.
     """
@@ -169,7 +170,7 @@ def ls_channel_estimate(
     if p_pinv is None:
         p_pinv = support_inverse(pool.P[detected])
     factor = isinstance(p_pinv, PilotFactor)
-    given = p_pinv.P.shape if factor else np.shape(p_pinv)
+    given = p_pinv.Q.shape if factor else np.shape(p_pinv)
     due = (detected.size, pool.length) if factor else (pool.length, detected.size)
     if given != due:
         kind = "a PilotFactor of a block" if factor else "an array"
@@ -183,14 +184,14 @@ def zf_weights(h_est: np.ndarray | LsEstimate, users: np.ndarray) -> WeightMatri
     An ``LsEstimate`` ``H = B Q^H`` is zero-forced as ``Q pinv(B)``: Q has
     orthonormal columns, so that is ``pinv(H)`` for any M and any rank of B,
     and B's singular values are H's.  ``pinv(B)`` is taken at H's own cutoff,
-    ``max(M, zeta) 1e-12``, so its acceptance test keeps an LU or tall-rule
-    inverse only when an SVD of H would keep every singular value, and its
-    SVD otherwise keeps exactly what an SVD of H would keep.  Neither
-    ``pinv(P)`` nor an SVD of the M x zeta H is formed.
+    ``max(M, zeta) 1e-12``, with zeta the rows of Q, so its acceptance test
+    keeps an LU or tall-rule inverse only when an SVD of H would keep every
+    singular value, and its SVD otherwise keeps exactly what an SVD of H
+    would keep.  Neither ``pinv(P)`` nor an SVD of the M x zeta H is formed.
     """
     if isinstance(h_est, LsEstimate):
         pilot = h_est.pilot
-        rel_tol = max(h_est.Y.shape[0], pilot.P.shape[0]) * DEFAULT_PINV_RTOL_SCALE
+        rel_tol = max(h_est.Y.shape[0], pilot.Q.shape[0]) * DEFAULT_PINV_RTOL_SCALE
         return WeightMatrix(pilot.Q @ pinv(h_est.Y @ pilot.R_inv_h, rel_tol), users)
     return WeightMatrix(pinv(h_est), users)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import col_norms_sq, residual_row_norms
-from .linalg import _mirror_lower, _schur_pinv, orthonormal_step, pinv
+from .linalg import orthonormal_step, pinv, squared_gram_pinv
 from .metrics import matmul_mults, pinv_mults
 from .scenario import PdrsCodebook, PilotPool, ReceivedFrame, SystemConfig
 
@@ -190,52 +190,15 @@ def detect_bomp(
     return DetectionResult(detected, scores, mults)
 
 
-#: Rows of ``P P^H`` formed at a time by ``_squared_gram``.
-_GRAM_BLOCK_ROWS = 64
-
-
-def _squared_gram(pool: PilotPool) -> np.ndarray:
-    """``|P P^H|^2`` in float64, exactly symmetric, each symmetric pair formed once.
-
-    Row block ``[start:stop]`` of ``_GRAM_BLOCK_ROWS`` rows is formed only up
-    to the end of its diagonal block, as ``|P[start:stop].conj() @ P[:stop].T|``
-    (the conjugate of those entries of ``P P^H``, so the same moduli), and
-    squared in place (numpy squares as ``x * x`` either way, so the bits are
-    those of ``** 2``).  ``linalg._mirror_lower`` then copies the strict lower
-    triangle onto the upper, inside the diagonal blocks too, so ``G`` is
-    exactly symmetric on any BLAS kernel, from half the products of
-    ``P P^H``; the largest temporary is a complex block x N.
-    """
-    P = pool.P
-    N = pool.n_pilots
-    G = np.empty((N, N))
-    for start in range(0, N, _GRAM_BLOCK_ROWS):
-        stop = min(start + _GRAM_BLOCK_ROWS, N)
-        rows = G[start:stop, :stop]
-        np.abs(P[start:stop].conj() @ P[:stop].T, out=rows)
-        rows *= rows
-    _mirror_lower(G)
-    return G
-
-
 def fpr_gram_pinv(pool: PilotPool) -> np.ndarray:
-    """Pseudo-inverse of the squared-modulus pilot Gram matrix, read-only.
+    """Pseudo-inverse of the pool's squared-modulus pilot Gram ``|P P^H|^2``, read-only.
 
     One-time precomputation per pilot pool; the per-frame ledger charges only
     its application, and every trial thread shares the result, so it cannot
-    be written.  ``_squared_gram`` forms ``G = |P P^H|^2`` in one N x N
-    float64 array, each symmetric pair once, so no N x N complex product is
-    formed and ``G`` is exactly symmetric by construction, on any BLAS
-    kernel.  The Gram's Schur rule (``linalg._schur_pinv``), certified
-    recursive Schur complements, inverts it in that same array, with nothing
-    N x N beside it.  When that certificate fails (a pool with repeated
-    pilots, whose Gram has lost rank, or a failed bound), the partly
-    overwritten array is dropped, the Gram formed again and ``pinv(G)``
-    returned: LU, or the SVD when the Gram has lost rank.
+    be written.  ``linalg.squared_gram_pinv`` forms and inverts the Gram, and
+    states its rule and fallback.
     """
-    x = _schur_pinv(_squared_gram(pool))
-    if x is None:
-        x = pinv(_squared_gram(pool))
+    x = squared_gram_pinv(pool.P)
     x.flags.writeable = False
     return x
 

@@ -2,11 +2,13 @@
 
 Matrices are plain 2-D ``numpy.ndarray`` (row-major) and vectors are 1-D
 float/complex arrays.  The public matrix functions are pure, never mutate
-their inputs, and return finite values for finite inputs.  The private
-``_schur_pinv`` overwrites its argument: it is the FPR Gram's own rule, and
-``detectors.fpr_gram_pinv`` hands it the Gram buffer it owns, so the Gram is
-formed and inverted in one N x N array.  Both form a symmetric result's
-lower block triangle only and mirror it (``_mirror_lower``).
+their inputs, and return finite values for finite inputs.
+``squared_gram_pinv`` owns the FPR Gram ``|P P^H|^2``: it forms the Gram's
+lower block triangle in one N x N float64 buffer, mirrors it so the Gram is
+exactly symmetric, and inverts that buffer in place by the Schur rule
+(``_schur_pinv``).  That rule and its private helpers overwrite their
+arguments; no public function does.  Every Hermitian result is formed and
+mirrored by the same ``_HERMITIAN_BLOCK_ROWS``-row blocks (``_row_blocks``).
 
 ``pinv`` picks one of three rules (LU, certified normal equations, SVD) from
 the input's shape; its docstring states them and their certificates.  No
@@ -36,6 +38,7 @@ __all__ = [
     "pinv",
     "orthonormal_step",
     "process_blas",
+    "squared_gram_pinv",
 ]
 
 #: default relative singular-value cutoff is max(rows, cols) times this
@@ -161,9 +164,9 @@ def _schur_pinv(m: np.ndarray) -> np.ndarray | None:
     itself, which is returned, with no block of ``m``'s size beside it.  A
     None after that leaves ``m`` overwritten in part or in full.  The
     recursion costs about ``n^3`` flops, against ``8/3 n^3`` for LU, nearly
-    all in large products.  The FPR Gram ``|P P^H|^2`` is exactly symmetric
-    by construction (``detectors._squared_gram`` mirrors its lower triangle),
-    whatever BLAS kernel formed it.
+    all in large products.  ``_squared_gram`` mirrors the Gram's lower
+    triangle, so the Gram passes the Hermitian check whatever BLAS kernel
+    formed it.
 
     ``pinv``'s default cutoff test, ``||m||_F ||X||_F n 1e-12 < 1`` for an
     n x n input, needs no check of its own: under ``SCHUR_BOUND`` its left
@@ -217,18 +220,57 @@ def _schur_inv(m: np.ndarray) -> None:
 _HERMITIAN_BLOCK_ROWS = 64
 
 
+def _row_blocks(n: int):
+    """``(start, stop)`` of each ``_HERMITIAN_BLOCK_ROWS``-row block of an n-row result, in order."""
+    for start in range(0, n, _HERMITIAN_BLOCK_ROWS):
+        yield start, min(start + _HERMITIAN_BLOCK_ROWS, n)
+
+
+def squared_gram_pinv(P) -> np.ndarray:
+    """Pseudo-inverse of the squared-modulus Gram ``G = |P P^H|^2`` of the rows of ``P``, float64.
+
+    ``_squared_gram`` forms ``G`` in one N x N float64 array, and the Schur
+    rule (``_schur_pinv``) inverts it in that same array, with nothing N x N
+    beside it.  When that certificate fails (rows repeated, so that ``G`` has
+    lost rank, or a failed bound), the partly overwritten array is dropped,
+    ``G`` formed again and ``pinv(G)`` returned: LU, or the SVD when ``G``
+    has lost rank.
+    """
+    P = as_cmatrix(P)
+    x = _schur_pinv(_squared_gram(P))
+    return pinv(_squared_gram(P)) if x is None else x
+
+
+def _squared_gram(P: np.ndarray) -> np.ndarray:
+    """``|P P^H|^2`` in float64, exactly symmetric, each symmetric pair formed once.
+
+    Each row block is formed only up to the end of its diagonal block, as
+    ``|P[start:stop].conj() @ P[:stop].T|`` (the conjugate of those entries
+    of ``P P^H``, so the same moduli), and squared in place (numpy squares
+    as ``x * x`` either way, so the bits are those of ``** 2``).
+    ``_mirror_lower`` then makes ``G`` exactly symmetric on any BLAS kernel,
+    from half the products of ``P P^H``; the largest temporary is a complex
+    block x N.
+    """
+    N = P.shape[0]
+    G = np.empty((N, N))
+    for start, stop in _row_blocks(N):
+        rows = G[start:stop, :stop]
+        np.abs(P[start:stop].conj() @ P[:stop].T, out=rows)
+        rows *= rows
+    _mirror_lower(G)
+    return G
+
+
 def _sub_hermitian_product(t: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
     """``t -= u @ v`` in place, for a product known to be Hermitian, in half the products.
 
-    Rows are formed ``_HERMITIAN_BLOCK_ROWS`` at a time, each only up to the
-    end of its own diagonal block, so the largest temporary is block x n;
-    ``_mirror_lower`` then writes the strict upper triangle, so ``t``'s
-    off-diagonal entries come out exactly Hermitian (a real ``t`` exactly
-    symmetric).
+    Each row block is formed only up to the end of its own diagonal block,
+    so the largest temporary is block x n; ``_mirror_lower`` then writes the
+    strict upper triangle, so ``t``'s off-diagonal entries come out exactly
+    Hermitian (a real ``t`` exactly symmetric).
     """
-    n = t.shape[0]
-    for start in range(0, n, _HERMITIAN_BLOCK_ROWS):
-        stop = min(start + _HERMITIAN_BLOCK_ROWS, n)
+    for start, stop in _row_blocks(t.shape[0]):
         t[start:stop, :stop] -= u[start:stop] @ v[:, :stop]
     _mirror_lower(t)
 
@@ -236,13 +278,11 @@ def _sub_hermitian_product(t: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
 def _mirror_lower(m: np.ndarray) -> None:
     """Overwrite the strict upper triangle of the square ``m`` with the conjugate of its strict lower.
 
-    It works ``_HERMITIAN_BLOCK_ROWS`` rows at a time: the part right of
-    each row block's diagonal block is one transposed copy, and inside the
-    diagonal block the upper triangle is copied from the lower by index.
+    By row blocks: the part right of each block's diagonal block is one
+    transposed copy, and inside the diagonal block the upper triangle is
+    copied from the lower by index.
     """
-    n = m.shape[0]
-    for start in range(0, n, _HERMITIAN_BLOCK_ROWS):
-        stop = min(start + _HERMITIAN_BLOCK_ROWS, n)
+    for start, stop in _row_blocks(m.shape[0]):
         m[start:stop, stop:] = m[stop:, start:stop].conj().T
         diag = m[start:stop, start:stop]
         upper = np.triu_indices(stop - start, 1)

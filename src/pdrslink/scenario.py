@@ -74,8 +74,13 @@ QPSK_POINTS = np.array(
 
 _ROW_NORM_TOL = 1e-10
 
-#: The longest array axis numpy takes.
-_MAX_AXIS = int(np.iinfo(np.intp).max)
+#: The most entries numpy takes in one array of 16 B entries (complex128).
+_MAX_ENTRIES = int(np.iinfo(np.intp).max) // 16
+
+#: The (rows, cols) fields of each array a draw forms from the config's sizes:
+#: the frame's blocks, the channel and data, then the pool, codebook and base codes.
+_DRAWN_ARRAYS = (("M", "L"), ("M", "l"), ("M", "D"), ("M", "K"), ("K", "D"),
+                 ("N", "L"), ("N", "l"), ("l", "l"))
 
 POOL_STREAM = 0
 CODEBOOK_STREAM = 1
@@ -157,7 +162,9 @@ class SystemConfig:
     frame.  ``alpha = zeta / K`` is the aggressive-detection coefficient.
     Each field takes its declared type on construction: an ``int`` field
     takes a whole number (``16.0`` becomes ``16``, ``16.5`` is rejected) and
-    ``snr_db`` a real number, stored as a float.
+    ``snr_db`` a real number, stored as a float.  Each array a draw forms
+    from these sizes (``_DRAWN_ARRAYS``) must fit numpy's largest array at
+    16 B an entry; one that does not raises a ValueError naming its two fields.
     """
 
     M: int = 128
@@ -183,10 +190,11 @@ class SystemConfig:
                     raise ValueError(f"{f.name} takes real numbers, got {value!r}")
                 value = float(value)
             object.__setattr__(self, f.name, value)
-        for name in ("M", "N", "L", "l", "D"):  # each sizes an array axis
-            if getattr(self, name) > _MAX_AXIS:
-                raise ValueError(f"{name} sizes an array axis, so must be <= {_MAX_AXIS}, "
-                                 f"got {getattr(self, name)}")
+        for a, b in _DRAWN_ARRAYS:  # else the draw fails in numpy, naming no field
+            rows, cols = getattr(self, a), getattr(self, b)
+            if rows * cols > _MAX_ENTRIES:
+                raise ValueError(f"{a} x {b} sizes a drawn array, so {a} * {b} must be <= {_MAX_ENTRIES}, "
+                                 f"got {a}={rows}, {b}={cols}")
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
         if not 1 <= self.K <= self.N:

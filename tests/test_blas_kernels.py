@@ -3,12 +3,14 @@
 numpy's bundled OpenBLAS is a ``DYNAMIC_ARCH`` build: it picks its kernels by
 CPU, and ``OPENBLAS_CORETYPE`` makes it load another set, in that process
 alone.  An AVX2 machine without AVX-512 loads ``Haswell``, an AVX one
-``Sandybridge``.  Each test below runs ``KERNEL_CHECKS`` in a child process
-under one of those sets, after the child confirms that it loaded the set it
-asked for; a BLAS that ignores the variable skips the test and names the set
-it loaded.
+``Sandybridge``.  For each of those sets, a test below runs ``KERNEL_CHECKS``
+in a child process, after the child confirms that it loaded the set it asked
+for; a BLAS that ignores the variable skips the test and names the set it
+loaded.  Another test checks that every id there names a test of its file,
+since a child that skips would not notice a stale one.
 """
 
+import ast
 import ctypes
 import os
 import subprocess
@@ -19,7 +21,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 
-#: Kernel sets on which the anchor Gram ``_squared_gram`` builds keeps the bits
+#: Kernel sets on which the anchor Gram that ``linalg._squared_gram`` builds keeps the bits
 #: of the full product ``|P P^H|^2``, and the blocked correlation those of
 #: ``Z P^H`` for every frame height M (see ``correlation_keeps_full_bits``).
 FULL_PRODUCT_BIT_KERNELS = ("SkylakeX", "Sandybridge")
@@ -91,3 +93,13 @@ def test_the_bit_level_checks_hold_under_another_kernel_set(kernel):
     if run.returncode == 3:
         pytest.skip(f"OPENBLAS_CORETYPE={kernel} loaded {run.stdout.strip()}")
     assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
+
+
+def test_every_kernel_check_names_a_test_in_its_file():
+    missing = []
+    for check in KERNEL_CHECKS:
+        path, name = check.split("::")
+        tree = ast.parse((TESTS / path).read_text())
+        if name not in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}:
+            missing.append(check)
+    assert missing == []

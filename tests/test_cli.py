@@ -130,6 +130,24 @@ def test_gen_frame_then_detect(cfg_file, tmp_path, capsys):
     assert "counted complex mults:" in out
 
 
+@pytest.mark.parametrize(
+    "message, line",
+    [("Unable to allocate 64.0 EiB for an array", "Unable to allocate 64.0 EiB for an array"), ("", "MemoryError")],
+    ids=["numpy's", "bare"],
+)
+def test_gen_frame_out_of_memory_exits_2_with_one_error_line(message, line, cfg_file, tmp_path, capsys, monkeypatch):
+    # raised by hand: a real giant allocation can succeed lazily and then be killed
+    def no_memory(*a, **kw):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "draw_trial", no_memory)
+    frame_path = tmp_path / "one.pdrs"
+    assert main(["gen-frame", "--config", cfg_file, "--out", str(frame_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not frame_path.exists()
+    assert captured.err == f"error: {line}\n"
+
+
 def test_detect_with_explicit_zeta(cfg_file, tmp_path, capsys):
     frame_path = tmp_path / "one.pdrs"
     main(["gen-frame", "--config", cfg_file, "--out", str(frame_path)])

@@ -166,9 +166,10 @@ def test_end_to_end_noiseless_recovery():
 
 
 def _wide_estimate(M=10, L=6, zeta=9, seed=70):
-    """An ``LsEstimate`` of a Gaussian Y (M x L) and the factor of a Gaussian zeta x L pilot block."""
+    """A Gaussian zeta x L pilot block, and the ``LsEstimate`` of a Gaussian Y (M x L) and its factor."""
     rng = RngStream(seed, 0)
-    return LsEstimate(cgauss(M, L, 1.0, rng), pilot_factor(cgauss(zeta, L, 1.0, rng)))
+    Y, P = cgauss(M, L, 1.0, rng), cgauss(zeta, L, 1.0, rng)
+    return P, LsEstimate(Y, pilot_factor(P))
 
 
 def _assert_takes_pinv_of_the_product(Y, P):
@@ -181,11 +182,12 @@ def _assert_takes_pinv_of_the_product(Y, P):
     assert np.array_equal(W.view(np.float64), pinv(Y @ pinv(P)).view(np.float64))
 
 
-def _assert_is_pinv_of_the_product_at_its_cutoff(est, rank):
-    """ZF of ``est`` keeps ``rank`` singular values of ``H = Y @ pinv(P)`` and is numpy's
-    ``pinv(H)`` at H's cutoff, within a bound scaled by the condition number of the kept values."""
-    W = zf_weights(est, np.arange(est.pilot.P.shape[0])).W
-    H = est.Y @ pinv(est.pilot.P)
+def _assert_is_pinv_of_the_product_at_its_cutoff(est, P, rank):
+    """ZF of ``est``, whose factor is of the pilot block ``P``, keeps ``rank`` singular values of
+    ``H = Y @ pinv(P)`` and is numpy's ``pinv(H)`` at H's cutoff, within a bound scaled by the
+    condition number of the kept values."""
+    W = zf_weights(est, np.arange(P.shape[0])).W
+    H = est.Y @ pinv(P)
     cutoff = max(H.shape) * DEFAULT_PINV_RTOL_SCALE
     s = np.linalg.svd(H, compute_uv=False)
     kept = s[s > cutoff * s[0]]
@@ -201,8 +203,8 @@ def test_a_wide_estimate_is_kept_as_its_factors_and_reads_as_their_product():
     res = detect_pdrs_dwe(frame, pool, cb, cfg.zeta)
     est = ls_channel_estimate(frame, pool, res.detected)
     assert isinstance(est, LsEstimate)
-    assert est.Y is frame.Y and np.array_equal(est.pilot.P, pool.P[res.detected])
     R_inv_h, Q = est.pilot.R_inv_h, est.pilot.Q
+    assert est.Y is frame.Y and Q.tobytes() == (pool.P[res.detected] @ R_inv_h).tobytes()
     assert R_inv_h.shape == (cfg.L, cfg.L) and Q.shape == (cfg.zeta, cfg.L)
     assert np.allclose(Q.conj().T @ Q, np.eye(cfg.L), rtol=0, atol=1e-12)  # orthonormal columns
     assert np.array_equal(np.triu(R_inv_h), R_inv_h)  # R^-H of a lower-triangular R
@@ -223,7 +225,7 @@ def test_support_inverse_factors_the_block_exactly_when_zeta_exceeds_L(zeta, rep
         P[[1, 3]] = P[[0, 2]]  # two pilots shared: 7 distinct rows, rank L - 1, factor uncertified
     got = support_inverse(P)
     if factored:
-        assert isinstance(got, PilotFactor) and got.P is P
+        assert isinstance(got, PilotFactor) and got.Q.tobytes() == (P @ got.R_inv_h).tobytes()
     else:
         assert type(got) is np.ndarray
         assert got.tobytes() == pinv(P).tobytes()
@@ -259,18 +261,18 @@ def test_a_wide_estimate_rejects_anything_but_its_pilot_factor(which):
 
 
 def test_a_wide_estimate_is_zero_forced_from_its_factors():
-    est = _wide_estimate()
+    P, est = _wide_estimate()
     W = zf_weights(est, np.arange(9)).W
     # certified, so pinv(B) keeps the tall rule's result at either cutoff
     B_pinv = pinv(est.Y @ est.pilot.R_inv_h)
     assert np.array_equal(W.view(np.float64), (est.pilot.Q @ B_pinv).view(np.float64))
-    ref = pinv(est.Y @ pinv(est.pilot.P))  # the wide product takes the SVD
+    ref = pinv(est.Y @ pinv(P))  # the wide product takes the SVD
     assert np.linalg.norm(W - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_zf_falls_back_when_cholesky_finds_the_pilot_gram_singular():
-    est = _wide_estimate()
-    P = est.pilot.P.copy()
+    P, est = _wide_estimate()
+    P = P.copy()
     P[:, -1] = 0.0  # a pilot block of rank L - 1: its Gram has a zero pivot
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(P.conj().T @ P)
@@ -278,10 +280,10 @@ def test_zf_falls_back_when_cholesky_finds_the_pilot_gram_singular():
 
 
 def test_zf_falls_back_when_the_cholesky_factor_is_too_ill_conditioned():
-    est = _wide_estimate()
+    P, est = _wide_estimate()
     # columns graded from 1 down to 1e-12: cholesky is blind to the grading and succeeds,
     # but ||R||_F ||R^-1||_F L eps > 1e-4
-    P = est.pilot.P * np.logspace(0, -12, 6)
+    P = P * np.logspace(0, -12, 6)
     R = np.linalg.cholesky(P.conj().T @ P)
     assert np.linalg.norm(R) * np.linalg.norm(np.linalg.inv(R)) * 6 * np.finfo(float).eps > 1e-4
     # Y undoes the grading, so B = Y R^-H is well conditioned and only the R bound can fail
@@ -298,30 +300,30 @@ def test_zf_falls_back_when_repeated_pilots_leave_the_pilot_block_short_of_rank(
     R = np.linalg.cholesky(P.conj().T @ P)
     cond_R = np.linalg.norm(R) * np.linalg.norm(np.linalg.inv(R))
     assert cond_R * 6 * np.finfo(float).eps < 1e-4 < cond_R**2 * 9 * np.finfo(float).eps
-    _assert_takes_pinv_of_the_product(_wide_estimate().Y, P)
+    _assert_takes_pinv_of_the_product(_wide_estimate()[1].Y, P)
 
 
 def test_zf_falls_back_when_y_has_lost_rank():
     # B = Y R^-H has rank 4 < L = 6: pinv(B) leaves the tall rule for its SVD, which keeps 4 values
-    est = _wide_estimate()
+    P, est = _wide_estimate()
     rng = RngStream(71, 0)
     Y = cgauss(10, 4, 1.0, rng) @ cgauss(4, 6, 1.0, rng)
-    _assert_is_pinv_of_the_product_at_its_cutoff(LsEstimate(Y, est.pilot), rank=4)
+    _assert_is_pinv_of_the_product_at_its_cutoff(LsEstimate(Y, est.pilot), P, rank=4)
 
 
 def test_zf_falls_back_when_an_svd_of_h_would_drop_a_singular_value():
     # B has singular values 1 down to 1e-10: pinv(B) at its own cutoff, max(M, L) 1e-12 = 1e-11,
     # keeps all six, but at H's cutoff, max(M, zeta) 1e-12 = 1.2e-10, it takes the SVD and keeps 5
-    est = _wide_estimate(zeta=120)
+    P, est = _wide_estimate(zeta=120)
     rng = RngStream(72, 0)
     u = np.linalg.qr(cgauss(10, 6, 1.0, rng))[0]
     vh = np.linalg.qr(cgauss(6, 6, 1.0, rng))[0]
     B = (u * np.logspace(0, -10, 6)) @ vh
-    R = np.linalg.cholesky(est.pilot.P.conj().T @ est.pilot.P)
+    R = np.linalg.cholesky(P.conj().T @ P)
     est = LsEstimate(B @ R.conj().T, est.pilot)  # so that Y R^-H = B
     B = est.Y @ est.pilot.R_inv_h
     assert abs(np.trace(pinv(B) @ B) - 6) < 0.5
-    _assert_is_pinv_of_the_product_at_its_cutoff(est, rank=5)
+    _assert_is_pinv_of_the_product_at_its_cutoff(est, P, rank=5)
 
 
 def test_fewer_antennas_than_pilot_symbols_zero_force_from_the_pilot_factor():
@@ -330,4 +332,4 @@ def test_fewer_antennas_than_pilot_symbols_zero_force_from_the_pilot_factor():
     res = detect_pdrs_dwe(frame, pool, cb, cfg.zeta)
     h_est = ls_channel_estimate(frame, pool, res.detected)
     assert isinstance(h_est, LsEstimate)
-    _assert_is_pinv_of_the_product_at_its_cutoff(h_est, rank=cfg.M)
+    _assert_is_pinv_of_the_product_at_its_cutoff(h_est, pool.P[res.detected], rank=cfg.M)

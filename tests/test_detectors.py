@@ -403,7 +403,7 @@ def test_fpr_gram_pinv_of_a_duplicated_pool_takes_one_svd(monkeypatch):
     assert len(calls) == 1
     assert len(runs) == 1  # the fallback goes straight to pinv's LU, then its SVD
     assert gram.dtype == np.float64
-    G = detectors._squared_gram(dup)
+    G = linalg._squared_gram(dup.P)
     assert np.linalg.matrix_rank(gram) == np.linalg.matrix_rank(G) < dup.n_pilots
     # the failed in-place attempt leaves no trace: the Gram is formed again for pinv
     assert np.array_equal(gram, pinv(G))
@@ -411,15 +411,15 @@ def test_fpr_gram_pinv_of_a_duplicated_pool_takes_one_svd(monkeypatch):
 
 def test_fpr_gram_pinv_over_the_schur_bound_returns_lu_of_the_formed_gram(monkeypatch):
     cfg, pool, cb, act, frame = build(seed=10, N=200, L=24)
-    G = detectors._squared_gram(pool)
+    G = linalg._squared_gram(pool.P)
     buffers = []
-    schur_pinv = detectors._schur_pinv
+    schur_pinv = linalg._schur_pinv
 
     def recorded(m, *args, **kwargs):
         buffers.append(m)
         return schur_pinv(m, *args, **kwargs)
 
-    monkeypatch.setattr(detectors, "_schur_pinv", recorded)
+    monkeypatch.setattr(linalg, "_schur_pinv", recorded)
     monkeypatch.setattr(linalg, "SCHUR_BOUND", 1.0)  # below n, which ||G||_F ||G^-1||_F always reaches
     runs = _gram_schur_runs(monkeypatch, pool.n_pilots)
     gram = fpr_gram_pinv(pool)
@@ -484,7 +484,7 @@ def test_correlation_powers_equal_those_of_the_full_product_bit_for_bit(M, block
 
 def test_the_anchor_squared_gram_is_the_conjugate_product_bit_for_bit_and_symmetric():
     pool = synth_pool(SystemConfig())  # the anchor pool, several row blocks long
-    G = detectors._squared_gram(pool)
+    G = linalg._squared_gram(pool.P)
     assert np.array_equal(G, G.T)  # by construction, on any kernel set
     full = np.abs(pool.P @ pool.P.conj().T) ** 2
     if loaded_kernel() in FULL_PRODUCT_BIT_KERNELS:

@@ -855,35 +855,49 @@ def test_a_draws_last_point_frees_its_pilot_pinv_before_zero_forcing(monkeypatch
 
 def _pilot_factor_lifetimes(monkeypatch):
     """Weak references to every pilot factor the harness forms, and whether each was alive at
-    each ZF entry, with the type of the estimate ZF was given."""
-    refs, alive_at_zf, estimates = [], [], []
+    each ZF entry, with the type of the estimate ZF was given; and whether the pilot block each
+    factor was formed of was alive at each ZF entry."""
+    refs, block_refs, alive_at_zf, blocks_alive_at_zf, estimates = [], [], [], [], []
     original, zf = combining.pilot_factor, harness.zf_weights
 
     def tracked(P):
         out = original(P)
         refs.append(weakref.ref(out))
+        block_refs.append(weakref.ref(P))
         return out
 
     def checked(h_est, users):
         alive_at_zf.append([ref() is not None for ref in refs])
+        blocks_alive_at_zf.append([ref() is not None for ref in block_refs])
         estimates.append(type(h_est))
         return zf(h_est, users)
 
     monkeypatch.setattr(combining, "pilot_factor", tracked)  # where support_inverse looks it up
     monkeypatch.setattr(harness, "zf_weights", checked)
-    return refs, alive_at_zf, estimates
+    return refs, alive_at_zf, estimates, blocks_alive_at_zf
 
 
 def test_a_wide_estimate_holds_its_pilot_factor_through_zf_and_frees_it_with_trial(monkeypatch):
     # zeta > L: the memo holds the pilot block's factor, and ZF reads it
     blocks = _pilot_pinv_calls(monkeypatch)
-    refs, alive_at_zf, estimates = _pilot_factor_lifetimes(monkeypatch)
+    refs, alive_at_zf, estimates, _ = _pilot_factor_lifetimes(monkeypatch)
     run_point(small_cfg(zeta=10, trials=1), ["pdrs-lszf"])
     assert blocks == []  # no pinv of the pilot block
     assert estimates == [LsEstimate]
     assert len(refs) == 1
     assert alive_at_zf == [[True]]
     assert refs[0]() is None
+
+
+def test_an_overshoot_shaped_trial_frees_each_pilot_block_before_zero_forcing(monkeypatch):
+    # zeta > M > L, as in overshoot-pdrs: the memo holds each support's factor through ZF,
+    # but the factor keeps no copy of the block it was formed of
+    cfg = small_cfg(zeta=16, trials=1)
+    refs, alive_at_zf, estimates, blocks_alive_at_zf = _pilot_factor_lifetimes(monkeypatch)
+    harness.run_sweep(SweepSpec(cfg, "snr_db", [0.0, 4.0, 8.0], ["pdrs-lszf", "bomp"]))
+    assert refs and set(estimates) == {LsEstimate}
+    assert all(any(alive) for alive in alive_at_zf)
+    assert blocks_alive_at_zf == [[False] * len(alive) for alive in alive_at_zf]
 
 
 def test_an_snr_sweep_forms_each_wide_supports_pilot_factor_once_per_trial(monkeypatch):
@@ -905,7 +919,7 @@ def test_an_snr_sweep_forms_each_wide_supports_pilot_factor_once_per_trial(monke
     # so a memo per trial without the support in its key, or one per point, fails
     assert cfg.trials < len(pairs) < cfg.trials * len(values) * len(dets)
     blocks = _pilot_pinv_calls(monkeypatch)
-    refs, alive_at_zf, estimates = _pilot_factor_lifetimes(monkeypatch)
+    refs, alive_at_zf, estimates, _ = _pilot_factor_lifetimes(monkeypatch)
     rows = harness.run_sweep(SweepSpec(cfg, "snr_db", values, dets))
     assert len(refs) == len(pairs)
     assert blocks == [] and set(estimates) == {LsEstimate}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdrslink import detectors, linalg
+from pdrslink import linalg
 from pdrslink.detectors import fpr_gram_pinv
 from pdrslink.linalg import BlasThreads, NORMAL_EQ_BOUND, SCHUR_BOUND, SCHUR_LEAF
 from pdrslink.linalg import as_cmatrix, orthonormal_step, pinv
@@ -341,7 +341,7 @@ def test_the_in_place_hermitian_rule_is_the_allocating_one_bit_for_bit(n, real):
 
 def test_the_anchor_fpr_gram_takes_the_hermitian_rule(monkeypatch):
     pool = synth_pool(SystemConfig())  # the anchor pool: N = 1000 pilots of length L = 96
-    G = detectors._squared_gram(pool)
+    G = linalg._squared_gram(pool.P)
     assert G.shape == (1000, 1000) and np.array_equal(G, G.T)
     cholesky, inv, svd = (call_sizes(monkeypatch, name) for name in ("cholesky", "inv", "svd"))
     gram = fpr_gram_pinv(pool)

@@ -91,12 +91,27 @@ def test_config_rejects_a_seed_outside_the_philox_key(seed):
         small_cfg(seed=seed)
 
 
+def _too_big(a, b, cfg):
+    """The message of a config whose drawn a x b array, sized by ``cfg``'s fields, does not fit numpy."""
+    most = np.iinfo(np.intp).max // 16
+    return rf"^{a} x {b} sizes a drawn array, so {a} \* {b} must be <= {most}, got {a}={cfg[a]}, {b}={cfg[b]}$"
+
+
 @pytest.mark.parametrize("name", ["M", "N", "L", "l", "D"])
 def test_config_rejects_an_axis_longer_than_numpy_takes(name):
-    # else the config passes and the draw fails in numpy, naming no field
-    longest = np.iinfo(np.intp).max
-    with pytest.raises(ValueError, match=rf"^{name} sizes an array axis, so must be <= {longest}, got {2**64}$"):
+    # else the config passes and the draw fails in numpy, naming no field; the first drawn
+    # array that does not fit is named, with both its fields
+    a, b = {"M": ("M", "L"), "N": ("N", "L"), "L": ("M", "L"), "l": ("M", "l"), "D": ("M", "D")}[name]
+    cfg = {**vars(small_cfg()), name: 2**64}
+    with pytest.raises(ValueError, match=_too_big(a, b, cfg)):
         small_cfg(**{name: 2**64})
+
+
+def test_config_rejects_a_drawn_array_too_big_for_numpy():
+    # every axis is one numpy can index, but the M x L block is more than 2**63 bytes
+    cfg = dict(M=2**62, N=24, L=8, l=2, K=5, zeta=5, D=4)
+    with pytest.raises(ValueError, match=_too_big("M", "L", cfg)):
+        SystemConfig(**cfg)
 
 
 #: Every SystemConfig field declared int.
