@@ -35,16 +35,21 @@ def residual_row_norms(e, r):
     return row_norms_sq(e - r)
 
 
-def qpsk_decide(z):
+def qpsk_decide(z, out=None):
     """Nearest unit-power QPSK point by the signs of each part.
 
     A part that is >= 0.0 (-0.0 and +inf included) decides to the positive
     rail, any other (nan included) to the negative one.  Both rails come from
     one mask over the interleaved (re, im) float64 view: ``mask * 2R - R``
-    is exactly +R or -R.
+    is exactly +R or -R.  The decisions go to ``out``, a C-contiguous
+    complex128 array of ``z``'s shape, when given; it may be ``z`` itself,
+    since the mask is formed before any rail is written.
     """
     f = np.ascontiguousarray(z, dtype=np.complex128).view(np.float64)
-    out = np.empty(f.shape[:-1] + (f.shape[-1] // 2,), dtype=np.complex128)
+    if out is None:
+        out = np.empty(f.shape[:-1] + (f.shape[-1] // 2,), dtype=np.complex128)
+    elif out.shape != np.shape(z) or out.dtype != np.complex128 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous complex128 array of shape {np.shape(z)}")
     rails = out.view(np.float64)
     np.multiply(f >= 0.0, 2.0 * QPSK_RAIL, out=rails)
     rails -= QPSK_RAIL

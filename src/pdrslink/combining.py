@@ -196,10 +196,12 @@ def zf_weights(h_est: np.ndarray | LsEstimate, users: np.ndarray) -> WeightMatri
     return WeightMatrix(pinv(h_est), users)
 
 
-def demod_qpsk(x_est: np.ndarray) -> np.ndarray:
+def demod_qpsk(x_est: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Minimum-distance hard decisions onto the unit-power QPSK grid.
 
     Decisions depend only on the signs of the real and imaginary parts; a
-    zero part decides to the positive rail.
+    zero part decides to the positive rail.  As in numpy, ``out`` (a
+    C-contiguous complex128 array of ``x_est``'s shape, ``x_est`` itself
+    included) receives the decisions and is returned.
     """
-    return qpsk_decide(np.ascontiguousarray(x_est, dtype=np.complex128))
+    return qpsk_decide(np.ascontiguousarray(x_est, dtype=np.complex128), out)

@@ -299,23 +299,16 @@ def _score_frame(
 
     Everything after detection is a function of the frame, the combiner and
     the detected support, so detectors that share both share one result.
-    Only the true positives are demodulated and scored, so the decorrelating
-    combiner forms weight rows for those users alone; zero-forcing needs the
-    whole support.  The least-squares estimate takes the support's pilot
-    inverse from the trial's ``pilot_pinvs``, keyed by the support's bytes,
-    forming it there on first use with the ms it took; that time is charged
-    in full at every point that uses it.  The entry is
-    ``combining.support_inverse(pool.P[support])``, which alone picks its
-    kind, a pilot factor or ``pinv`` of the block; the harness only holds it.  At the trial's ``last`` point the entry
-    leaves the memo, so an inverse the estimate does not keep is freed before
-    zero-forcing runs, and one it keeps lives until the frame is scored.
+    Each stage's detection result is kept while the frame is scored; each
+    (combiner, support) pair is combined and scored once, by
+    ``_score_support``, whose weight rows, estimate and decisions die when it
+    returns, before the next detector runs.
     """
-    truth = frame.ground_truth
     stages: dict[str, tuple[DetectionResult, float]] = {}
     combined: dict[tuple[str, bytes], tuple[TrialMetrics, float]] = {}
     out: dict[str, TrialMetrics] = {}
     for name, spec in specs.items():
-        step = "detect"
+        where = f"trial {trial_index}, detector {name}"
         try:
             if spec.stage not in stages:
                 t0 = time.perf_counter()
@@ -323,43 +316,80 @@ def _score_frame(
                 res = stage.detect(frame, pool, codebook, cfg.zeta, cfg.svd_cost, gram_pinv)
                 stages[spec.stage] = res, (time.perf_counter() - t0) * 1e3
             res, stage_ms = stages[spec.stage]
-
             key = spec.combiner, res.detected.astype(np.int64, copy=False).tobytes()
-            if key not in combined:
-                step = "combine"
-                pinv_ms = 0.0
-                tp_mask = np.isin(res.detected, truth.active, assume_unique=True)
-                tp_users = res.detected[tp_mask]
-                if spec.combiner == "dwe":
-                    t0 = time.perf_counter()
-                    tp_W = dwe_weights(frame, pool, tp_users, y_pinv=res.y_pinv).W
-                else:
-                    if key[1] not in pilot_pinvs:
-                        t0 = time.perf_counter()
-                        p_pinv = support_inverse(pool.P[res.detected])
-                        pilot_pinvs[key[1]] = p_pinv, (time.perf_counter() - t0) * 1e3
-                    p_pinv, pinv_ms = pilot_pinvs.pop(key[1]) if last else pilot_pinvs[key[1]]
-                    t0 = time.perf_counter()
-                    h_est = ls_channel_estimate(frame, pool, res.detected, p_pinv)
-                    del p_pinv  # at the trial's last point, only an h_est that keeps it holds it now
-                    tp_W = zf_weights(h_est, res.detected).W[tp_mask]
-                step = "score"
-                m = detection_metrics(res, truth)
-                if frame.Y_D.shape[1] and tp_users.size:
-                    step = "demod"
-                    decided = demod_qpsk(tp_W @ frame.Y_D)
-                    sent_rows = np.searchsorted(truth.active, tp_users)
-                    m.sym_errors = symbol_errors(decided, frame.X_D[sent_rows])
-                    m.sym_total = decided.size
-                if tp_users.size:
-                    step = "sinr"
-                    m.post_sinr_db = post_sinr(tp_W, tp_users, frame.H, truth.active, frame.sigma2)
-                combined[key] = m, (time.perf_counter() - t0) * 1e3 + pinv_ms
-            m, combine_ms = combined[key]
         except Exception as exc:
-            raise RuntimeError(f"trial {trial_index}, detector {name}, {step}: {exc}") from exc
+            raise RuntimeError(f"{where}, detect: {exc}") from exc
+        if key not in combined:
+            combined[key] = _score_support(frame, pool, res, key, pilot_pinvs, last, where)
+        m, combine_ms = combined[key]
         out[name] = replace(m, mult_count=res.mults, wall_ms=stage_ms + combine_ms)
     return out
+
+
+def _score_support(
+    frame: ReceivedFrame,
+    pool: PilotPool,
+    res: DetectionResult,
+    key: tuple[str, bytes],
+    pilot_pinvs: dict[bytes, tuple[object, float]],
+    last: bool,
+    where: str,
+) -> tuple[TrialMetrics, float]:
+    """The support ``res.detected`` combined and scored on ``frame``, with its ms.
+
+    ``key`` is the pair's (combiner, bytes of the support as int64).
+
+    Only the true positives are demodulated and scored, so the decorrelating
+    combiner forms weight rows for those users alone; zero-forcing needs the
+    whole support.  The least-squares estimate takes the support's pilot
+    inverse from the trial's ``pilot_pinvs``, keyed by the support's bytes,
+    forming it there on first use with the ms it took; that time is charged
+    in full at every point that uses it.  The entry is
+    ``combining.support_inverse(pool.P[support])``, which alone picks its
+    kind, a pilot factor or ``pinv`` of the block; the harness only holds it.
+    At the trial's ``last`` point the entry leaves the memo.  The estimate,
+    and with it an inverse that it keeps, is freed once zero-forcing has
+    formed the weight rows, and the data rows are decided in their own
+    buffer.  A failure raises a RuntimeError ``<where>, <step>: <msg>``
+    with step combine, score, demod or sinr.
+    """
+    truth = frame.ground_truth
+    detected = res.detected
+    combiner, support = key
+    step = "combine"
+    try:
+        pinv_ms = 0.0
+        tp_mask = np.isin(detected, truth.active, assume_unique=True)
+        tp_users = detected[tp_mask]
+        if combiner == "dwe":
+            t0 = time.perf_counter()
+            tp_W = dwe_weights(frame, pool, tp_users, y_pinv=res.y_pinv).W
+        else:
+            if support not in pilot_pinvs:
+                t0 = time.perf_counter()
+                p_pinv = support_inverse(pool.P[detected])
+                pilot_pinvs[support] = p_pinv, (time.perf_counter() - t0) * 1e3
+            p_pinv, pinv_ms = pilot_pinvs.pop(support) if last else pilot_pinvs[support]
+            t0 = time.perf_counter()
+            h_est = ls_channel_estimate(frame, pool, detected, p_pinv)
+            del p_pinv  # at the trial's last point, only an h_est that keeps it holds it now
+            tp_W = zf_weights(h_est, detected).W[tp_mask]
+            del h_est  # the estimate, and at the last point its inverse, is not held through demod
+        step = "score"
+        m = detection_metrics(res, truth)
+        if frame.Y_D.shape[1] and tp_users.size:
+            step = "demod"
+            x_est = tp_W @ frame.Y_D
+            decided = demod_qpsk(x_est, out=x_est)
+            sent_rows = np.searchsorted(truth.active, tp_users)
+            m.sym_errors = symbol_errors(decided, frame.X_D[sent_rows])
+            m.sym_total = decided.size
+        if tp_users.size:
+            step = "sinr"
+            m.post_sinr_db = post_sinr(tp_W, tp_users, frame.H, truth.active, frame.sigma2)
+    except Exception as exc:
+        raise RuntimeError(f"{where}, {step}: {exc}") from exc
+    return m, (time.perf_counter() - t0) * 1e3 + pinv_ms
 
 
 def _trial_at_points(
@@ -378,7 +408,10 @@ def _trial_at_points(
     is scored.  The trial's ``pilot_pinvs`` memo forms each detected
     support's ``support_inverse`` once, for every point and
     group; an entry used at the trial's last point leaves it there, and the
-    rest is freed when the trial returns.
+    rest is freed when the trial returns.  While a frame is scored, the
+    thread holds the frame (its ``H`` and ``X_D`` among it), each stage's
+    detection result with its ``pinv(Y)``, the memo, and the arrays of the
+    one combine that runs (``_score_support``), nothing of an earlier one.
 
     The frames depend only on (seed, trial_index), never on ``specs``.  A
     point's error is a RuntimeError naming the trial and the step that

@@ -111,7 +111,8 @@ def pinv(a, rel_tol: float | None = None) -> np.ndarray:
        ``G = A^H A``, ``X0 = inv(G) A^H``, ``X = 2 X0 - (X0 A) X0``, when the
        contraction certificate ``||G||_F ||G^-1||_F rows eps <= NORMAL_EQ_BOUND``
        holds.  The step forms the small cols x cols ``X0 A``, so its two
-       products cost ``2 rows cols^2`` multiplies, not ``2 rows^2 cols``.
+       products cost ``2 rows cols^2`` multiplies, not ``2 rows^2 cols``,
+       and writes ``X`` into ``X0``'s buffer, with ``G`` and ``G^-1`` freed.
        ``G`` keeps LU, not the Gram's Schur rule (``_schur_pinv``): cond(G)
        is cond(A)^2, and that rule without its certificate missed the tall
        rule's 10 cond(A) eps on test inputs from cond(A) = 1e3;
@@ -290,7 +291,12 @@ def _mirror_lower(m: np.ndarray) -> None:
 
 
 def _normal_eq_pinv(m: np.ndarray) -> np.ndarray | None:
-    """Tall ``pinv`` by ``inv(A^H A) A^H`` and one Newton-Schulz step; None when uncertified."""
+    """Tall ``pinv`` by ``inv(A^H A) A^H`` and one Newton-Schulz step; None when uncertified.
+
+    The step ``2 X0 - (X0 A) X0`` is formed in ``X0``'s own buffer, by the
+    same operations in the same order, once ``A^H``, ``G`` and ``G^-1`` are
+    let go.
+    """
     mh = m.conj().T
     g = mh @ m
     g_inv = np.linalg.inv(g)
@@ -298,7 +304,11 @@ def _normal_eq_pinv(m: np.ndarray) -> np.ndarray | None:
     if not np.linalg.norm(g) * np.linalg.norm(g_inv) * m.shape[0] * eps <= NORMAL_EQ_BOUND:
         return None
     x0 = g_inv @ mh
-    return 2.0 * x0 - (x0 @ m) @ x0
+    del mh, g, g_inv  # the step reads only m and x0
+    t = (x0 @ m) @ x0
+    x0 *= 2.0
+    x0 -= t
+    return x0
 
 
 def _svd_pinv(m: np.ndarray, rel_tol: float) -> np.ndarray:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -820,9 +821,12 @@ def test_a_shared_pilot_pinv_is_charged_in_full_at_every_point(monkeypatch):
 
 
 def _pilot_pinv_lifetimes(monkeypatch):
-    """Weak references to every support inverse, and whether each was alive at each ZF entry."""
-    refs, alive_at_zf = [], []
+    """Weak references to every support inverse, and whether each was alive at each ZF entry;
+    and whether the weight rows of each DWE combine were alive at each least-squares estimate's
+    entry."""
+    refs, alive_at_zf, rows, rows_alive_at_estimate = [], [], [], []
     original, zf = harness.support_inverse, harness.zf_weights
+    dwe, estimate = harness.dwe_weights, harness.ls_channel_estimate
 
     def tracked(P):
         out = original(P)
@@ -833,21 +837,39 @@ def _pilot_pinv_lifetimes(monkeypatch):
         alive_at_zf.append([ref() is not None for ref in refs])
         return zf(*args)
 
+    def weighed(*args, **kwargs):
+        out = dwe(*args, **kwargs)
+        rows.append(weakref.ref(out.W))
+        return out
+
+    def estimated(*args):
+        rows_alive_at_estimate.append([ref() is not None for ref in rows])
+        return estimate(*args)
+
     monkeypatch.setattr(harness, "support_inverse", tracked)
     monkeypatch.setattr(harness, "zf_weights", checked)
-    return refs, alive_at_zf
+    monkeypatch.setattr(harness, "dwe_weights", weighed)
+    monkeypatch.setattr(harness, "ls_channel_estimate", estimated)
+    return refs, alive_at_zf, rows_alive_at_estimate
 
 
 def test_a_one_point_trial_frees_its_pilot_pinv_before_zero_forcing(monkeypatch):
-    refs, alive_at_zf = _pilot_pinv_lifetimes(monkeypatch)
+    refs, alive_at_zf, _ = _pilot_pinv_lifetimes(monkeypatch)
     run_point(small_cfg(trials=1), ["oracle"])
     assert len(refs) == 1
     assert alive_at_zf == [[False]]
 
 
+def test_a_dwe_combines_weight_rows_are_dead_when_the_next_combine_estimates(monkeypatch):
+    refs, _, rows_alive_at_estimate = _pilot_pinv_lifetimes(monkeypatch)
+    harness.run_sweep(SweepSpec(small_cfg(trials=1), "snr_db", [0.0, 4.0, 8.0], ["pdrs", "pdrs-lszf"]))
+    assert refs
+    assert rows_alive_at_estimate == [[False], [False, False], [False, False, False]]
+
+
 def test_a_draws_last_point_frees_its_pilot_pinv_before_zero_forcing(monkeypatch):
     cfg = small_cfg(trials=1)
-    refs, alive_at_zf = _pilot_pinv_lifetimes(monkeypatch)
+    refs, alive_at_zf, _ = _pilot_pinv_lifetimes(monkeypatch)
     harness.run_sweep(SweepSpec(cfg, "snr_db", [0.0, 4.0, 8.0], ["oracle"]))
     assert len(refs) == 1
     assert alive_at_zf == [[True], [True], [False]]
@@ -855,10 +877,13 @@ def test_a_draws_last_point_frees_its_pilot_pinv_before_zero_forcing(monkeypatch
 
 def _pilot_factor_lifetimes(monkeypatch):
     """Weak references to every pilot factor the harness forms, and whether each was alive at
-    each ZF entry, with the type of the estimate ZF was given; and whether the pilot block each
-    factor was formed of was alive at each ZF entry."""
+    each ZF entry, with the type of the estimate ZF was given; whether the pilot block each
+    factor was formed of was alive at each ZF entry; and whether each estimate, and each
+    factor, was alive at each demod entry."""
     refs, block_refs, alive_at_zf, blocks_alive_at_zf, estimates = [], [], [], [], []
+    estimate_refs, alive_at_demod = [], []
     original, zf = combining.pilot_factor, harness.zf_weights
+    estimate, demod = harness.ls_channel_estimate, harness.demod_qpsk
 
     def tracked(P):
         out = original(P)
@@ -872,32 +897,70 @@ def _pilot_factor_lifetimes(monkeypatch):
         estimates.append(type(h_est))
         return zf(h_est, users)
 
+    def estimated(*args):
+        out = estimate(*args)
+        estimate_refs.append(weakref.ref(out))
+        return out
+
+    def demodulated(*args, **kwargs):
+        alive_at_demod.append(
+            ([ref() is not None for ref in estimate_refs], [ref() is not None for ref in refs])
+        )
+        return demod(*args, **kwargs)
+
     monkeypatch.setattr(combining, "pilot_factor", tracked)  # where support_inverse looks it up
     monkeypatch.setattr(harness, "zf_weights", checked)
-    return refs, alive_at_zf, estimates, blocks_alive_at_zf
+    monkeypatch.setattr(harness, "ls_channel_estimate", estimated)
+    monkeypatch.setattr(harness, "demod_qpsk", demodulated)
+    return refs, alive_at_zf, estimates, blocks_alive_at_zf, alive_at_demod
 
 
 def test_a_wide_estimate_holds_its_pilot_factor_through_zf_and_frees_it_with_trial(monkeypatch):
     # zeta > L: the memo holds the pilot block's factor, and ZF reads it
     blocks = _pilot_pinv_calls(monkeypatch)
-    refs, alive_at_zf, estimates, _ = _pilot_factor_lifetimes(monkeypatch)
+    refs, alive_at_zf, estimates, _, alive_at_demod = _pilot_factor_lifetimes(monkeypatch)
     run_point(small_cfg(zeta=10, trials=1), ["pdrs-lszf"])
     assert blocks == []  # no pinv of the pilot block
     assert estimates == [LsEstimate]
     assert len(refs) == 1
     assert alive_at_zf == [[True]]
     assert refs[0]() is None
+    # the trial's last point: the estimate, and with it the factor, is dead before demod
+    assert alive_at_demod == [([False], [False])]
 
 
 def test_an_overshoot_shaped_trial_frees_each_pilot_block_before_zero_forcing(monkeypatch):
     # zeta > M > L, as in overshoot-pdrs: the memo holds each support's factor through ZF,
     # but the factor keeps no copy of the block it was formed of
     cfg = small_cfg(zeta=16, trials=1)
-    refs, alive_at_zf, estimates, blocks_alive_at_zf = _pilot_factor_lifetimes(monkeypatch)
+    lifetimes = _pilot_factor_lifetimes(monkeypatch)
+    refs, alive_at_zf, estimates, blocks_alive_at_zf, alive_at_demod = lifetimes
     harness.run_sweep(SweepSpec(cfg, "snr_db", [0.0, 4.0, 8.0], ["pdrs-lszf", "bomp"]))
     assert refs and set(estimates) == {LsEstimate}
     assert all(any(alive) for alive in alive_at_zf)
     assert blocks_alive_at_zf == [[False] * len(alive) for alive in alive_at_zf]
+    # no estimate is held through demod, at any point
+    assert alive_at_demod and not any(any(est) for est, _ in alive_at_demod)
+
+
+@pytest.mark.parametrize("l, zeta", [(4, 96), (1, 192)], ids=["anchor", "overshoot"])
+def test_an_anchor_sized_trial_holds_only_its_current_steps_arrays(l, zeta):
+    # one serial trial of the pdrs workloads' detectors, traced from its start; an earlier
+    # combine's rows, the LS estimate through demod, or the tall pinv rule's G, G^-1 and
+    # A^H through its Newton-Schulz step each take it past the bound (OpenBLAS's own
+    # buffers are not traced)
+    cfg = replace(SystemConfig(), l=l, zeta=zeta, trials=1)
+    specs = {name: DETECTOR_TABLE[name] for name in ("pdrs", "pdrs-lszf")}
+    pool, groups = synth_pool(cfg), [(synth_codebook(cfg), [(0, cfg)])]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        (result,) = harness._trial_at_points(pool, None, specs, groups, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not isinstance(result, Exception)
+    assert peak - start < 3.2e6
 
 
 def test_an_snr_sweep_forms_each_wide_supports_pilot_factor_once_per_trial(monkeypatch):
@@ -919,7 +982,7 @@ def test_an_snr_sweep_forms_each_wide_supports_pilot_factor_once_per_trial(monke
     # so a memo per trial without the support in its key, or one per point, fails
     assert cfg.trials < len(pairs) < cfg.trials * len(values) * len(dets)
     blocks = _pilot_pinv_calls(monkeypatch)
-    refs, alive_at_zf, estimates, _ = _pilot_factor_lifetimes(monkeypatch)
+    refs, alive_at_zf, estimates, _, _ = _pilot_factor_lifetimes(monkeypatch)
     rows = harness.run_sweep(SweepSpec(cfg, "snr_db", values, dets))
     assert len(refs) == len(pairs)
     assert blocks == [] and set(estimates) == {LsEstimate}
@@ -963,7 +1026,7 @@ def test_dwe_forms_weight_rows_only_for_the_users_it_scores(monkeypatch):
 
 
 def test_no_pilot_pinv_outlives_its_trial(monkeypatch):
-    refs, _ = _pilot_pinv_lifetimes(monkeypatch)
+    refs, _, _ = _pilot_pinv_lifetimes(monkeypatch)
     values = [-12.0, -6.0, 0.0, 20.0]
     harness.run_sweep(SweepSpec(small_cfg(trials=1), "snr_db", values, ["fpr", "oracle"]))
     # the last point uses at most two supports, so some entry is never used there

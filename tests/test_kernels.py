@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from pdrslink import _kernels
 from pdrslink.scenario import RngStream, cgauss
@@ -53,6 +54,18 @@ def test_qpsk_decide_matches_the_where_rule_on_signed_zeros_infinities_and_nan()
     got, want = _kernels.qpsk_decide(z), where_rule(z)
     assert got.dtype == np.complex128 and got.shape == z.shape
     assert got.tobytes() == want.tobytes()
+    into = z.copy()
+    assert _kernels.qpsk_decide(into, out=into) is into  # decided in its own buffer
+    assert into.tobytes() == want.tobytes()
+
+
+def test_qpsk_decide_rejects_an_out_it_cannot_fill_exactly():
+    z = cgauss(1, 4, 1.0, RngStream(54, 0))  # its decisions would broadcast into a taller out
+    wide = np.empty((1, 8), np.complex128)
+    bad = [np.empty((3, 4), np.complex128), np.empty((1, 4), np.complex64), wide[:, ::2]]
+    for out in bad:
+        with pytest.raises(ValueError, match="out must be a C-contiguous complex128 array of shape"):
+            _kernels.qpsk_decide(z, out=out)
 
 
 def test_implementations_pair_each_kernel_with_none():

@@ -339,6 +339,24 @@ def test_the_in_place_hermitian_rule_is_the_allocating_one_bit_for_bit(n, real):
     assert a.tobytes() == before.tobytes()  # pinv leaves its input unchanged
 
 
+def tall_rule_reference(a):
+    """The tall rule with its Newton-Schulz step in new arrays: ``2.0 * x0 - (x0 @ a) @ x0``."""
+    ah = a.conj().T
+    x0 = np.linalg.inv(ah @ a) @ ah
+    return 2.0 * x0 - (x0 @ a) @ x0
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("shape", [(2, 1), (12, 5), (40, 39), (128, 96)])
+def test_the_in_place_newton_schulz_step_is_the_allocating_one_bit_for_bit(shape, real):
+    a = gauss(*shape, RngStream(116, shape[0]), real)
+    ref = tall_rule_reference(a)
+    assert linalg._normal_eq_pinv(a).tobytes() == ref.tobytes()
+    before = a.copy()
+    assert pinv(a).tobytes() == ref.tobytes()  # the tall rule's result is kept
+    assert a.tobytes() == before.tobytes()
+
+
 def test_the_anchor_fpr_gram_takes_the_hermitian_rule(monkeypatch):
     pool = synth_pool(SystemConfig())  # the anchor pool: N = 1000 pilots of length L = 96
     G = linalg._squared_gram(pool.P)

@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 from pdrslink.combining import LsEstimate, dwe_weights, ls_channel_estimate, pilot_factor, zf_weights
 from pdrslink.detectors import detect_bomp, detect_fpr, detect_pdrs_dwe, fpr_gram_pinv, oracle_support
 from pdrslink import detectors, linalg
-from test_linalg import schur_inv_reference
+from test_linalg import schur_inv_reference, tall_rule_reference
 from pdrslink.harness import DETECTORS, SWEEP_VARS, SweepSpec, parse_config, run_point, run_sweep
 from pdrslink.metrics import complexity_model
 from pdrslink.scenario import (
@@ -238,6 +238,30 @@ def test_the_in_place_hermitian_rule_is_the_allocating_one(a):
     else:
         linalg._schur_inv(x)
         assert x.tobytes() == ref.tobytes()
+    before = a.copy()
+    linalg.pinv(a)
+    assert a.tobytes() == before.tobytes()
+
+
+@st.composite
+def tall_inputs(draw):
+    """A tall input up to 130 rows, real or complex, Gaussian or with its columns scaled apart
+    by up to 1e6, so that some fail the tall rule's certificate."""
+    m = draw(st.integers(2, 130))
+    n = draw(st.integers(1, m - 1))
+    gen = np.random.default_rng(draw(st.integers(0, 2**16)))
+    a = gen.standard_normal((m, n))
+    if not draw(st.booleans()):
+        a = a + 1j * gen.standard_normal((m, n))
+    return a * np.logspace(0, draw(st.sampled_from([0.0, 3.0, 6.0])), n)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(tall_inputs())
+def test_the_in_place_newton_schulz_step_is_the_allocating_one(a):
+    got = linalg._normal_eq_pinv(a)
+    if got is not None:  # certified: the step ran
+        assert got.tobytes() == tall_rule_reference(a).tobytes()
     before = a.copy()
     linalg.pinv(a)
     assert a.tobytes() == before.tobytes()
